@@ -29,6 +29,7 @@ from .scenario import (
     builtin_catalog,
     load_scenarios,
     project,
+    read_utf8_file,
     schema_json,
 )
 from .sensitivity import (
@@ -285,12 +286,7 @@ def _parse_dist_flag(text: str) -> DistributionSpec:
 
 
 def _load_spec_document(path: str, allowed_keys: set[str], context: str) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ValidationError(f"{context} spec file not found: {path}") from None
-    except OSError as exc:
-        raise ValidationError(f"cannot read {context} spec file {path}: {exc}") from None
+    text = read_utf8_file(path, f"{context} spec file")
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -32,13 +32,10 @@ from .errors import ValidationError
 
 __all__ = [
     "Magnitude",
-    "StateSpaceSpec",
     "ComputeEnv",
     "ReductionFactor",
     "ReductionFactors",
     "DEFAULT_FACTOR_RANGES",
-    "default_reduction_factors",
-    "state_space_size",
     "naive_mapf_ops_per_cycle",
     "compute_demand",
     "chi_eff",
@@ -76,10 +73,6 @@ class Magnitude:
                 f"Magnitude value must be positive and finite, got {value!r}"
             )
         return cls(math.log10(value))
-
-    @classmethod
-    def from_log10(cls, log10_value: float) -> "Magnitude":
-        return cls(float(log10_value))
 
     @property
     def value(self) -> float:
@@ -123,40 +116,11 @@ class Magnitude:
 
 
 @dataclass(frozen=True, slots=True)
-class StateSpaceSpec:
-    """Joint configuration space of a driving scene.
-
-    n_objects dynamic objects, dof_per_object continuous degrees of
-    freedom each, discretization_levels grid points per degree.
-    """
-
-    n_objects: int
-    dof_per_object: int
-    discretization_levels: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n_objects, int) or self.n_objects < 1:
-            raise ValidationError(
-                f"n_objects must be an integer >= 1, got {self.n_objects!r}"
-            )
-        if not isinstance(self.dof_per_object, int) or self.dof_per_object < 1:
-            raise ValidationError(
-                f"dof_per_object must be an integer >= 1, got {self.dof_per_object!r}"
-            )
-        if not isinstance(self.discretization_levels, int) or self.discretization_levels < 2:
-            raise ValidationError(
-                "discretization_levels must be an integer >= 2, "
-                f"got {self.discretization_levels!r}"
-            )
-
-
-@dataclass(frozen=True, slots=True)
 class ComputeEnv:
     """Fleet-scale compute environment the planner runs against."""
 
     current_capacity: Magnitude  # ops per second available today
     doubling_period_years: float  # historical capacity doubling period
-    cycle_time_s: float = 0.1  # planning cycle, 10 Hz replan by default
 
     def __post_init__(self) -> None:
         if not isinstance(self.current_capacity, Magnitude):
@@ -167,10 +131,6 @@ class ComputeEnv:
             raise ValidationError(
                 "doubling_period_years must be positive, "
                 f"got {self.doubling_period_years!r}"
-            )
-        if not (math.isfinite(self.cycle_time_s) and self.cycle_time_s > 0):
-            raise ValidationError(
-                f"cycle_time_s must be positive, got {self.cycle_time_s!r}"
             )
 
 
@@ -226,33 +186,6 @@ DEFAULT_FACTOR_RANGES: dict[str, tuple[float, float]] = {
     "precomputed_maneuvers": (0.1, 0.3),
     "specialized_hardware": (0.1, 1.0),
 }
-
-
-def default_reduction_factors() -> ReductionFactors:
-    """Mid-band point estimates for the five standard mechanisms."""
-    values = {
-        "active_interaction": 0.33,
-        "hierarchical_decomposition": 0.2,
-        "learned_heuristics": 0.2,
-        "precomputed_maneuvers": 0.1,
-        "specialized_hardware": 0.5,
-    }
-    return ReductionFactors(
-        tuple(
-            ReductionFactor(name, values[name], DEFAULT_FACTOR_RANGES[name])
-            for name in values
-        )
-    )
-
-
-def state_space_size(spec: StateSpaceSpec) -> Magnitude:
-    """Joint state count m**(d*n), as a Magnitude.
-
-    log10 size = n * d * log10(m); strictly increasing in each of
-    n_objects, dof_per_object and discretization_levels.
-    """
-    exponent = spec.n_objects * spec.dof_per_object
-    return Magnitude(exponent * math.log10(spec.discretization_levels))
 
 
 def naive_mapf_ops_per_cycle(n_objects: int) -> Magnitude:

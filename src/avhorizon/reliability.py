@@ -149,7 +149,13 @@ def crow_required_miles(params: CrowAmsaaParams, lambda_target: float) -> float:
     start_rate = params.alpha * params.severity
     if lambda_target >= start_rate:
         return 0.0
-    return (start_rate / lambda_target) ** (1.0 / params.beta)
+    try:
+        return (start_rate / lambda_target) ** (1.0 / params.beta)
+    except OverflowError:
+        raise ValidationError(
+            f"crow.beta={params.beta!r} is too small: the growth mileage "
+            f"({start_rate!r} / {lambda_target!r}) ** (1 / beta) exceeds float range"
+        ) from None
 
 
 def crow_failure_rate(params: CrowAmsaaParams, miles: float) -> float:

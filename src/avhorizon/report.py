@@ -19,7 +19,6 @@ import enum
 import io
 import json
 from datetime import datetime, timezone
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyResultsError, ValidationError
@@ -29,7 +28,6 @@ from .timeline import Stage
 
 __all__ = [
     "ReportFormat",
-    "ReportDocument",
     "REPORT_SCHEMA",
     "render",
     "render_sensitivity",
@@ -137,21 +135,6 @@ class ReportFormat(enum.Enum):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class ReportDocument:
-    """A titled, optionally timestamped set of projection results."""
-
-    title: str
-    results: tuple[ProjectionResult, ...]
-    generated_at: str | None = None  # RFC 3339 UTC, supplied by the caller
-
-    def __post_init__(self) -> None:
-        if not self.title or not isinstance(self.title, str):
-            raise ValidationError(f"title must be a non-empty string, got {self.title!r}")
-        if not self.results:
-            raise EmptyResultsError("cannot render a report with no results")
-
-
 def _format_timestamp(generated_at: datetime | str | None) -> str | None:
     if generated_at is None:
         return None
@@ -170,19 +153,20 @@ def render(
     generated_at: datetime | str | None = None,
 ) -> str:
     """Render projection results; row order follows input order."""
-    document = ReportDocument(
-        title=title,
-        results=tuple(results),
-        generated_at=_format_timestamp(generated_at),
-    )
+    results = tuple(results)
+    timestamp = _format_timestamp(generated_at)
+    if not title or not isinstance(title, str):
+        raise ValidationError(f"title must be a non-empty string, got {title!r}")
+    if not results:
+        raise EmptyResultsError("cannot render a report with no results")
     if fmt is ReportFormat.TABLE:
-        return _render_table(document)
+        return _render_table(results, title, timestamp)
     if fmt is ReportFormat.CSV:
-        return _render_csv(document)
+        return _render_csv(results)
     if fmt is ReportFormat.JSON:
-        return _render_json(document)
+        return _render_json(results, title, timestamp)
     if fmt is ReportFormat.MARKDOWN:
-        return _render_markdown(document)
+        return _render_markdown(results, title, timestamp)
     raise ValidationError(f"unknown report format {fmt!r}")
 
 
@@ -208,11 +192,12 @@ def _aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]],
     return lines
 
 
-def _render_table(document: ReportDocument) -> str:
+def _render_table(results: Sequence[ProjectionResult], title: str,
+                  timestamp: str | None) -> str:
     headers = ["Category", "Stage", "T_comp", "T_crow", "T_poisson",
                "T_prod_reg", "T_total", "Gating", "Year"]
     rows = []
-    for r in document.results:
+    for r in results:
         b = r.breakdown
         rows.append([
             r.category,
@@ -225,9 +210,9 @@ def _render_table(document: ReportDocument) -> str:
             b.gating.value,
             str(b.calendar_year),
         ])
-    lines = [document.title]
-    if document.generated_at:
-        lines.append(f"Generated: {document.generated_at}")
+    lines = [title]
+    if timestamp:
+        lines.append(f"Generated: {timestamp}")
     lines.append("")
     lines.extend(_aligned_table(headers, rows, right_aligned={2, 3, 4, 5, 6, 8}))
     return "\n".join(lines) + "\n"
@@ -243,11 +228,11 @@ _CSV_COLUMNS = (
 )
 
 
-def _render_csv(document: ReportDocument) -> str:
+def _render_csv(results: Sequence[ProjectionResult]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
     writer.writerow(_CSV_COLUMNS)
-    for r in document.results:
+    for r in results:
         b, m = r.breakdown, r.intermediate
         writer.writerow([
             r.category, r.stage.value,
@@ -289,24 +274,26 @@ def _result_to_json_object(r: ProjectionResult) -> dict:
     }
 
 
-def _render_json(document: ReportDocument) -> str:
-    payload: dict = {"title": document.title}
-    if document.generated_at:
-        payload["generated_at"] = document.generated_at
-    payload["results"] = [_result_to_json_object(r) for r in document.results]
+def _render_json(results: Sequence[ProjectionResult], title: str,
+                 timestamp: str | None) -> str:
+    payload: dict = {"title": title}
+    if timestamp:
+        payload["generated_at"] = timestamp
+    payload["results"] = [_result_to_json_object(r) for r in results]
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _render_markdown(document: ReportDocument) -> str:
-    lines = [f"# {document.title}", ""]
-    if document.generated_at:
-        lines.extend([f"Generated: {document.generated_at}", ""])
+def _render_markdown(results: Sequence[ProjectionResult], title: str,
+                     timestamp: str | None) -> str:
+    lines = [f"# {title}", ""]
+    if timestamp:
+        lines.extend([f"Generated: {timestamp}", ""])
 
     # Stage summary: one row per category in first-seen order, the
     # projected calendar year per stage column, n/a where not computed.
     categories: list[str] = []
     by_key: dict[tuple[str, Stage], ProjectionResult] = {}
-    for r in document.results:
+    for r in results:
         if r.category not in categories:
             categories.append(r.category)
         by_key[(r.category, r.stage)] = r
@@ -322,7 +309,7 @@ def _render_markdown(document: ReportDocument) -> str:
 
     # Breakdown sections show calendar years as integers and fractional
     # year spans to two decimals.
-    for r in document.results:
+    for r in results:
         b = r.breakdown
         lines.extend(["", f"## {r.category}: {r.stage.display_name}", ""])
         for field_name in _BREAKDOWN_FIELDS:

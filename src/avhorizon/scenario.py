@@ -301,7 +301,6 @@ def builtin_catalog() -> tuple[CategoryScenario, ...]:
     env = ComputeEnv(
         current_capacity=Magnitude.from_value(_SHARED_CAPACITY_OPS_PER_S),
         doubling_period_years=_SHARED_DOUBLING_YEARS,
-        cycle_time_s=_SHARED_CYCLE_TIME_S,
     )
     scenarios = []
     for name, n, severity, gamma_value, (chi2, chi3), (pr2, pr3) in _CATALOG_ROWS:
@@ -639,7 +638,6 @@ def _scenario_from_document(entry: dict[str, Any]) -> CategoryScenario:
         lambda: ComputeEnv(
             current_capacity=Magnitude.from_value(env_doc["current_capacity"]),
             doubling_period_years=env_doc["doubling_period_years"],
-            cycle_time_s=entry["cycle_time_s"],
         ),
     )
     crow = _build(
@@ -723,13 +721,23 @@ def parse_scenarios(text: str, origin: str = "<string>") -> tuple[CategoryScenar
     return tuple(scenarios)
 
 
+def read_utf8_file(path: str | Path, what: str) -> str:
+    """Text of a UTF-8 file; a missing, unreadable or undecodable file is
+    a ValidationError that names ``what`` and the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ValidationError(f"{what} not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{what} {path} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from None
+
+
 def load_scenarios(path: str | Path) -> tuple[CategoryScenario, ...]:
     """Load a scenario document from a file path."""
     file_path = Path(path)
-    try:
-        text = file_path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ValidationError(f"scenario file not found: {file_path}") from None
-    except OSError as exc:
-        raise ValidationError(f"cannot read scenario file {file_path}: {exc}") from None
+    text = read_utf8_file(file_path, "scenario file")
     return parse_scenarios(text, origin=str(file_path))

@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+import operator
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
-from .complexity import ComputeEnv, Magnitude
+from .complexity import Magnitude
 from .errors import UnknownParameterError, ValidationError
-from .reliability import CrowAmsaaParams, PoissonParams
-from .scenario import CategoryScenario, StageMap, project
+from .scenario import CategoryScenario, project
 from .timeline import Gating, Stage
 
 __all__ = [
@@ -61,84 +61,54 @@ _Getter = Callable[[CategoryScenario], float]
 _Setter = Callable[[CategoryScenario, float], CategoryScenario]
 
 
-def _set_crow(field_name: str) -> _Setter:
-    def setter(s: CategoryScenario, v: float) -> CategoryScenario:
-        kwargs = {"alpha": s.crow.alpha, "beta": s.crow.beta, "severity": s.crow.severity}
-        kwargs[field_name] = v
-        return replace(s, crow=CrowAmsaaParams(**kwargs))
+def _field_setter(owner: type, name: str, set_child: Callable) -> Callable:
+    """Setter that rebuilds ``owner`` with field ``name`` replaced by
+    ``set_child(old field value, value)``.
+
+    The rebuild goes through the positional constructor, so the
+    owner's own validation runs on every set.
+    """
+    names = tuple(f.name for f in fields(owner))
+    index = names.index(name)
+    get_all = (operator.attrgetter(*names) if len(names) > 1
+               else lambda obj: (getattr(obj, name),))
+
+    def setter(obj, value):
+        args = list(get_all(obj))
+        args[index] = set_child(args[index], value)
+        return owner(*args)
 
     return setter
 
 
-def _set_poisson(field_name: str) -> _Setter:
-    def setter(s: CategoryScenario, v: float) -> CategoryScenario:
-        kwargs = {
-            "confidence": s.poisson.confidence,
-            "safety_factor": s.poisson.safety_factor,
-            "lambda_target": s.poisson.lambda_target,
-        }
-        kwargs[field_name] = v
-        return replace(s, poisson=PoissonParams(**kwargs))
-
-    return setter
-
-
-def _set_cycle_time(s: CategoryScenario, v: float) -> CategoryScenario:
-    # The compute environment mirrors the scenario cycle time; keep both in step.
-    env = ComputeEnv(s.compute_env.current_capacity, s.compute_env.doubling_period_years, v)
-    return replace(s, cycle_time_s=v, compute_env=env)
+def _numeric_leaves(owner: type):
+    """(path, setter, leaf type) for every int, float or Magnitude field
+    under ``owner``, nested dataclasses included, in declaration order."""
+    hints = get_type_hints(owner)
+    for f in fields(owner):
+        kind = hints[f.name]
+        if kind is Magnitude:
+            set_leaf = _field_setter(owner, f.name, lambda _, v: Magnitude.from_value(v))
+            yield (f.name,), set_leaf, kind
+        elif kind in (int, float):
+            yield (f.name,), _field_setter(owner, f.name, lambda _, v: v), kind
+        elif is_dataclass(kind):
+            for path, set_child, leaf in _numeric_leaves(kind):
+                yield (f.name, *path), _field_setter(owner, f.name, set_child), leaf
 
 
-def _set_capacity(s: CategoryScenario, v: float) -> CategoryScenario:
-    env = ComputeEnv(Magnitude.from_value(v), s.compute_env.doubling_period_years,
-                     s.compute_env.cycle_time_s)
-    return replace(s, compute_env=env)
+def _getter(dotted: str, kind: type) -> _Getter:
+    if kind is Magnitude:  # swept and reported as the linear value
+        return operator.attrgetter(dotted + ".value")
+    get = operator.attrgetter(dotted)
+    return (lambda s: float(get(s))) if kind is int else get
 
 
-def _set_doubling(s: CategoryScenario, v: float) -> CategoryScenario:
-    env = ComputeEnv(s.compute_env.current_capacity, v, s.compute_env.cycle_time_s)
-    return replace(s, compute_env=env)
-
-
-# path -> (getter, setter, is_integer_field)
+# path -> (getter, setter, is_integer_field), one entry per numeric
+# scenario field, in dataclass field declaration order.
 _PARAMETERS: dict[str, tuple[_Getter, _Setter, bool]] = {
-    "n_objects": (lambda s: float(s.n_objects),
-                  lambda s, v: replace(s, n_objects=v), True),
-    "cycle_time_s": (lambda s: s.cycle_time_s, _set_cycle_time, False),
-    "chi.stage2": (lambda s: s.chi.stage2,
-                   lambda s, v: replace(s, chi=StageMap(v, s.chi.stage3)), False),
-    "chi.stage3": (lambda s: s.chi.stage3,
-                   lambda s, v: replace(s, chi=StageMap(s.chi.stage2, v)), False),
-    "compute_env.current_capacity": (lambda s: s.compute_env.current_capacity.value,
-                                     _set_capacity, False),
-    "compute_env.doubling_period_years": (lambda s: s.compute_env.doubling_period_years,
-                                          _set_doubling, False),
-    "crow.alpha": (lambda s: s.crow.alpha, _set_crow("alpha"), False),
-    "crow.beta": (lambda s: s.crow.beta, _set_crow("beta"), False),
-    "crow.severity": (lambda s: s.crow.severity, _set_crow("severity"), False),
-    "crow_lambda_target": (lambda s: s.crow_lambda_target,
-                           lambda s, v: replace(s, crow_lambda_target=v), False),
-    "poisson.confidence": (lambda s: s.poisson.confidence,
-                           _set_poisson("confidence"), False),
-    "poisson.safety_factor": (lambda s: s.poisson.safety_factor,
-                              _set_poisson("safety_factor"), False),
-    "poisson.lambda_target": (lambda s: s.poisson.lambda_target,
-                              _set_poisson("lambda_target"), False),
-    "annual_miles": (lambda s: s.annual_miles,
-                     lambda s, v: replace(s, annual_miles=v), False),
-    "gamma_override": (lambda s: s.gamma_override,
-                       lambda s, v: replace(s, gamma_override=v), False),
-    "base_delta": (lambda s: s.base_delta,
-                   lambda s, v: replace(s, base_delta=v), False),
-    "f": (lambda s: s.f, lambda s, v: replace(s, f=v), False),
-    "prod_reg_years.stage2": (lambda s: s.prod_reg_years.stage2,
-                              lambda s, v: replace(s, prod_reg_years=StageMap(v, s.prod_reg_years.stage3)),
-                              False),
-    "prod_reg_years.stage3": (lambda s: s.prod_reg_years.stage3,
-                              lambda s, v: replace(s, prod_reg_years=StageMap(s.prod_reg_years.stage2, v)),
-                              False),
-    "baseline_year": (lambda s: float(s.baseline_year),
-                      lambda s, v: replace(s, baseline_year=v), True),
+    ".".join(path): (_getter(".".join(path), kind), setter, kind is int)
+    for path, setter, kind in _numeric_leaves(CategoryScenario)
 }
 
 
@@ -148,7 +118,7 @@ def valid_parameter_paths() -> tuple[str, ...]:
 
 
 def _lookup(path: str) -> tuple[_Getter, _Setter, bool]:
-    if path not in _PARAMETERS:
+    if not isinstance(path, str) or path not in _PARAMETERS:
         raise UnknownParameterError(
             f"unknown parameter path {path!r}; valid paths: "
             + ", ".join(valid_parameter_paths())
@@ -161,18 +131,22 @@ def get_parameter(scenario: CategoryScenario, path: str) -> float:
     return getter(scenario)
 
 
+def _is_finite_number(value: object) -> bool:
+    """An int or float, not a bool, that is neither infinite nor NaN."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def set_parameter(scenario: CategoryScenario, path: str, value: float) -> CategoryScenario:
     """Modified copy with the path set; the field's own validation applies."""
     _, setter, is_int = _lookup(path)
     if is_int:
-        if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value) and float(value).is_integer()):
+        if not (_is_finite_number(value) and float(value).is_integer()):
             raise ValidationError(
                 f"parameter {path!r} takes integer values, got {value!r}"
             )
         return setter(scenario, int(value))
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value)):
+    if not _is_finite_number(value):
         raise ValidationError(f"parameter {path!r} requires a finite number, got {value!r}")
     return setter(scenario, float(value))
 
@@ -202,7 +176,7 @@ class SweepSpec:
                 f"sweep over {self.parameter_path!r} needs at least one value"
             )
         for v in self.values:
-            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)):
+            if not _is_finite_number(v):
                 raise ValidationError(
                     f"sweep over {self.parameter_path!r}: value {v!r} is not a finite number"
                 )
@@ -212,7 +186,7 @@ class SweepSpec:
         """Evenly spaced inclusive grid; endpoints land exactly on low and high."""
         if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
             raise ValidationError(f"grid steps must be an integer >= 2, got {steps!r}")
-        if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+        if not (_is_finite_number(low) and _is_finite_number(high) and low <= high):
             raise ValidationError(
                 f"grid bounds must be finite with low <= high, got ({low!r}, {high!r})"
             )
@@ -231,7 +205,8 @@ class ParameterBounds:
 
     def __post_init__(self) -> None:
         _lookup(self.parameter_path)
-        if not (math.isfinite(self.low) and math.isfinite(self.high) and self.low <= self.high):
+        if not (_is_finite_number(self.low) and _is_finite_number(self.high)
+                and self.low <= self.high):
             raise ValidationError(
                 f"bounds for {self.parameter_path!r} must be finite with "
                 f"low <= high, got ({self.low!r}, {self.high!r})"
@@ -257,13 +232,14 @@ class DistributionSpec:
         _lookup(self.parameter_path)
         if not isinstance(self.kind, DistributionKind):
             raise ValidationError(f"kind must be a DistributionKind, got {self.kind!r}")
-        if not (math.isfinite(self.low) and math.isfinite(self.high) and self.low <= self.high):
+        if not (_is_finite_number(self.low) and _is_finite_number(self.high)
+                and self.low <= self.high):
             raise ValidationError(
                 f"distribution for {self.parameter_path!r}: bounds must be finite "
                 f"with low <= high, got ({self.low!r}, {self.high!r})"
             )
         if self.kind is DistributionKind.TRIANGULAR:
-            if self.mode is None or not math.isfinite(self.mode):
+            if not _is_finite_number(self.mode):
                 raise ValidationError(
                     f"triangular distribution for {self.parameter_path!r} requires a finite mode"
                 )

@@ -18,12 +18,11 @@ The schedule is compute-gated when t_comp exceeds the overlappable
 growth span f * t_crow, reliability-gated otherwise.
 
 Stages form a ladder: pilot, revenue service, broad commercialization.
-The per-hour failure thresholds attached to the stages are descriptive
-metadata for reporting only; demonstration math runs entirely on the
-per-mile targets carried by the reliability parameters, and no
-hour-to-mile conversion is ever applied.  Pilot timelines are not
-projected (pilots are assumed achievable with current technology), so
-projection is defined for the two commercial stages only.
+Demonstration math runs entirely on the per-mile targets carried by the
+reliability parameters; no per-hour threshold or hour-to-mile
+conversion is modelled.  Pilot timelines are not projected (pilots are
+assumed achievable with current technology), so projection is defined
+for the two commercial stages only.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "StageSpec",
     "TimelineBreakdown",
     "PROJECTABLE_STAGES",
-    "STAGE_FAILURE_THRESHOLDS_PER_HOUR",
     "STAGE_DELTA_MULTIPLIERS",
     "split_crow",
     "compose_total",
@@ -84,14 +82,6 @@ _STAGE_DISPLAY = {
     Stage.BROAD_COMMERCIAL: "Broad Commercialization (Stage 3)",
 }
 
-# Reporting metadata only: the certification bar per stage, expressed as
-# catastrophic failures per operating hour.  Never converted to per-mile.
-STAGE_FAILURE_THRESHOLDS_PER_HOUR = {
-    Stage.PILOT: 1e-7,
-    Stage.REVENUE_SERVICE: 1e-8,
-    Stage.BROAD_COMMERCIAL: 1e-9,
-}
-
 # Share of full-domain demonstration mileage each stage must cover.
 STAGE_DELTA_MULTIPLIERS = {
     Stage.REVENUE_SERVICE: 0.5,
@@ -99,21 +89,6 @@ STAGE_DELTA_MULTIPLIERS = {
 }
 
 PROJECTABLE_STAGES = (Stage.REVENUE_SERVICE, Stage.BROAD_COMMERCIAL)
-
-
-def _check_threshold_ladder() -> None:
-    ladder = [
-        STAGE_FAILURE_THRESHOLDS_PER_HOUR[s]
-        for s in (Stage.PILOT, Stage.REVENUE_SERVICE, Stage.BROAD_COMMERCIAL)
-    ]
-    for earlier, later in zip(ladder, ladder[1:]):
-        if not later < earlier:
-            raise ValidationError(
-                f"stage failure thresholds must strictly decrease, got {ladder!r}"
-            )
-
-
-_check_threshold_ladder()
 
 
 class Gating(enum.Enum):
@@ -128,18 +103,12 @@ class StageSpec:
     """Stage plus the scenario-dependent knobs the timeline needs."""
 
     stage: Stage
-    failure_threshold_per_hour: float
     delta_multiplier: float
     prod_reg_years: float
 
     def __post_init__(self) -> None:
         if not isinstance(self.stage, Stage):
             raise ValidationError(f"stage must be a Stage, got {self.stage!r}")
-        if not (math.isfinite(self.failure_threshold_per_hour) and self.failure_threshold_per_hour > 0):
-            raise ValidationError(
-                "failure_threshold_per_hour must be positive, "
-                f"got {self.failure_threshold_per_hour!r}"
-            )
         if not (math.isfinite(self.delta_multiplier) and 0.0 < self.delta_multiplier <= 1.0):
             raise ValidationError(
                 f"delta_multiplier must lie in (0, 1], got {self.delta_multiplier!r}"
@@ -159,7 +128,6 @@ class StageSpec:
             )
         return cls(
             stage=stage,
-            failure_threshold_per_hour=STAGE_FAILURE_THRESHOLDS_PER_HOUR[stage],
             delta_multiplier=STAGE_DELTA_MULTIPLIERS[stage],
             prod_reg_years=prod_reg_years,
         )

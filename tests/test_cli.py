@@ -7,6 +7,7 @@ import sys
 import jsonschema
 import pytest
 
+from avhorizon import cli
 from avhorizon.scenario import SCENARIO_SCHEMA, builtin_catalog, serialize_scenarios
 
 
@@ -15,6 +16,14 @@ def run_cli(*args, **kwargs):
         [sys.executable, "-m", "avhorizon", *args],
         capture_output=True, text=True, **kwargs,
     )
+
+
+def assert_single_error_line(capsys, *args):
+    """cli.main exits 1 with one "error:" line; a traceback escapes as an exception."""
+    assert cli.main(list(args)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    return err
 
 
 class TestCatalogCommand:
@@ -137,6 +146,11 @@ class TestSweepCommand:
         assert proc.returncode == 1
         assert "crow.beta" in proc.stderr
 
+    def test_beta_whose_mileage_overflows_is_a_validation_error(self, capsys):
+        err = assert_single_error_line(capsys, "sweep", "--category", "Robo-Taxis",
+                                       "--param", "crow.beta", "--values", "0.01")
+        assert "crow.beta" in err
+
     def test_stage_all_invalid_for_sensitivity(self):
         proc = run_cli("sweep", "--category", "Consumer Automotive",
                        "--param", "crow.beta", "--values", "0.4",
@@ -234,3 +248,32 @@ class TestUsageErrors:
         proc = run_cli("catalog", "--format", "pdf")
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
+
+
+class TestMalformedInput:
+    def test_non_utf8_file_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        for args in (("project", "--file", str(bad)),
+                     ("mc", "--category", "Robo-Taxis", "--spec-file", str(bad))):
+            err = assert_single_error_line(capsys, *args)
+            assert str(bad) in err and "not UTF-8" in err
+
+    @pytest.mark.parametrize("command, body", [
+        ("tornado", {"bounds": [{"parameter_path": "f", "low": "a", "high": 0.8}]}),
+        ("tornado", {"bounds": [{"parameter_path": ["f"], "low": 0.6, "high": 0.8}]}),
+        ("mc", {"distributions": [
+            {"parameter_path": "f", "kind": "uniform", "low": None, "high": 0.8}]}),
+        ("mc", {"distributions": [
+            {"parameter_path": "f", "kind": "triangular", "low": 0.6, "mode": "x",
+             "high": 0.8}]}),
+        ("mc", {"distributions": [
+            {"parameter_path": {"a": 1}, "kind": "uniform", "low": 0.6, "high": 0.8}]}),
+        ("sweep", {"parameter_path": "f", "grid": {"low": "a", "high": 0.8, "steps": 3}}),
+        ("sweep", {"parameter_path": ["f"], "values": [0.6]}),
+    ])
+    def test_malformed_spec_file_values(self, tmp_path, capsys, command, body):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(body))
+        assert_single_error_line(capsys, command, "--category", "Robo-Taxis",
+                                 "--spec-file", str(spec))

@@ -1,25 +1,20 @@
 """Tests for log-domain magnitudes and the compute-demand pipeline."""
 
-import itertools
 import math
 
 import pytest
 
 from avhorizon.complexity import (
-    DEFAULT_FACTOR_RANGES,
     LOG10_2,
     ComputeEnv,
     Magnitude,
     ReductionFactor,
     ReductionFactors,
-    StateSpaceSpec,
     chi_eff,
     compute_demand,
-    default_reduction_factors,
     effective_demand,
     hpc_horizon_years,
     naive_mapf_ops_per_cycle,
-    state_space_size,
 )
 from avhorizon.errors import ValidationError
 
@@ -71,43 +66,6 @@ class TestMagnitude:
         assert str(Magnitude(1000.0)) == "10^1000.00"
 
 
-class TestStateSpace:
-    def test_headline_size(self):
-        spec = StateSpaceSpec(n_objects=50, dof_per_object=10, discretization_levels=100)
-        assert state_space_size(spec).log10_value == pytest.approx(1000.0, rel=1e-9)
-
-    def test_single_object_single_dof(self):
-        spec = StateSpaceSpec(n_objects=1, dof_per_object=1, discretization_levels=10)
-        assert state_space_size(spec).log10_value == pytest.approx(1.0, rel=1e-9)
-
-    def test_against_brute_force_enumeration(self):
-        # Small enough to enumerate every joint state directly.
-        spec = StateSpaceSpec(n_objects=3, dof_per_object=2, discretization_levels=4)
-        states = sum(1 for _ in itertools.product(range(4), repeat=3 * 2))
-        assert states == 4096
-        assert state_space_size(spec).log10_value == pytest.approx(
-            math.log10(states), rel=1e-9
-        )
-
-    def test_strictly_increasing_in_each_field(self):
-        base = StateSpaceSpec(n_objects=5, dof_per_object=3, discretization_levels=8)
-        ref = state_space_size(base).log10_value
-        assert state_space_size(
-            StateSpaceSpec(6, 3, 8)).log10_value > ref
-        assert state_space_size(
-            StateSpaceSpec(5, 4, 8)).log10_value > ref
-        assert state_space_size(
-            StateSpaceSpec(5, 3, 9)).log10_value > ref
-
-    def test_invalid_fields_named(self):
-        with pytest.raises(ValidationError, match="n_objects"):
-            StateSpaceSpec(n_objects=0, dof_per_object=1, discretization_levels=2)
-        with pytest.raises(ValidationError, match="dof_per_object"):
-            StateSpaceSpec(n_objects=1, dof_per_object=0, discretization_levels=2)
-        with pytest.raises(ValidationError, match="discretization_levels"):
-            StateSpaceSpec(n_objects=1, dof_per_object=1, discretization_levels=1)
-
-
 class TestNaiveOps:
     def test_fifty_objects(self):
         assert naive_mapf_ops_per_cycle(50).log10_value == pytest.approx(
@@ -150,10 +108,6 @@ class TestComputeDemand:
 
 
 class TestChiEff:
-    def test_default_factor_product(self):
-        # 0.33 * 0.2 * 0.2 * 0.1 * 0.5
-        assert chi_eff(default_reduction_factors()) == pytest.approx(6.6e-4, rel=1e-12)
-
     def test_empty_factor_list_is_identity(self):
         assert chi_eff(ReductionFactors(factors=())) == 1.0
 
@@ -165,7 +119,11 @@ class TestChiEff:
         assert chi_eff(factors) == 0.25
 
     def test_at_most_min_factor(self):
-        factors = default_reduction_factors()
+        factors = ReductionFactors(factors=(
+            ReductionFactor("active_interaction", 0.33, (0.2, 0.5)),
+            ReductionFactor("hierarchical_decomposition", 0.2, (0.1, 0.3)),
+            ReductionFactor("specialized_hardware", 0.5, (0.1, 1.0)),
+        ))
         assert chi_eff(factors) <= min(f.value for f in factors.factors)
 
     def test_value_outside_documented_range_rejected(self):
@@ -177,13 +135,6 @@ class TestChiEff:
             ReductionFactor("x", 1.5, (0.1, 2.0))
         with pytest.raises(ValidationError):
             ReductionFactor("x", 0.0, (0.0, 1.0))
-
-    def test_default_factors_match_documented_ranges(self):
-        factors = default_reduction_factors()
-        assert {f.name for f in factors.factors} == set(DEFAULT_FACTOR_RANGES)
-        for f in factors.factors:
-            low, high = DEFAULT_FACTOR_RANGES[f.name]
-            assert low <= f.value <= high
 
 
 class TestEffectiveDemand:
@@ -239,6 +190,3 @@ class TestHpcHorizon:
     def test_env_validation(self):
         with pytest.raises(ValidationError):
             ComputeEnv(current_capacity=Magnitude(13.0), doubling_period_years=0.0)
-        with pytest.raises(ValidationError):
-            ComputeEnv(current_capacity=Magnitude(13.0), doubling_period_years=2.5,
-                       cycle_time_s=-1.0)

@@ -1,0 +1,46 @@
+"""The README's library surface and the export lists name code that exists."""
+
+import importlib
+import re
+from pathlib import Path
+
+import avhorizon
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+MODULES = ("complexity", "reliability", "timeline", "scenario", "sensitivity", "report")
+
+
+def library_surface_bullets() -> dict[str, list[str]]:
+    """Module name -> names listed in its "## Library surface" bullet.
+
+    A listed name is the leading identifier of each backticked span, so
+    a call such as `gamma(OddProfile(...))` lists gamma.
+    """
+    section = README.read_text(encoding="utf-8").split("## Library surface", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    bullets: dict[str, list[str]] = {}
+    for bullet in re.split(r"\n(?=\S)", section):
+        head = re.match(r"- `(avhorizon\.\w+)`:", bullet)
+        if head:
+            spans = re.findall(r"`([^`]+)`", bullet[head.end():])
+            bullets[head.group(1)] = [re.match(r"\w*", span).group() for span in spans]
+    return bullets
+
+
+def test_readme_library_surface_names_exist():
+    bullets = library_surface_bullets()
+    assert sorted(bullets) == sorted(f"avhorizon.{m}" for m in MODULES)
+    missing = [
+        f"{module}.{name}"
+        for module, names in bullets.items()
+        for name in names
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
+
+
+def test_every_exported_name_imports():
+    for module in (avhorizon, *(importlib.import_module(f"avhorizon.{m}") for m in MODULES)):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__

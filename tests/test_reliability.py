@@ -82,6 +82,11 @@ class TestCrowMiles:
         with pytest.raises(ValidationError):
             crow_required_miles(p, 0.0)
 
+    def test_mileage_beyond_float_range_names_beta(self):
+        # (1e-4 / 1e-8) ** (1 / 0.01) = 1e400 overflows a float.
+        with pytest.raises(ValidationError, match=r"crow\.beta"):
+            crow_required_miles(CrowAmsaaParams(1e-4, 0.01), 1e-8)
+
 
 class TestPoissonMiles:
     def test_headline_case(self):

@@ -9,7 +9,6 @@ from avhorizon.timeline import (
     Gating,
     PROJECTABLE_STAGES,
     STAGE_DELTA_MULTIPLIERS,
-    STAGE_FAILURE_THRESHOLDS_PER_HOUR,
     Stage,
     StageSpec,
     TimelineBreakdown,
@@ -35,13 +34,6 @@ class TestStage:
         assert Stage.BROAD_COMMERCIAL.display_name == "Broad Commercialization (Stage 3)"
         assert Stage.PILOT.display_name == "Pilot (Stage 1)"
 
-    def test_threshold_ladder_strictly_decreasing(self):
-        t = STAGE_FAILURE_THRESHOLDS_PER_HOUR
-        assert t[Stage.PILOT] == 1e-7
-        assert t[Stage.REVENUE_SERVICE] == 1e-8
-        assert t[Stage.BROAD_COMMERCIAL] == 1e-9
-        assert t[Stage.PILOT] > t[Stage.REVENUE_SERVICE] > t[Stage.BROAD_COMMERCIAL]
-
     def test_delta_multipliers(self):
         assert STAGE_DELTA_MULTIPLIERS[Stage.REVENUE_SERVICE] == 0.5
         assert STAGE_DELTA_MULTIPLIERS[Stage.BROAD_COMMERCIAL] == 1.0
@@ -57,7 +49,6 @@ class TestStage:
 class TestStageSpec:
     def test_for_stage_carries_threshold(self):
         spec = StageSpec.for_stage(Stage.BROAD_COMMERCIAL, prod_reg_years=5.0)
-        assert spec.failure_threshold_per_hour == 1e-9
         assert spec.delta_multiplier == 1.0
         assert spec.prod_reg_years == 5.0
 
