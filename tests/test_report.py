@@ -2,6 +2,7 @@
 
 import csv
 import datetime
+import hashlib
 import io
 import json
 import pathlib
@@ -224,3 +225,135 @@ class TestSensitivityRendering:
         empty = tornado(catalog["Robo-Taxis"], Stage.BROAD_COMMERCIAL, [])
         with pytest.raises(EmptyResultsError):
             render_sensitivity(empty, ReportFormat.TABLE, title="t")
+
+
+@pytest.fixture(scope="module")
+def integer_sweep_report(catalog):
+    return one_at_a_time(catalog["Robo-Taxis"], Stage.BROAD_COMMERCIAL,
+                         SweepSpec("n_objects", (40, 45, 50)))
+
+
+@pytest.fixture(scope="module")
+def two_distribution_mc_report(catalog):
+    return monte_carlo(catalog["Robo-Taxis"], Stage.BROAD_COMMERCIAL, [
+        DistributionSpec("crow.beta", DistributionKind.UNIFORM, low=0.35, high=0.45),
+        DistributionSpec("f", DistributionKind.TRIANGULAR, low=0.5, mode=0.7, high=0.9),
+    ], sample_count=32, seed=3)
+
+
+# SHA-256 of every render below, recorded from the per-format renderers
+# that preceded the shared table model.  Unstamped renders use the
+# default title; stamped renders use a custom title and _STAMP.
+_STAMP = datetime.datetime(2026, 8, 19, 12, 30, tzinfo=datetime.timezone.utc)
+_RENDER_DIGESTS = {
+    ("integer_sweep_report", "table", False):
+        "ea1f48bbb30303d113660bb8e33b0c92952651ce7d06146ae3f475b1255473f9",
+    ("integer_sweep_report", "table", True):
+        "41d05c78e6712b68ae7a9bc20fa9845ae07c1c514578be902ac7a6544234f683",
+    ("integer_sweep_report", "csv", False):
+        "dab85f93bb69215420e8a61de34b91eba68cfdac5ae00a7f3a3985a4a1d9cb97",
+    ("integer_sweep_report", "csv", True):
+        "dab85f93bb69215420e8a61de34b91eba68cfdac5ae00a7f3a3985a4a1d9cb97",
+    ("integer_sweep_report", "json", False):
+        "0d7dee02bccceaeefad1138dbca7773185d27328c7bc405cd197bc318591f5cc",
+    ("integer_sweep_report", "json", True):
+        "7b0a046fd9dfe3d1e7b9bddca9d9d8935763e3d5c2edc1258d6fc5b667f52485",
+    ("integer_sweep_report", "markdown", False):
+        "07ce9881f55c45f3741aca7430be05be3bbd4a464c8d0a7bddf319409a3099f6",
+    ("integer_sweep_report", "markdown", True):
+        "d7b62a1f8839bc58be8c63f0130af01885e5f1c76957de22b29fc5981de37c94",
+    ("mc_report", "table", False):
+        "e1f15b01639df35ad4782c60621bf44e9a67db514bf7ae45e0c842c0da3f44fb",
+    ("mc_report", "table", True):
+        "ab53130f2f499b0c94130ec6a055840b39bc1ac0d298bf7d45244edb602d3dfc",
+    ("mc_report", "csv", False):
+        "8ce6e60852e8b17a3cce5a7c31fc2dc1d6aeae4a0247529f749b4f5986b87fcd",
+    ("mc_report", "csv", True):
+        "8ce6e60852e8b17a3cce5a7c31fc2dc1d6aeae4a0247529f749b4f5986b87fcd",
+    ("mc_report", "json", False):
+        "b97e43c50bdb37ec876909ab9457b8ec36f09223460d16ec9aae525ab89e85bf",
+    ("mc_report", "json", True):
+        "b0309e242ee1eea9687d477e459c3b1a5c3c6ac4598d1de8250bffdc774cec5e",
+    ("mc_report", "markdown", False):
+        "c7f28da4648e565bfee2115de3a11355ad6c70f36821d126c5c3e6cbafd182ae",
+    ("mc_report", "markdown", True):
+        "68312f53f085d88fd670214a7718f5ca16470dd9643bfff16ab80a76acb0e2c2",
+    ("projections", "table", False):
+        "7f8c9c3b07d35f542986464fca66c5576dd5b478c7fbda1e7be328f7ab078076",
+    ("projections", "table", True):
+        "a404ebe6da75598c3f742800583ce3fbb3cd715bb31af84d7c18a101ca1673ff",
+    ("projections", "csv", False):
+        "c593738c06fc826d23cad0b5090952d3e76c7a381f4026cfdf9cb8aa6e1c1c23",
+    ("projections", "csv", True):
+        "c593738c06fc826d23cad0b5090952d3e76c7a381f4026cfdf9cb8aa6e1c1c23",
+    ("projections", "json", False):
+        "b0e4ddd8523e2cf4188e42e6ae75ba1e15719dbe6118172ee8e570741e524df0",
+    ("projections", "json", True):
+        "c88c43b6d2f56b08a10151150e2cedcaddc3d57c327f1d4e5ecd031d19a12f2e",
+    ("projections", "markdown", False):
+        "6c3186a780924d2fa76e42342eb3abe614c5d955d44e97954ef125748a7cc7a4",
+    ("projections", "markdown", True):
+        "bb9a29de279002ec36d10f6a8c344f19c04360d05677a35a7fd1a35401a26b39",
+    ("sweep_report", "table", False):
+        "8299bdc7ec400a8ce8c62e6a4ff9413fd15a79f17ad8ec1b6594f43e88c79771",
+    ("sweep_report", "table", True):
+        "2b896c120ed99449d804cfd7715367a8f3359b9b3c112043c53132b75cb9c1a3",
+    ("sweep_report", "csv", False):
+        "b7d3311e9012283f0802256968fdbfc853886e56fb3c23179a011554472e597d",
+    ("sweep_report", "csv", True):
+        "b7d3311e9012283f0802256968fdbfc853886e56fb3c23179a011554472e597d",
+    ("sweep_report", "json", False):
+        "85f31fc29843724ca8cdbe3bb9d7b546130f531a41d8bd62c736668bc762b128",
+    ("sweep_report", "json", True):
+        "25976222437facc29e48a9ccf31a6d99e171aa2c218d627f7a64ba472fa3af4b",
+    ("sweep_report", "markdown", False):
+        "f44ceb6c5ce8221f0ccca0155f50b31f4ae8dc80ce070e8ee5583431af434056",
+    ("sweep_report", "markdown", True):
+        "174b00ab251c9fccc5f15c39aed87435f3322e60de09308b4aca17b57f5d1d9a",
+    ("tornado_report", "table", False):
+        "00cc4babdb946b8e079751cd178aca50cdfcd88a0c9536be0bb710bfbf424a91",
+    ("tornado_report", "table", True):
+        "b95d2e2c2bc391a1d5200c1c53644b3abf84f34165341574cb17edf1db390873",
+    ("tornado_report", "csv", False):
+        "9fdfcae018521521cf56a2cd95d1b6108ece03afc8114a11bcf8285cdc8b21a8",
+    ("tornado_report", "csv", True):
+        "9fdfcae018521521cf56a2cd95d1b6108ece03afc8114a11bcf8285cdc8b21a8",
+    ("tornado_report", "json", False):
+        "19a64f6232736dbc48a06bf21ef23005fc3d43e152b0de5f8390927246530df0",
+    ("tornado_report", "json", True):
+        "cedd27ccfbe168c170d99f307746e8c5227dc471b284ccfead538dbbbc75e694",
+    ("tornado_report", "markdown", False):
+        "6f5ead985af55fcc1a6b189a51c35abcc91906517c12d438b1ab8433687fc481",
+    ("tornado_report", "markdown", True):
+        "f28b33fb70111805c8d6aeded77aa80244bd6890a86706ec10489b2b1cc78806",
+    ("two_distribution_mc_report", "table", False):
+        "586240a8f0aff65eca8368df53764afd3663ce0eaaa8487eefdbb4d827e56c7e",
+    ("two_distribution_mc_report", "table", True):
+        "270222597bc6b035669099cdbb6c1acb42d74c930c17ca3a3ae9a1f9eeb57e27",
+    ("two_distribution_mc_report", "csv", False):
+        "9e525eaeb5dd6c0e97f365150965d71cb295b982f6ae4c6ae32bf4049060f3f6",
+    ("two_distribution_mc_report", "csv", True):
+        "9e525eaeb5dd6c0e97f365150965d71cb295b982f6ae4c6ae32bf4049060f3f6",
+    ("two_distribution_mc_report", "json", False):
+        "060ee6b71fde5e360d39f3713eb6e76b29f84c85c6fb86407fdbf93532a904a5",
+    ("two_distribution_mc_report", "json", True):
+        "6064fd58c48509bab4aab728a558a6f764d9a518a159ace5dab98ed8b3b54a65",
+    ("two_distribution_mc_report", "markdown", False):
+        "4bffc6ec40428d3a1f266a499a6469c0e06a3fe2af5bf1356680f654517dcd53",
+    ("two_distribution_mc_report", "markdown", True):
+        "6cab70dc31862a35c48c6eb4462aaac544bc3755ad248a949270c33f0a97342f",
+}
+
+
+class TestRenderBytes:
+    @pytest.mark.parametrize("report, fmt, stamped", sorted(_RENDER_DIGESTS))
+    def test_output_bytes_are_pinned(self, request, report, fmt, stamped):
+        kwargs = {"title": "Pinned title", "generated_at": _STAMP} if stamped else {}
+        if report == "projections":
+            text = render(request.getfixturevalue("catalog_results"),
+                          ReportFormat(fmt), **kwargs)
+        else:
+            text = render_sensitivity(request.getfixturevalue(report),
+                                      ReportFormat(fmt), **kwargs)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == _RENDER_DIGESTS[(report, fmt, stamped)]
