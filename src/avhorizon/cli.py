@@ -17,7 +17,6 @@ All flags are long-form.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -26,6 +25,7 @@ from .errors import ValidationError
 from .report import ReportFormat, render, render_sensitivity
 from .scenario import (
     CategoryScenario,
+    _validated_json,
     builtin_catalog,
     load_scenarios,
     project,
@@ -238,17 +238,18 @@ def _parse_grid_flag(text: str) -> tuple[float, float, int]:
 
 
 def _parse_bound_flag(text: str) -> ParameterBounds:
-    if "=" not in text:
-        raise ValidationError(f"--bound must be path=low,high, got {text!r}")
-    path, _, bounds_text = text.partition("=")
+    path, sep, bounds_text = text.partition("=")
     parts = bounds_text.split(",")
-    if len(parts) != 2:
+    if not sep or len(parts) != 2:
         raise ValidationError(f"--bound must be path=low,high, got {text!r}")
     return ParameterBounds(
         parameter_path=path.strip(),
         low=_parse_float(parts[0], "--bound low"),
         high=_parse_float(parts[1], "--bound high"),
     )
+
+
+_DIST_PARAMETERS = {"uniform": ("low", "high"), "triangular": ("low", "mode", "high")}
 
 
 def _parse_dist_flag(text: str) -> DistributionSpec:
@@ -261,47 +262,18 @@ def _parse_dist_flag(text: str) -> DistributionSpec:
     kind_text, _, params_text = spec_text.partition(":")
     kind_text = kind_text.strip().lower()
     parts = [p.strip() for p in params_text.split(",") if p.strip()]
-    if kind_text == "uniform":
-        if len(parts) != 2:
-            raise ValidationError(f"--dist uniform takes low,high; got {text!r}")
-        return DistributionSpec(
-            parameter_path=path.strip(),
-            kind=DistributionKind.UNIFORM,
-            low=_parse_float(parts[0], "--dist low"),
-            high=_parse_float(parts[1], "--dist high"),
+    if kind_text not in _DIST_PARAMETERS:
+        raise ValidationError(
+            f"unknown distribution kind {kind_text!r}; expected uniform or triangular"
         )
-    if kind_text == "triangular":
-        if len(parts) != 3:
-            raise ValidationError(f"--dist triangular takes low,mode,high; got {text!r}")
-        return DistributionSpec(
-            parameter_path=path.strip(),
-            kind=DistributionKind.TRIANGULAR,
-            low=_parse_float(parts[0], "--dist low"),
-            mode=_parse_float(parts[1], "--dist mode"),
-            high=_parse_float(parts[2], "--dist high"),
-        )
-    raise ValidationError(
-        f"unknown distribution kind {kind_text!r}; expected uniform or triangular"
+    names = _DIST_PARAMETERS[kind_text]
+    if len(parts) != len(names):
+        raise ValidationError(f"--dist {kind_text} takes {','.join(names)}; got {text!r}")
+    return DistributionSpec(
+        parameter_path=path.strip(),
+        kind=DistributionKind(kind_text),
+        **{name: _parse_float(part, f"--dist {name}") for name, part in zip(names, parts)},
     )
-
-
-def _load_spec_document(path: str, allowed_keys: set[str], context: str) -> dict:
-    text = read_utf8_file(path, f"{context} spec file")
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: not valid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(document, dict):
-        raise ValidationError(f"{path}: {context} spec must be a JSON object")
-    unknown = set(document) - allowed_keys
-    if unknown:
-        raise ValidationError(
-            f"{path}: unknown {context} spec key(s) {sorted(unknown)}; "
-            f"allowed: {sorted(allowed_keys)}"
-        )
-    return document
 
 
 def _reject_flag_conflicts(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
@@ -329,29 +301,64 @@ def _reject_flag_conflicts(parser: argparse.ArgumentParser, args: argparse.Names
             parser.error("mc requires at least one --dist (or --spec-file)")
 
 
+def _closed_object(optional: tuple[str, ...] = (), **properties: dict) -> dict:
+    """Schema of an object with exactly these keys, all but ``optional`` required."""
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "required": [key for key in properties if key not in optional],
+        "properties": properties,
+    }
+
+
+# Shapes of the --spec-file documents, keyed by command.  The value
+# checks (finite numbers, low <= high, grid steps >= 2, known parameter
+# paths) stay with the sensitivity specs built from them.
+_NUMBER = {"type": "number"}
+_PATH = {"type": "string"}
+_SPEC_SCHEMAS = {
+    "sweep": {
+        **_closed_object(
+            optional=("values", "grid"),
+            parameter_path=_PATH,
+            values={"type": "array", "items": _NUMBER},
+            grid=_closed_object(low=_NUMBER, high=_NUMBER, steps={"type": "integer"}),
+        ),
+        "oneOf": [{"required": ["values"]}, {"required": ["grid"]}],
+    },
+    "tornado": _closed_object(bounds={
+        "type": "array",
+        "items": _closed_object(parameter_path=_PATH, low=_NUMBER, high=_NUMBER),
+    }),
+    "mc": _closed_object(distributions={
+        "type": "array",
+        "items": _closed_object(
+            optional=("mode",),
+            parameter_path=_PATH,
+            kind={"type": "string", "pattern": "^(?i:uniform|triangular)$"},
+            low=_NUMBER,
+            high=_NUMBER,
+            mode={"type": ["number", "null"]},
+        ),
+    }),
+}
+
+
+def _spec_document(args: argparse.Namespace) -> dict:
+    """The --spec-file document, checked against the command's schema."""
+    text = read_utf8_file(args.spec_file, f"{args.command} spec file")
+    return _validated_json(text, _SPEC_SCHEMAS[args.command], args.spec_file,
+                           f"{args.command} spec")
+
+
 def _sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
     if args.spec_file:
-        document = _load_spec_document(
-            args.spec_file, {"parameter_path", "values", "grid"}, "sweep"
-        )
-        if "parameter_path" not in document:
-            raise ValidationError(f"{args.spec_file}: sweep spec needs parameter_path")
-        if ("values" in document) == ("grid" in document):
-            raise ValidationError(
-                f"{args.spec_file}: sweep spec needs exactly one of values or grid"
-            )
+        document = _spec_document(args)
+        path = document["parameter_path"]
         if "values" in document:
-            if not isinstance(document["values"], list):
-                raise ValidationError(f"{args.spec_file}: values must be an array")
-            return SweepSpec(document["parameter_path"], tuple(document["values"]))
+            return SweepSpec(path, tuple(document["values"]))
         grid = document["grid"]
-        if not isinstance(grid, dict) or set(grid) != {"low", "high", "steps"}:
-            raise ValidationError(
-                f"{args.spec_file}: grid must be an object with low, high, steps"
-            )
-        return SweepSpec.from_grid(
-            document["parameter_path"], grid["low"], grid["high"], grid["steps"]
-        )
+        return SweepSpec.from_grid(path, grid["low"], grid["high"], grid["steps"])
     if args.values is not None:
         return SweepSpec(args.param, _parse_values_flag(args.values))
     low, high, steps = _parse_grid_flag(args.grid)
@@ -360,59 +367,16 @@ def _sweep_spec_from_args(args: argparse.Namespace) -> SweepSpec:
 
 def _bounds_from_args(args: argparse.Namespace) -> list[ParameterBounds]:
     if args.spec_file:
-        document = _load_spec_document(args.spec_file, {"bounds"}, "tornado")
-        if "bounds" not in document or not isinstance(document["bounds"], list):
-            raise ValidationError(f"{args.spec_file}: tornado spec needs a bounds array")
-        bounds = []
-        for item in document["bounds"]:
-            if not isinstance(item, dict) or set(item) != {"parameter_path", "low", "high"}:
-                raise ValidationError(
-                    f"{args.spec_file}: each bounds item needs exactly "
-                    "parameter_path, low, high"
-                )
-            bounds.append(ParameterBounds(item["parameter_path"], item["low"], item["high"]))
-        return bounds
+        return [ParameterBounds(**item) for item in _spec_document(args)["bounds"]]
     return [_parse_bound_flag(text) for text in args.bound]
 
 
 def _distributions_from_args(args: argparse.Namespace) -> list[DistributionSpec]:
     if args.spec_file:
-        document = _load_spec_document(args.spec_file, {"distributions"}, "distribution")
-        if "distributions" not in document or not isinstance(document["distributions"], list):
-            raise ValidationError(
-                f"{args.spec_file}: distribution spec needs a distributions array"
-            )
-        distributions = []
-        for item in document["distributions"]:
-            if not isinstance(item, dict):
-                raise ValidationError(
-                    f"{args.spec_file}: each distribution must be an object"
-                )
-            unknown = set(item) - {"parameter_path", "kind", "low", "high", "mode"}
-            if unknown:
-                raise ValidationError(
-                    f"{args.spec_file}: unknown distribution key(s) {sorted(unknown)}"
-                )
-            for required in ("parameter_path", "kind", "low", "high"):
-                if required not in item:
-                    raise ValidationError(
-                        f"{args.spec_file}: distribution needs {required}"
-                    )
-            kind_text = str(item["kind"]).lower()
-            if kind_text not in ("uniform", "triangular"):
-                raise ValidationError(
-                    f"{args.spec_file}: unknown distribution kind {item['kind']!r}"
-                )
-            distributions.append(
-                DistributionSpec(
-                    parameter_path=item["parameter_path"],
-                    kind=DistributionKind(kind_text),
-                    low=item["low"],
-                    high=item["high"],
-                    mode=item.get("mode"),
-                )
-            )
-        return distributions
+        return [
+            DistributionSpec(**{**item, "kind": DistributionKind(item["kind"].lower())})
+            for item in _spec_document(args)["distributions"]
+        ]
     return [_parse_dist_flag(text) for text in args.dist]
 
 
@@ -428,36 +392,27 @@ def _run_projection_command(args: argparse.Namespace) -> str:
     return render(results, ReportFormat.from_key(args.format))
 
 
-def _run_sweep(args: argparse.Namespace) -> str:
+def _run_analysis(args: argparse.Namespace) -> str:
     scenario = _select_single_scenario(args)
     stage = _single_stage(args.stage)
-    report = one_at_a_time(scenario, stage, _sweep_spec_from_args(args))
-    return render_sensitivity(report, ReportFormat.from_key(args.format))
-
-
-def _run_tornado(args: argparse.Namespace) -> str:
-    scenario = _select_single_scenario(args)
-    stage = _single_stage(args.stage)
-    report = tornado(scenario, stage, _bounds_from_args(args))
-    return render_sensitivity(report, ReportFormat.from_key(args.format))
-
-
-def _run_mc(args: argparse.Namespace) -> str:
-    scenario = _select_single_scenario(args)
-    stage = _single_stage(args.stage)
-    report = monte_carlo(
-        scenario, stage, _distributions_from_args(args),
-        sample_count=args.samples, seed=args.seed,
-    )
+    if args.command == "sweep":
+        report = one_at_a_time(scenario, stage, _sweep_spec_from_args(args))
+    elif args.command == "tornado":
+        report = tornado(scenario, stage, _bounds_from_args(args))
+    else:
+        report = monte_carlo(
+            scenario, stage, _distributions_from_args(args),
+            sample_count=args.samples, seed=args.seed,
+        )
     return render_sensitivity(report, ReportFormat.from_key(args.format))
 
 
 _COMMANDS = {
     "catalog": _run_projection_command,
     "project": _run_projection_command,
-    "sweep": _run_sweep,
-    "tornado": _run_tornado,
-    "mc": _run_mc,
+    "sweep": _run_analysis,
+    "tornado": _run_analysis,
+    "mc": _run_analysis,
     "schema": lambda args: schema_json(),
 }
 

@@ -50,7 +50,7 @@ LOG10_2 = math.log10(2.0)
 class Magnitude:
     """A positive quantity stored as its base-10 exponent.
 
-    Multiplication adds exponents exactly, so products of counts with
+    Products add exponents exactly (see effective_demand), so counts with
     exponents in the thousands never overflow.  The exponent may be
     negative (rates below one per second are legal); it must be finite.
     """
@@ -82,37 +82,9 @@ class Magnitude:
         except OverflowError:
             return math.inf
 
-    def __mul__(self, other: "Magnitude") -> "Magnitude":
-        if not isinstance(other, Magnitude):
-            return NotImplemented
-        return Magnitude(self.log10_value + other.log10_value)
-
-    def scaled(self, factor: float) -> "Magnitude":
-        """Multiply by a positive linear factor."""
-        if not (math.isfinite(factor) and factor > 0):
-            raise ValidationError(f"scale factor must be positive, got {factor!r}")
-        return Magnitude(self.log10_value + math.log10(factor))
-
     def ratio_log10(self, other: "Magnitude") -> float:
         """log10(self / other), exact in the log domain."""
         return self.log10_value - other.log10_value
-
-    def __lt__(self, other: "Magnitude") -> bool:
-        return self.log10_value < other.log10_value
-
-    def __le__(self, other: "Magnitude") -> bool:
-        return self.log10_value <= other.log10_value
-
-    def __gt__(self, other: "Magnitude") -> bool:
-        return self.log10_value > other.log10_value
-
-    def __ge__(self, other: "Magnitude") -> bool:
-        return self.log10_value >= other.log10_value
-
-    def __str__(self) -> str:
-        if abs(self.log10_value) < 15.95:
-            return format(self.value, ".4g")
-        return f"10^{self.log10_value:.2f}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,7 +167,13 @@ def naive_mapf_ops_per_cycle(n_objects: int) -> Magnitude:
     """
     if not isinstance(n_objects, int) or isinstance(n_objects, bool) or n_objects < 0:
         raise ValidationError(f"n_objects must be an integer >= 0, got {n_objects!r}")
-    return Magnitude(n_objects * LOG10_2)
+    try:
+        return Magnitude(n_objects * LOG10_2)
+    except OverflowError:
+        raise ValidationError(
+            f"n_objects is too large ({n_objects.bit_length()} bits): the exponent "
+            "of 2**n_objects exceeds float range"
+        ) from None
 
 
 def compute_demand(n_objects: int, cycle_time_s: float) -> Magnitude:

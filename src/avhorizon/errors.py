@@ -15,7 +15,7 @@ class ValidationError(ValueError):
 
 
 class ScenarioFormatError(ValidationError):
-    """A scenario document could not be parsed or has the wrong shape."""
+    """A scenario document or spec file could not be parsed or has the wrong shape."""
 
 
 class UnsupportedStageError(ValidationError):

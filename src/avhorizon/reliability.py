@@ -201,4 +201,10 @@ def demonstration_years(
         raise ValidationError(f"delta must lie in (0, 1], got {delta!r}")
     if not (math.isfinite(annual_miles) and annual_miles > 0.0):
         raise ValidationError(f"annual_miles must be positive, got {annual_miles!r}")
-    return required_miles * gamma_value * delta / annual_miles
+    years = required_miles * gamma_value * delta / annual_miles
+    if not math.isfinite(years):
+        raise ValidationError(
+            f"annual_miles={annual_miles!r} is too small: demonstrating "
+            f"{required_miles!r} miles takes more years than float range holds"
+        )
+    return years

@@ -19,7 +19,7 @@ import enum
 import io
 import json
 from datetime import datetime, timezone
-from typing import Sequence
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptyResultsError, ValidationError
 from .scenario import ProjectionResult
@@ -160,23 +160,37 @@ def render(
     if not results:
         raise EmptyResultsError("cannot render a report with no results")
     if fmt is ReportFormat.TABLE:
-        return _render_table(results, title, timestamp)
+        return _page(fmt, title, timestamp, [], [_projection_table(results)])
     if fmt is ReportFormat.CSV:
-        return _render_csv(results)
+        return _csv_text(_projection_csv_table(results))
     if fmt is ReportFormat.JSON:
         return _render_json(results, title, timestamp)
     if fmt is ReportFormat.MARKDOWN:
-        return _render_markdown(results, title, timestamp)
+        return _page(fmt, title, timestamp, [], [_stage_summary_table(results)],
+                     sections=_breakdown_sections(results))
     raise ValidationError(f"unknown report format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
-# Projection renderers
+# Table model and its writers
 # ---------------------------------------------------------------------------
 
 
-def _aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]],
-                   right_aligned: set[int]) -> list[str]:
+class _Table(NamedTuple):
+    """Column headers and rows of already formatted cells.
+
+    ``rows`` may be a generator and is read once.  ``right_aligned``
+    holds the column indexes the aligned text writer right-justifies.
+    """
+
+    headers: Sequence[str]
+    rows: Iterable[Sequence[str]]
+    right_aligned: Container[int] = ()
+
+
+def _aligned_lines(table: _Table) -> list[str]:
+    headers, right = table.headers, table.right_aligned
+    rows = list(table.rows)
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
@@ -184,7 +198,7 @@ def _aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]],
     lines = []
     for row in (headers, *rows):
         cells = [
-            cell.rjust(widths[i]) if i in right_aligned else cell.ljust(widths[i])
+            cell.rjust(widths[i]) if i in right else cell.ljust(widths[i])
             for i, cell in enumerate(row)
         ]
         lines.append("  ".join(cells).rstrip())
@@ -192,30 +206,64 @@ def _aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]],
     return lines
 
 
-def _render_table(results: Sequence[ProjectionResult], title: str,
-                  timestamp: str | None) -> str:
+def _markdown_lines(table: _Table) -> Iterator[str]:
+    yield "| " + " | ".join(table.headers) + " |"
+    yield "| " + " | ".join("---" for _ in table.headers) + " |"
+    for row in table.rows:
+        yield "| " + " | ".join(row) + " |"
+
+
+def _csv_text(table: _Table) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(table.headers)
+    writer.writerows(table.rows)
+    return buffer.getvalue()
+
+
+def _page(fmt: ReportFormat, title: str, timestamp: str | None, facts: list[str],
+          tables: Sequence[_Table], sections: Iterable[str] = ()) -> str:
+    """Text or Markdown page: title, optional timestamp, fact lines (bullets
+    in Markdown), the tables separated by blank lines, then any sections."""
+    if fmt is ReportFormat.MARKDOWN:
+        lines = [f"# {title}", ""]
+        if timestamp:
+            lines.extend([f"Generated: {timestamp}", ""])
+        if facts:
+            lines.extend(f"- {fact}" for fact in facts)
+            lines.append("")
+        write_table = _markdown_lines
+    else:
+        lines = [title]
+        if timestamp:
+            lines.append(f"Generated: {timestamp}")
+        lines.extend(facts)
+        lines.append("")
+        write_table = _aligned_lines
+    for i, table in enumerate(tables):
+        if i:
+            lines.append("")
+        lines.extend(write_table(table))
+    lines.extend(sections)
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Projection tables
+# ---------------------------------------------------------------------------
+
+
+def _projection_table(results: Sequence[ProjectionResult]) -> _Table:
+    def rows() -> Iterator[list[str]]:
+        for r in results:
+            b = r.breakdown
+            yield [r.category, r.stage.value, f"{b.t_comp:.2f}", f"{b.t_crow_total:.2f}",
+                   f"{b.t_poisson:.2f}", f"{b.t_prod_reg:.2f}", f"{b.t_total:.2f}",
+                   b.gating.value, str(b.calendar_year)]
+
     headers = ["Category", "Stage", "T_comp", "T_crow", "T_poisson",
                "T_prod_reg", "T_total", "Gating", "Year"]
-    rows = []
-    for r in results:
-        b = r.breakdown
-        rows.append([
-            r.category,
-            r.stage.value,
-            f"{b.t_comp:.2f}",
-            f"{b.t_crow_total:.2f}",
-            f"{b.t_poisson:.2f}",
-            f"{b.t_prod_reg:.2f}",
-            f"{b.t_total:.2f}",
-            b.gating.value,
-            str(b.calendar_year),
-        ])
-    lines = [title]
-    if timestamp:
-        lines.append(f"Generated: {timestamp}")
-    lines.append("")
-    lines.extend(_aligned_table(headers, rows, right_aligned={2, 3, 4, 5, 6, 8}))
-    return "\n".join(lines) + "\n"
+    return _Table(headers, rows(), right_aligned={2, 3, 4, 5, 6, 8})
 
 
 _CSV_COLUMNS = (
@@ -228,22 +276,57 @@ _CSV_COLUMNS = (
 )
 
 
-def _render_csv(results: Sequence[ProjectionResult]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(_CSV_COLUMNS)
+def _projection_csv_table(results: Sequence[ProjectionResult]) -> _Table:
+    def rows() -> Iterator[list[str]]:
+        for r in results:
+            b, m = r.breakdown, r.intermediate
+            yield [
+                r.category, r.stage.value,
+                repr(b.t_comp), repr(b.t_crow_total), repr(b.t_crow_partial),
+                repr(b.t_crow_final), repr(b.t_poisson), repr(b.t_prod_reg),
+                repr(b.f), repr(b.t_total), b.gating.value, str(b.calendar_year),
+                repr(m.naive_demand.log10_value), repr(m.effective_demand.log10_value),
+                repr(m.crow_miles), repr(m.poisson_miles), repr(m.gamma),
+                repr(m.delta_effective),
+            ]
+
+    return _Table(_CSV_COLUMNS, rows())
+
+
+def _stage_summary_table(results: Sequence[ProjectionResult]) -> _Table:
+    """One row per category in first-seen order, the projected calendar
+    year per stage column, n/a where not computed."""
+    by_key = {(r.category, r.stage): r for r in results}
+    categories = dict.fromkeys(r.category for r in results)
+    rows = (
+        [category] + [
+            str(by_key[(category, stage)].breakdown.calendar_year)
+            if (category, stage) in by_key else "n/a"
+            for stage in _STAGE_ORDER
+        ]
+        for category in categories
+    )
+    return _Table(["Category"] + [s.display_name for s in _STAGE_ORDER], rows)
+
+
+def _breakdown_sections(results: Sequence[ProjectionResult]) -> Iterator[str]:
+    """Markdown lines of one section per result: calendar years as
+    integers, fractional year spans to two decimals."""
     for r in results:
-        b, m = r.breakdown, r.intermediate
-        writer.writerow([
-            r.category, r.stage.value,
-            repr(b.t_comp), repr(b.t_crow_total), repr(b.t_crow_partial),
-            repr(b.t_crow_final), repr(b.t_poisson), repr(b.t_prod_reg),
-            repr(b.f), repr(b.t_total), b.gating.value, b.calendar_year,
-            repr(m.naive_demand.log10_value), repr(m.effective_demand.log10_value),
-            repr(m.crow_miles), repr(m.poisson_miles), repr(m.gamma),
-            repr(m.delta_effective),
-        ])
-    return buffer.getvalue()
+        b = r.breakdown
+        yield from (
+            "", f"## {r.category}: {r.stage.display_name}", "",
+            f"- t_comp: {b.t_comp:.2f} years",
+            f"- t_crow_total: {b.t_crow_total:.2f} years",
+            f"- t_crow_partial: {b.t_crow_partial:.2f} years",
+            f"- t_crow_final: {b.t_crow_final:.2f} years",
+            f"- t_poisson: {b.t_poisson:.2f} years",
+            f"- t_prod_reg: {b.t_prod_reg:.2f} years",
+            f"- f: {b.f:g}",
+            f"- t_total: {b.t_total:.2f} years",
+            f"- gating: {b.gating.value}",
+            f"- calendar_year: {b.calendar_year}",
+        )
 
 
 def _result_to_json_object(r: ProjectionResult) -> dict:
@@ -283,49 +366,6 @@ def _render_json(results: Sequence[ProjectionResult], title: str,
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _render_markdown(results: Sequence[ProjectionResult], title: str,
-                     timestamp: str | None) -> str:
-    lines = [f"# {title}", ""]
-    if timestamp:
-        lines.extend([f"Generated: {timestamp}", ""])
-
-    # Stage summary: one row per category in first-seen order, the
-    # projected calendar year per stage column, n/a where not computed.
-    categories: list[str] = []
-    by_key: dict[tuple[str, Stage], ProjectionResult] = {}
-    for r in results:
-        if r.category not in categories:
-            categories.append(r.category)
-        by_key[(r.category, r.stage)] = r
-    header_cells = ["Category"] + [s.display_name for s in _STAGE_ORDER]
-    lines.append("| " + " | ".join(header_cells) + " |")
-    lines.append("| " + " | ".join("---" for _ in header_cells) + " |")
-    for category in categories:
-        cells = [category]
-        for stage in _STAGE_ORDER:
-            result = by_key.get((category, stage))
-            cells.append(str(result.breakdown.calendar_year) if result else "n/a")
-        lines.append("| " + " | ".join(cells) + " |")
-
-    # Breakdown sections show calendar years as integers and fractional
-    # year spans to two decimals.
-    for r in results:
-        b = r.breakdown
-        lines.extend(["", f"## {r.category}: {r.stage.display_name}", ""])
-        for field_name in _BREAKDOWN_FIELDS:
-            value = getattr(b, field_name)
-            if field_name == "gating":
-                rendered = value.value
-            elif field_name == "calendar_year":
-                rendered = str(value)
-            elif field_name == "f":
-                rendered = f"{value:g}"
-            else:
-                rendered = f"{value:.2f} years"
-            lines.append(f"- {field_name}: {rendered}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Sensitivity renderers
 # ---------------------------------------------------------------------------
@@ -345,76 +385,60 @@ def render_sensitivity(
         f"{report.kind.value} sensitivity: {report.category} ({report.stage.value})"
     )
     timestamp = _format_timestamp(generated_at)
-    if fmt is ReportFormat.TABLE:
-        return _render_sensitivity_table(report, resolved_title, timestamp)
     if fmt is ReportFormat.CSV:
-        return _render_sensitivity_csv(report)
+        return _csv_text(_entries_table(report, for_csv=True))
     if fmt is ReportFormat.JSON:
         return _render_sensitivity_json(report, resolved_title, timestamp)
+    if fmt not in (ReportFormat.TABLE, ReportFormat.MARKDOWN):
+        raise ValidationError(f"unknown report format {fmt!r}")
+    summary = report.summary
+    facts = [f"baseline t_total: {report.baseline_t_total:.4f} years"]
+    tables = []
     if fmt is ReportFormat.MARKDOWN:
-        return _render_sensitivity_markdown(report, resolved_title, timestamp)
-    raise ValidationError(f"unknown report format {fmt!r}")
-
-
-def _input_columns(report: SensitivityReport) -> list[str]:
-    columns: list[str] = []
-    for entry in report.entries:
-        for path, _ in entry.inputs:
-            if path not in columns:
-                columns.append(path)
-    return columns
-
-
-def _render_sensitivity_table(report: SensitivityReport, title: str,
-                              timestamp: str | None) -> str:
-    lines = [title]
-    if timestamp:
-        lines.append(f"Generated: {timestamp}")
-    lines.append(f"baseline t_total: {report.baseline_t_total:.4f} years")
-    lines.append(
-        f"t_total min/mean/max: {report.summary.minimum:.4f} / "
-        f"{report.summary.mean:.4f} / {report.summary.maximum:.4f}"
-    )
-    if report.kind is AnalysisKind.MONTE_CARLO:
-        lines.append(f"samples: {report.sample_count}  seed: {report.seed}")
-        percentile_text = "  ".join(
-            f"p{p}={v:.4f}" for p, v in report.percentiles
-        )
-        lines.append(f"t_total percentiles: {percentile_text}")
-    lines.append("")
+        facts.extend(f"t_total {name}: {value:.4f} years" for name, value in (
+            ("minimum", summary.minimum), ("mean", summary.mean),
+            ("maximum", summary.maximum)))
+        if report.kind is AnalysisKind.MONTE_CARLO:
+            facts.extend([f"samples: {report.sample_count}", f"seed: {report.seed}"])
+        if report.percentiles is not None:
+            tables.append(_Table(["Percentile", "t_total (years)"],
+                                 [[f"p{p}", f"{v:.4f}"] for p, v in report.percentiles]))
+    else:
+        facts.append(f"t_total min/mean/max: {summary.minimum:.4f} / "
+                     f"{summary.mean:.4f} / {summary.maximum:.4f}")
+        if report.kind is AnalysisKind.MONTE_CARLO:
+            facts.append(f"samples: {report.sample_count}  seed: {report.seed}")
+            facts.append("t_total percentiles: " + "  ".join(
+                f"p{p}={v:.4f}" for p, v in report.percentiles))
     if report.tornado_spreads:
-        headers = ["Parameter", "Low", "High", "T_total(low)", "T_total(high)", "Spread"]
-        rows = [
-            [s.parameter_path, f"{s.low:g}", f"{s.high:g}",
-             f"{s.t_total_low:.4f}", f"{s.t_total_high:.4f}", f"{s.spread:.4f}"]
-            for s in report.tornado_spreads
-        ]
-        lines.extend(_aligned_table(headers, rows, right_aligned={1, 2, 3, 4, 5}))
-        lines.append("")
-    columns = _input_columns(report)
-    headers = columns + ["t_total", "year", "gating"]
-    rows = []
-    for entry in report.entries:
-        inputs = dict(entry.inputs)
-        row = [f"{inputs[c]:g}" if c in inputs else "" for c in columns]
-        row.extend([f"{entry.t_total:.4f}", str(entry.calendar_year), entry.gating.value])
-        rows.append(row)
-    right = set(range(len(columns) + 2))
-    lines.extend(_aligned_table(headers, rows, right_aligned=right))
-    return "\n".join(lines) + "\n"
+        tables.append(_Table(
+            ["Parameter", "Low", "High", "T_total(low)", "T_total(high)", "Spread"],
+            [[s.parameter_path, f"{s.low:g}", f"{s.high:g}", f"{s.t_total_low:.4f}",
+              f"{s.t_total_high:.4f}", f"{s.spread:.4f}"] for s in report.tornado_spreads],
+            right_aligned={1, 2, 3, 4, 5},
+        ))
+    tables.append(_entries_table(report))
+    return _page(fmt, resolved_title, timestamp, facts, tables)
 
 
-def _render_sensitivity_csv(report: SensitivityReport) -> str:
-    columns = _input_columns(report)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(columns + ["t_total_years", "calendar_year", "gating"])
-    for entry in report.entries:
-        inputs = dict(entry.inputs)
-        row = [repr(inputs[c]) if c in inputs else "" for c in columns]
-        row.extend([repr(entry.t_total), entry.calendar_year, entry.gating.value])
-        writer.writerow(row)
-    return buffer.getvalue()
+def _entries_table(report: SensitivityReport, for_csv: bool = False) -> _Table:
+    """One row per entry: a column per input path in first-seen order
+    (blank where an entry does not set it), then t_total, year, gating.
+    CSV cells carry full precision; text and Markdown cells are rounded."""
+    columns = list(dict.fromkeys(path for e in report.entries for path, _ in e.inputs))
+    if for_csv:
+        tail, value_text, total_text = ["t_total_years", "calendar_year"], repr, repr
+    else:
+        tail, value_text, total_text = ["t_total", "year"], "{:g}".format, "{:.4f}".format
+
+    def rows() -> Iterator[list[str]]:
+        for entry in report.entries:
+            inputs = dict(entry.inputs)
+            yield ([value_text(inputs[c]) if c in inputs else "" for c in columns]
+                   + [total_text(entry.t_total), str(entry.calendar_year),
+                      entry.gating.value])
+
+    return _Table(columns + tail + ["gating"], rows(), right_aligned=range(len(columns) + 2))
 
 
 def _render_sensitivity_json(report: SensitivityReport, title: str,
@@ -461,42 +485,3 @@ def _render_sensitivity_json(report: SensitivityReport, title: str,
         for entry in report.entries
     ]
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _render_sensitivity_markdown(report: SensitivityReport, title: str,
-                                 timestamp: str | None) -> str:
-    lines = [f"# {title}", ""]
-    if timestamp:
-        lines.extend([f"Generated: {timestamp}", ""])
-    lines.append(f"- baseline t_total: {report.baseline_t_total:.4f} years")
-    lines.append(f"- t_total minimum: {report.summary.minimum:.4f} years")
-    lines.append(f"- t_total mean: {report.summary.mean:.4f} years")
-    lines.append(f"- t_total maximum: {report.summary.maximum:.4f} years")
-    if report.kind is AnalysisKind.MONTE_CARLO:
-        lines.append(f"- samples: {report.sample_count}")
-        lines.append(f"- seed: {report.seed}")
-    lines.append("")
-    if report.percentiles is not None:
-        lines.append("| Percentile | t_total (years) |")
-        lines.append("| --- | --- |")
-        for p, v in report.percentiles:
-            lines.append(f"| p{p} | {v:.4f} |")
-        lines.append("")
-    if report.tornado_spreads is not None:
-        lines.append("| Parameter | Low | High | T_total(low) | T_total(high) | Spread |")
-        lines.append("| --- | --- | --- | --- | --- | --- |")
-        for s in report.tornado_spreads:
-            lines.append(
-                f"| {s.parameter_path} | {s.low:g} | {s.high:g} "
-                f"| {s.t_total_low:.4f} | {s.t_total_high:.4f} | {s.spread:.4f} |"
-            )
-        lines.append("")
-    columns = _input_columns(report)
-    lines.append("| " + " | ".join(columns + ["t_total", "year", "gating"]) + " |")
-    lines.append("| " + " | ".join("---" for _ in range(len(columns) + 3)) + " |")
-    for entry in report.entries:
-        inputs = dict(entry.inputs)
-        cells = [f"{inputs[c]:g}" if c in inputs else "" for c in columns]
-        cells.extend([f"{entry.t_total:.4f}", str(entry.calendar_year), entry.gating.value])
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"

@@ -611,18 +611,11 @@ def _scenario_from_document(entry: dict[str, Any]) -> CategoryScenario:
             f"scenario {name!r}: missing required field(s) {missing}; new "
             "categories must state them (catalog categories inherit theirs by name)"
         )
-    chi_doc = entry["chi"]
-    for stage_key in ("stage2", "stage3"):
-        if stage_key not in chi_doc:
-            raise ValidationError(
-                f"scenario {name!r}: chi.{stage_key} is required"
-            )
-    prod_reg_doc = entry["prod_reg_years"]
-    for stage_key in ("stage2", "stage3"):
-        if stage_key not in prod_reg_doc:
-            raise ValidationError(
-                f"scenario {name!r}: prod_reg_years.{stage_key} is required"
-            )
+    for key in ("chi", "prod_reg_years"):
+        for stage_key in ("stage2", "stage3"):
+            if stage_key not in entry[key]:
+                raise ValidationError(f"scenario {name!r}: {key}.{stage_key} is required")
+    chi_doc, prod_reg_doc = entry["chi"], entry["prod_reg_years"]
     env_doc = entry["compute_env"]
 
     def _build(field_name: str, builder):
@@ -686,22 +679,7 @@ def parse_scenarios(text: str, origin: str = "<string>") -> tuple[CategoryScenar
     builtin entry with the same name (if any), the document defaults,
     then the entry itself.
     """
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(
-            f"{origin}: not valid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
-    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.absolute_path) or "top level"
-        raise ScenarioFormatError(
-            f"{origin}: invalid scenario document at {where}: {first.message}"
-        )
-
+    document = _validated_json(text, SCENARIO_SCHEMA, origin, "scenario document")
     doc_defaults = document.get("defaults", {})
     catalog_docs = {s.name: scenario_to_document(s) for s in builtin_catalog()}
     shared = _shared_defaults_document()
@@ -719,6 +697,29 @@ def parse_scenarios(text: str, origin: str = "<string>") -> tuple[CategoryScenar
         merged = _deep_merge(_deep_merge(base, doc_defaults), entry)
         scenarios.append(_scenario_from_document(merged))
     return tuple(scenarios)
+
+
+def _validated_json(text: str, schema: dict, origin: str, what: str) -> Any:
+    """JSON text parsed and checked against ``schema``; a syntax error or
+    the first schema violation in document order is a ScenarioFormatError
+    naming ``origin``, ``what`` and the JSON path."""
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioFormatError(
+            f"{origin}: not valid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+    except ValueError as exc:  # an integer literal beyond the int-to-str digit limit
+        raise ScenarioFormatError(
+            f"{origin}: not valid JSON: {str(exc).partition(';')[0]}"
+        ) from None
+    validator = jsonschema.Draft202012Validator(schema)
+    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
+    if errors:
+        first = errors[0]
+        where = "/".join(str(p) for p in first.absolute_path) or "top level"
+        raise ScenarioFormatError(f"{origin}: invalid {what} at {where}: {first.message}")
+    return document
 
 
 def read_utf8_file(path: str | Path, what: str) -> str:

@@ -132,9 +132,14 @@ def get_parameter(scenario: CategoryScenario, path: str) -> float:
 
 
 def _is_finite_number(value: object) -> bool:
-    """An int or float, not a bool, that is neither infinite nor NaN."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """An int or float, not a bool, that is neither infinite nor NaN; an
+    int beyond float range is not finite here."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def set_parameter(scenario: CategoryScenario, path: str, value: float) -> CategoryScenario:
@@ -391,17 +396,6 @@ def tornado(
     of each parameter in ranked order.  An empty bounds list yields an
     empty report.
     """
-    if not bounds:
-        baseline = project(scenario, stage)
-        return SensitivityReport(
-            kind=AnalysisKind.TORNADO,
-            category=scenario.name,
-            stage=stage,
-            baseline_t_total=baseline.breakdown.t_total,
-            entries=(),
-            summary=None,
-            tornado_spreads=(),
-        )
     seen: set[str] = set()
     for b in bounds:
         if b.parameter_path in seen:
@@ -445,7 +439,7 @@ def tornado(
         stage=stage,
         baseline_t_total=baseline.breakdown.t_total,
         entries=entries,
-        summary=_summarize([e.t_total for e in entries]),
+        summary=_summarize([e.t_total for e in entries]) if entries else None,
         tornado_spreads=spreads,
     )
 

@@ -275,5 +275,86 @@ class TestMalformedInput:
     def test_malformed_spec_file_values(self, tmp_path, capsys, command, body):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(body))
-        assert_single_error_line(capsys, command, "--category", "Robo-Taxis",
-                                 "--spec-file", str(spec))
+        err = assert_single_error_line(capsys, command, "--category", "Robo-Taxis",
+                                       "--spec-file", str(spec))
+        assert str(spec) in err
+
+    @pytest.mark.parametrize("command, body, where", [
+        ("sweep", [0.6], "top level"),
+        ("tornado", "bounds", "top level"),
+        ("mc", None, "top level"),
+        ("sweep", {"parameter_path": "f", "values": [0.6], "step": 1}, "top level"),
+        ("sweep", {"parameter_path": "f", "grid": {"low": 0.6, "high": 0.8, "steps": 3,
+                                                   "log": True}}, "grid"),
+        ("tornado", {"bounds": [], "sort": "spread"}, "top level"),
+        ("mc", {"distributions": [{"parameter_path": "f", "kind": "uniform", "low": 0.6,
+                                   "high": 0.8, "seed": 1}]}, "distributions/0"),
+        ("sweep", {"values": [0.6]}, "top level"),
+        ("tornado", {}, "top level"),
+        ("mc", {}, "top level"),
+        ("sweep", {"parameter_path": "f", "values": [0.6],
+                   "grid": {"low": 0.6, "high": 0.8, "steps": 3}}, "top level"),
+        ("sweep", {"parameter_path": "f"}, "top level"),
+        ("sweep", {"parameter_path": "f", "values": 0.6}, "values"),
+        ("sweep", {"parameter_path": "f", "grid": [0.6, 0.8, 3]}, "grid"),
+        ("tornado", {"bounds": {"f": [0.6, 0.8]}}, "bounds"),
+        ("tornado", {"bounds": [["f", 0.6, 0.8]]}, "bounds/0"),
+        ("tornado", {"bounds": [{"parameter_path": "f", "low": 0.6}]}, "bounds/0"),
+        ("mc", {"distributions": ["f"]}, "distributions/0"),
+        ("mc", {"distributions": [
+            {"parameter_path": "f", "low": 0.6, "high": 0.8}]}, "distributions/0"),
+        ("mc", {"distributions": [
+            {"parameter_path": "f", "kind": "gaussian", "low": 0.6, "high": 0.8}]},
+         "distributions/0/kind"),
+        ("mc", {"distributions": [
+            {"parameter_path": "f", "kind": 1, "low": 0.6, "high": 0.8}]},
+         "distributions/0/kind"),
+    ])
+    def test_malformed_spec_file_shapes(self, tmp_path, capsys, command, body, where):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(body))
+        err = assert_single_error_line(capsys, command, "--category", "Robo-Taxis",
+                                       "--spec-file", str(spec))
+        assert err.startswith(f"error: {spec}: invalid {command} spec at {where}: ")
+
+    def test_distribution_kind_is_case_insensitive(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"distributions": [
+            {"parameter_path": "f", "kind": "Triangular", "low": 0.6, "mode": 0.7,
+             "high": 0.8}]}))
+        args = ["mc", "--category", "Robo-Taxis", "--samples", "8", "--format", "json"]
+        assert cli.main(args + ["--spec-file", str(spec)]) == 0
+        from_file = capsys.readouterr().out
+        assert cli.main(args + ["--dist", "f=triangular:0.6,0.7,0.8"]) == 0
+        assert capsys.readouterr().out == from_file
+
+    def test_integer_beyond_float_range_in_spec_file(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"parameter_path": "f", "values": [10**400]}))
+        err = assert_single_error_line(capsys, "sweep", "--category", "Robo-Taxis",
+                                       "--spec-file", str(spec))
+        assert "not a finite number" in err
+
+    def test_integer_literal_beyond_digit_limit_names_the_file(self, tmp_path, capsys):
+        doc = tmp_path / "doc.json"
+        doc.write_text('{"scenarios": [{"name": "Robo-Taxis", "n_objects": '
+                       + "9" * 5000 + "}]}")
+        err = assert_single_error_line(capsys, "project", "--file", str(doc))
+        assert f"{doc}: not valid JSON" in err
+
+    def test_n_objects_whose_demand_overflows(self, tmp_path, capsys):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"scenarios": [{"name": "Robo-Taxis",
+                                                  "n_objects": 10**400}]}))
+        err = assert_single_error_line(capsys, "project", "--file", str(doc))
+        assert "n_objects" in err
+
+    def test_annual_miles_whose_years_overflow(self, tmp_path, capsys):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"scenarios": [{"name": "Robo-Taxis",
+                                                  "annual_miles": 1e-300}]}))
+        for args in (("project", "--file", str(doc)),
+                     ("sweep", "--category", "Robo-Taxis", "--param", "annual_miles",
+                      "--values", "1e-300")):
+            err = assert_single_error_line(capsys, *args)
+            assert "annual_miles" in err

@@ -40,30 +40,11 @@ class TestMagnitude:
             with pytest.raises(ValidationError):
                 Magnitude.from_value(bad)
 
-    def test_multiplication_adds_exponents(self):
-        assert (Magnitude(1000.0) * Magnitude(500.0)).log10_value == 1500.0
-
-    def test_huge_products_do_not_overflow(self):
-        big = Magnitude(1000.0)
-        assert (big * big).log10_value == 2000.0
-        assert (big * big).value == math.inf  # linear view saturates, exponent exact
-
-    def test_scaled(self):
-        assert Magnitude(16.0).scaled(100.0).log10_value == pytest.approx(18.0, abs=1e-12)
-        with pytest.raises(ValidationError):
-            Magnitude(16.0).scaled(0.0)
+    def test_linear_view_saturates(self):
+        assert Magnitude(2000.0).value == math.inf  # exponent exact, linear view inf
 
     def test_ratio_log10(self):
         assert Magnitude(19.0).ratio_log10(Magnitude(13.0)) == 6.0
-
-    def test_ordering(self):
-        assert Magnitude(12.0) < Magnitude(13.0)
-        assert Magnitude(13.0) <= Magnitude(13.0)
-        assert Magnitude(14.0) > Magnitude(13.0)
-
-    def test_str_small_and_large(self):
-        assert "1000" in str(Magnitude(3.0))
-        assert str(Magnitude(1000.0)) == "10^1000.00"
 
 
 class TestNaiveOps:
@@ -81,6 +62,10 @@ class TestNaiveOps:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             naive_mapf_ops_per_cycle(-1)
+
+    def test_exponent_beyond_float_range_names_n_objects(self):
+        with pytest.raises(ValidationError, match="n_objects"):
+            naive_mapf_ops_per_cycle(10**400)
 
 
 class TestComputeDemand:

@@ -88,6 +88,22 @@ class TestCrowMiles:
             crow_required_miles(CrowAmsaaParams(1e-4, 0.01), 1e-8)
 
 
+    @pytest.mark.parametrize("alpha, beta, severity, target", [
+        (1.0, 0.999, 1.0, 1e-300),     # near-linear growth to a 1e-300 target
+        (1e-12, 0.999, 1.0, 1e-300),
+        (1.0, 0.999, 1e9, 1e-290),     # largest alpha * severity
+        (1.0, 0.05, 1e6, 1e-9),        # slow growth: about 1e300 miles
+        (1e-12, 0.05, 1.0, 1e-20),
+        (1e-4, 0.01, 1.0, 1e-6),       # beta 0.01: about 1e200 miles
+        (1e-4, 0.4, 1.0, 9.999e-5),    # target just below the starting rate
+    ])
+    def test_inversion_round_trips_at_extremes(self, alpha, beta, severity, target):
+        # Crow, AMSAA TR-138 (1974): lambda(t) = alpha * severity * t**(-beta).
+        p = CrowAmsaaParams(alpha=alpha, beta=beta, severity=severity)
+        miles = crow_required_miles(p, target)
+        assert crow_failure_rate(p, miles) == pytest.approx(target, rel=1e-12)
+
+
 class TestPoissonMiles:
     def test_headline_case(self):
         p = PoissonParams(confidence=0.95, safety_factor=2.0, lambda_target=7.1e-9)
@@ -116,6 +132,17 @@ class TestPoissonMiles:
             PoissonParams(confidence=0.99, safety_factor=2.0, lambda_target=1e-8)) > mid
         assert poisson_required_miles(
             PoissonParams(confidence=0.95, safety_factor=2.0, lambda_target=2e-8)) < mid
+
+    @pytest.mark.parametrize("confidence", [
+        1e-3, 0.1, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999, 1 - 1e-9,
+    ])
+    def test_zero_failure_factor_matches_chi_square_bound(self, confidence):
+        # Kalra & Paddock, "Driving to Safety" (RAND RR-1478, 2016): zero
+        # failures in R miles bound the rate at chi2.ppf(C, 2) / (2 R).
+        stats = pytest.importorskip("scipy.stats")
+        factor = poisson_required_miles(
+            PoissonParams(confidence=confidence, safety_factor=1.0, lambda_target=1.0))
+        assert factor == pytest.approx(stats.chi2.ppf(confidence, 2) / 2, rel=1e-12)
 
     def test_param_validation(self):
         with pytest.raises(ValidationError, match="confidence"):
@@ -189,6 +216,10 @@ class TestDemonstrationYears:
 
     def test_gamma_above_one_is_legal(self):
         assert demonstration_years(1e9, 2.5, 1.0, 1e9) == pytest.approx(2.5, rel=1e-12)
+
+    def test_year_count_beyond_float_range_names_annual_miles(self):
+        with pytest.raises(ValidationError, match="annual_miles"):
+            demonstration_years(5.657e10, 0.9, 1.0, 1e-300)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
