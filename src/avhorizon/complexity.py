@@ -53,9 +53,12 @@ class Magnitude:
     Products add exponents exactly (see effective_demand), so counts with
     exponents in the thousands never overflow.  The exponent may be
     negative (rates below one per second are legal); it must be finite.
+    ``given`` keeps the linear value passed to :meth:`from_value`, so a
+    user's input reads back exactly; it takes no part in equality.
     """
 
     log10_value: float
+    given: float | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.log10_value):
@@ -72,11 +75,16 @@ class Magnitude:
             raise ValidationError(
                 f"Magnitude value must be positive and finite, got {value!r}"
             )
-        return cls(math.log10(value))
+        magnitude = cls(math.log10(value))
+        object.__setattr__(magnitude, "given", float(value))
+        return magnitude
 
     @property
     def value(self) -> float:
-        """Linear value; overflows to inf beyond about 10**308."""
+        """Linear value: as given to from_value, else derived from the
+        exponent (inf beyond about 10**308)."""
+        if self.given is not None:
+            return self.given
         try:
             return 10.0 ** self.log10_value
         except OverflowError:
@@ -225,4 +233,13 @@ def hpc_horizon_years(effective: Magnitude, env: ComputeEnv) -> float:
     if not isinstance(effective, Magnitude):
         raise ValidationError(f"effective demand must be a Magnitude, got {effective!r}")
     gap_log10 = effective.ratio_log10(env.current_capacity)
-    return max(0.0, env.doubling_period_years * gap_log10 / LOG10_2)
+    years = max(0.0, env.doubling_period_years * gap_log10 / LOG10_2)
+    if math.isinf(years):
+        raise ValidationError(
+            f"the compute horizon compute_env.doubling_period_years="
+            f"{env.doubling_period_years!r} * log2(effective demand / "
+            "compute_env.current_capacity) exceeds float range: demand is "
+            f"10**{effective.log10_value!r} from n_objects, cycle_time_s and chi, "
+            f"capacity 10**{env.current_capacity.log10_value!r}"
+        )
+    return years

@@ -149,13 +149,22 @@ def crow_required_miles(params: CrowAmsaaParams, lambda_target: float) -> float:
     start_rate = params.alpha * params.severity
     if lambda_target >= start_rate:
         return 0.0
+    ratio = start_rate / lambda_target
+    if math.isinf(ratio):
+        raise ValidationError(
+            f"the rate ratio crow.alpha={params.alpha!r} * crow.severity="
+            f"{params.severity!r} / crow_lambda_target={lambda_target!r} exceeds float range"
+        )
     try:
-        return (start_rate / lambda_target) ** (1.0 / params.beta)
+        miles = ratio ** (1.0 / params.beta)
     except OverflowError:
+        miles = math.inf
+    if math.isinf(miles):  # a subnormal beta makes 1 / beta inf without raising
         raise ValidationError(
             f"crow.beta={params.beta!r} is too small: the growth mileage "
             f"({start_rate!r} / {lambda_target!r}) ** (1 / beta) exceeds float range"
-        ) from None
+        )
+    return miles
 
 
 def crow_failure_rate(params: CrowAmsaaParams, miles: float) -> float:
@@ -167,7 +176,14 @@ def crow_failure_rate(params: CrowAmsaaParams, miles: float) -> float:
 
 def poisson_required_miles(params: PoissonParams) -> float:
     """Zero-failure miles demonstrating lambda_target at the set confidence."""
-    return -math.log(1.0 - params.confidence) * params.safety_factor / params.lambda_target
+    miles = -math.log(1.0 - params.confidence) * params.safety_factor / params.lambda_target
+    if math.isinf(miles):
+        raise ValidationError(
+            f"poisson.safety_factor={params.safety_factor!r} over "
+            f"poisson.lambda_target={params.lambda_target!r}: the demonstration "
+            "mileage exceeds float range"
+        )
+    return miles
 
 
 def gamma(profile: OddProfile) -> float:

@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from datetime import MAXYEAR, MINYEAR
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, get_type_hints
 
 import jsonschema
 
@@ -98,10 +99,21 @@ class StageMap:
         )
 
 
+def _is_finite_number(value: object) -> bool:
+    """An int or float, not a bool, that is neither infinite nor NaN; an
+    int beyond float range is not finite here."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_number(scenario: str, field_name: str, value: Any, *,
                   low: float | None = None, high: float | None = None,
                   low_open: bool = False, high_open: bool = False) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+    if not _is_finite_number(value):
         raise ValidationError(
             f"scenario {scenario!r}: {field_name} must be a finite number, got {value!r}"
         )
@@ -177,6 +189,26 @@ class CategoryScenario:
                 f"scenario {self.name!r}: baseline_year must be an integer, "
                 f"got {self.baseline_year!r}"
             )
+        if not MINYEAR <= self.baseline_year <= MAXYEAR:
+            raise ValidationError(
+                f"scenario {self.name!r}: baseline_year={self.baseline_year!r} outside "
+                f"permitted range [{MINYEAR}, {MAXYEAR}]"
+            )
+
+
+def _field_pairs(owner: type) -> tuple[tuple[str, type], ...]:
+    hints = get_type_hints(owner)
+    return tuple((f.name, hints[f.name]) for f in fields(owner))
+
+
+# (field name, type) pairs of every scenario dataclass, in declaration
+# order.  Documents, the document schema and the sensitivity parameter
+# registry are all derived from this one table; a type found in it is a
+# nested object, any other type is a leaf.
+_FIELDS: dict[type, tuple[tuple[str, type], ...]] = {
+    owner: _field_pairs(owner)
+    for owner in (CategoryScenario, StageMap, ComputeEnv, CrowAmsaaParams, PoissonParams)
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,20 +237,36 @@ class ProjectionResult:
 # Builtin catalog
 # ---------------------------------------------------------------------------
 
-# Demonstration economics shared by every catalog category.
-_SHARED_CYCLE_TIME_S = 0.1          # 10 Hz replanning
-_SHARED_CAPACITY_OPS_PER_S = 1e13   # fleet-scale compute available today
-_SHARED_DOUBLING_YEARS = 2.5        # capacity doubling period
-_SHARED_CROW_ALPHA = 1e-4           # growth-curve rate at one mile
-_SHARED_CROW_BETA = 0.4
-_SHARED_CROW_LAMBDA_TARGET = 1e-8   # per-mile target closing the growth phase
-_SHARED_POISSON_CONFIDENCE = 0.95
-_SHARED_POISSON_SAFETY_FACTOR = 2.0
-_SHARED_POISSON_LAMBDA_TARGET = 7.1e-9  # per-mile rate demonstrated at the end
-_SHARED_ANNUAL_MILES = 1e9          # fleet accumulation rate
-_SHARED_OVERLAP_F = 0.7             # growth share overlappable with compute wait
-_SHARED_BASE_DELTA = 1.0
-_SHARED_BASELINE_YEAR = 2024
+# Demonstration economics shared by every catalog category; also the
+# outermost defaulting layer of scenario documents.
+_SHARED_DEFAULTS: dict[str, Any] = {
+    "cycle_time_s": 0.1,  # 10 Hz replanning
+    "compute_env": {
+        "current_capacity": 1e13,  # fleet-scale compute available today, ops/s
+        "doubling_period_years": 2.5,
+    },
+    "crow": {"alpha": 1e-4, "beta": 0.4, "severity": 1.0},  # alpha: rate at one mile
+    "crow_lambda_target": 1e-8,  # per-mile target closing the growth phase
+    "poisson": {
+        "confidence": 0.95,
+        "safety_factor": 2.0,
+        "lambda_target": 7.1e-9,  # per-mile rate demonstrated at the end
+    },
+    "annual_miles": 1e9,  # fleet accumulation rate
+    "base_delta": 1.0,
+    "f": 0.7,  # growth share overlappable with compute wait
+    "baseline_year": 2024,
+}
+
+
+def _deep_merge(base: Mapping[str, Any], override: Mapping[str, Any]) -> dict[str, Any]:
+    merged = dict(base)
+    for key, value in override.items():
+        if isinstance(value, Mapping) and isinstance(merged.get(key), Mapping):
+            merged[key] = _deep_merge(merged[key], value)
+        else:
+            merged[key] = value
+    return merged
 
 
 def _chi_closing_gap(n_objects: int, doublings: float) -> float:
@@ -229,9 +277,9 @@ def _chi_closing_gap(n_objects: int, doublings: float) -> float:
     factor absorbs the rest of the naive 2**n demand so the remaining
     gap closes in doublings * doubling_period years.
     """
-    naive = compute_demand(n_objects, _SHARED_CYCLE_TIME_S)
+    naive = compute_demand(n_objects, _SHARED_DEFAULTS["cycle_time_s"])
     log10_chi = (
-        math.log10(_SHARED_CAPACITY_OPS_PER_S)
+        math.log10(_SHARED_DEFAULTS["compute_env"]["current_capacity"])
         + doublings * LOG10_2
         - naive.log10_value
     )
@@ -254,6 +302,19 @@ _CATALOG_ROWS: tuple[tuple[str, int, float, float, tuple[float, float], tuple[fl
     ("Industrial/Mining", 25, 1.0, 0.2, (1.0, 1.0), (1.5, 2.5)),
 )
 
+# Each catalog category as a resolved scenario document, by name.
+_CATALOG_DOCUMENTS: dict[str, dict[str, Any]] = {
+    name: _deep_merge(_SHARED_DEFAULTS, {
+        "name": name,
+        "n_objects": n,
+        "chi": {"stage2": chi2, "stage3": chi3},
+        "crow": {"severity": severity},
+        "gamma_override": gamma_value,
+        "prod_reg_years": {"stage2": pr2, "stage3": pr3},
+    })
+    for name, n, severity, gamma_value, (chi2, chi3), (pr2, pr3) in _CATALOG_ROWS
+}
+
 
 # Provenance of the catalog chi values, keyed by category name.  The
 # compute-bound categories are calibrated backward from their stated
@@ -269,68 +330,20 @@ CHI_PROVENANCE: dict[str, str] = {
         "stage2 leaves a 6-doubling gap (15 years), stage3 an 8-doubling "
         "gap (20 years)."
     ),
-    "Geo-fenced Vans/Buses": (
-        "naive demand 2**35/0.1 ops/s is already below current capacity; "
-        "chi = 1 (no savings needed), compute horizon 0 at both stages."
-    ),
-    "Highway Trucking": (
-        "naive demand 2**25/0.1 ops/s is already below current capacity; "
-        "chi = 1 (no savings needed), compute horizon 0 at both stages."
-    ),
-    "Delivery Vans": (
-        "naive demand 2**35/0.1 ops/s is already below current capacity; "
-        "chi = 1 (no savings needed), compute horizon 0 at both stages."
-    ),
-    "Bespoke Shuttles": (
-        "naive demand 2**35/0.1 ops/s is already below current capacity; "
-        "chi = 1 (no savings needed), compute horizon 0 at both stages."
-    ),
-    "Military/Defense": (
-        "naive demand 2**35/0.1 ops/s is already below current capacity; "
-        "chi = 1 (no savings needed), compute horizon 0 at both stages."
-    ),
-    "Industrial/Mining": (
-        "naive demand 2**25/0.1 ops/s is already below current capacity; "
-        "chi = 1 (no savings needed), compute horizon 0 at both stages."
-    ),
+    **{
+        name: (
+            f"naive demand 2**{n}/{_SHARED_DEFAULTS['cycle_time_s']} ops/s is already below "
+            "current capacity; chi = 1 (no savings needed), compute horizon 0 at both stages."
+        )
+        for name, n, _, _, chi, _ in _CATALOG_ROWS
+        if chi == (1.0, 1.0)
+    },
 }
 
 
 def builtin_catalog() -> tuple[CategoryScenario, ...]:
     """The eight reference categories, in canonical order."""
-    env = ComputeEnv(
-        current_capacity=Magnitude.from_value(_SHARED_CAPACITY_OPS_PER_S),
-        doubling_period_years=_SHARED_DOUBLING_YEARS,
-    )
-    scenarios = []
-    for name, n, severity, gamma_value, (chi2, chi3), (pr2, pr3) in _CATALOG_ROWS:
-        scenarios.append(
-            CategoryScenario(
-                name=name,
-                n_objects=n,
-                cycle_time_s=_SHARED_CYCLE_TIME_S,
-                chi=StageMap(stage2=chi2, stage3=chi3),
-                compute_env=env,
-                crow=CrowAmsaaParams(
-                    alpha=_SHARED_CROW_ALPHA,
-                    beta=_SHARED_CROW_BETA,
-                    severity=severity,
-                ),
-                crow_lambda_target=_SHARED_CROW_LAMBDA_TARGET,
-                poisson=PoissonParams(
-                    confidence=_SHARED_POISSON_CONFIDENCE,
-                    safety_factor=_SHARED_POISSON_SAFETY_FACTOR,
-                    lambda_target=_SHARED_POISSON_LAMBDA_TARGET,
-                ),
-                annual_miles=_SHARED_ANNUAL_MILES,
-                gamma_override=gamma_value,
-                base_delta=_SHARED_BASE_DELTA,
-                f=_SHARED_OVERLAP_F,
-                prod_reg_years=StageMap(stage2=pr2, stage3=pr3),
-                baseline_year=_SHARED_BASELINE_YEAR,
-            )
-        )
-    return tuple(scenarios)
+    return tuple(_scenario_from_document(doc) for doc in _CATALOG_DOCUMENTS.values())
 
 
 # ---------------------------------------------------------------------------
@@ -421,48 +434,31 @@ _CHI_VALUE_SCHEMA = {
         },
     ]
 }
-_SCENARIO_FIELD_PROPERTIES = {
-    "n_objects": {"type": "integer", "minimum": 1},
-    "cycle_time_s": _NUMBER,
-    "chi": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {"stage2": _CHI_VALUE_SCHEMA, "stage3": _CHI_VALUE_SCHEMA},
-    },
-    "compute_env": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "current_capacity": _NUMBER,
-            "doubling_period_years": _NUMBER,
-        },
-    },
-    "crow": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {"alpha": _NUMBER, "beta": _NUMBER, "severity": _NUMBER},
-    },
-    "crow_lambda_target": _NUMBER,
-    "poisson": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "confidence": _NUMBER,
-            "safety_factor": _NUMBER,
-            "lambda_target": _NUMBER,
-        },
-    },
-    "annual_miles": _NUMBER,
-    "gamma_override": _NUMBER,
-    "base_delta": _NUMBER,
-    "f": _NUMBER,
-    "prod_reg_years": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {"stage2": _NUMBER, "stage3": _NUMBER},
-    },
-    "baseline_year": {"type": "integer"},
+_LEAF_SCHEMAS = {
+    str: {"type": "string", "minLength": 1},
+    int: {"type": "integer"},
+    float: _NUMBER,
+    Magnitude: _NUMBER,
 }
+
+
+def _field_schemas(owner: type) -> dict[str, Any]:
+    """Schema of each field of ``owner``; a nested dataclass is a closed object."""
+    return {
+        name: {"type": "object", "additionalProperties": False,
+               "properties": _field_schemas(kind)}
+        if kind in _FIELDS else _LEAF_SCHEMAS[kind]
+        for name, kind in _FIELDS[owner]
+    }
+
+
+# Two constraints the field types do not carry: a scene has at least one
+# object, and each chi stage may be given in factor-product form.
+_SCENARIO_FIELD_SCHEMAS = _field_schemas(CategoryScenario)
+_SCENARIO_FIELD_SCHEMAS["n_objects"] = {**_SCENARIO_FIELD_SCHEMAS["n_objects"], "minimum": 1}
+_SCENARIO_FIELD_SCHEMAS["chi"]["properties"] = dict.fromkeys(
+    _SCENARIO_FIELD_SCHEMAS["chi"]["properties"], _CHI_VALUE_SCHEMA
+)
 
 SCENARIO_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -474,7 +470,9 @@ SCENARIO_SCHEMA: dict[str, Any] = {
         "defaults": {
             "type": "object",
             "additionalProperties": False,
-            "properties": _SCENARIO_FIELD_PROPERTIES,
+            "properties": {
+                key: schema for key, schema in _SCENARIO_FIELD_SCHEMAS.items() if key != "name"
+            },
         },
         "scenarios": {
             "type": "array",
@@ -483,10 +481,7 @@ SCENARIO_SCHEMA: dict[str, Any] = {
                 "type": "object",
                 "additionalProperties": False,
                 "required": ["name"],
-                "properties": {
-                    "name": {"type": "string", "minLength": 1},
-                    **_SCENARIO_FIELD_PROPERTIES,
-                },
+                "properties": _SCENARIO_FIELD_SCHEMAS,
             },
         },
     },
@@ -499,79 +494,23 @@ def schema_json() -> str:
 
 
 def scenario_to_document(scenario: CategoryScenario) -> dict[str, Any]:
-    """Plain-JSON form of a scenario, canonical key order."""
-    return {
-        "name": scenario.name,
-        "n_objects": scenario.n_objects,
-        "cycle_time_s": scenario.cycle_time_s,
-        "chi": {"stage2": scenario.chi.stage2, "stage3": scenario.chi.stage3},
-        "compute_env": {
-            "current_capacity": scenario.compute_env.current_capacity.value,
-            "doubling_period_years": scenario.compute_env.doubling_period_years,
-        },
-        "crow": {
-            "alpha": scenario.crow.alpha,
-            "beta": scenario.crow.beta,
-            "severity": scenario.crow.severity,
-        },
-        "crow_lambda_target": scenario.crow_lambda_target,
-        "poisson": {
-            "confidence": scenario.poisson.confidence,
-            "safety_factor": scenario.poisson.safety_factor,
-            "lambda_target": scenario.poisson.lambda_target,
-        },
-        "annual_miles": scenario.annual_miles,
-        "gamma_override": scenario.gamma_override,
-        "base_delta": scenario.base_delta,
-        "f": scenario.f,
-        "prod_reg_years": {
-            "stage2": scenario.prod_reg_years.stage2,
-            "stage3": scenario.prod_reg_years.stage3,
-        },
-        "baseline_year": scenario.baseline_year,
-    }
+    """Plain-JSON form of a scenario (or of a dataclass nested in one),
+    keys in field declaration order."""
+    document = {}
+    for name, kind in _FIELDS[type(scenario)]:
+        value = getattr(scenario, name)
+        if kind is Magnitude:
+            value = value.value
+        elif kind in _FIELDS:
+            value = scenario_to_document(value)
+        document[name] = value
+    return document
 
 
 def serialize_scenarios(scenarios: tuple[CategoryScenario, ...] | list[CategoryScenario]) -> str:
     """Serialize scenarios to a loadable JSON document string."""
     document = {"scenarios": [scenario_to_document(s) for s in scenarios]}
     return json.dumps(document, indent=2) + "\n"
-
-
-def _shared_defaults_document() -> dict[str, Any]:
-    """Catalog-wide shared values, the outermost defaulting layer."""
-    return {
-        "cycle_time_s": _SHARED_CYCLE_TIME_S,
-        "compute_env": {
-            "current_capacity": _SHARED_CAPACITY_OPS_PER_S,
-            "doubling_period_years": _SHARED_DOUBLING_YEARS,
-        },
-        "crow": {
-            "alpha": _SHARED_CROW_ALPHA,
-            "beta": _SHARED_CROW_BETA,
-            "severity": 1.0,
-        },
-        "crow_lambda_target": _SHARED_CROW_LAMBDA_TARGET,
-        "poisson": {
-            "confidence": _SHARED_POISSON_CONFIDENCE,
-            "safety_factor": _SHARED_POISSON_SAFETY_FACTOR,
-            "lambda_target": _SHARED_POISSON_LAMBDA_TARGET,
-        },
-        "annual_miles": _SHARED_ANNUAL_MILES,
-        "base_delta": _SHARED_BASE_DELTA,
-        "f": _SHARED_OVERLAP_F,
-        "baseline_year": _SHARED_BASELINE_YEAR,
-    }
-
-
-def _deep_merge(base: Mapping[str, Any], override: Mapping[str, Any]) -> dict[str, Any]:
-    merged = dict(base)
-    for key, value in override.items():
-        if isinstance(value, Mapping) and isinstance(merged.get(key), Mapping):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = value
-    return merged
 
 
 def _resolve_chi_value(name: str, stage_key: str, value: Any) -> float:
@@ -595,81 +534,50 @@ def _resolve_chi_value(name: str, stage_key: str, value: Any) -> float:
     return value
 
 
-_REQUIRED_AFTER_MERGE = (
-    "n_objects",
-    "chi",
-    "gamma_override",
-    "prod_reg_years",
-)
+def _from_document(owner: type, document: Mapping[str, Any], where: str):
+    """``owner`` built through its positional constructor, nested
+    dataclasses first, so every ``__post_init__`` check runs.
+
+    ``where`` prefixes leaf errors ("scenario 'X': " at the top level);
+    a nested dataclass's errors are prefixed with ``where`` and its field.
+    """
+    args = []
+    for name, kind in _FIELDS[owner]:
+        value = document[name]
+        if kind in _FIELDS:
+            try:
+                value = _from_document(kind, value, "")
+            except ValidationError as exc:
+                raise ValidationError(f"{where}{name}: {exc}") from None
+        elif kind is float or kind is Magnitude:
+            # JSON allows integers of any size.
+            if type(value) is int and not _is_finite_number(value):
+                raise ValidationError(
+                    f"{where}{name} is an integer beyond float range ({value.bit_length()} bits)"
+                )
+            if kind is Magnitude:
+                value = Magnitude.from_value(value)
+        args.append(value)
+    return owner(*args)
 
 
-def _scenario_from_document(entry: dict[str, Any]) -> CategoryScenario:
+def _scenario_from_document(entry: Mapping[str, Any]) -> CategoryScenario:
+    """Scenario from a fully merged document entry."""
     name = entry["name"]
-    missing = [key for key in _REQUIRED_AFTER_MERGE if key not in entry]
+    # Only the fields without a shared default can be missing after the merge.
+    missing = [key for key, _ in _FIELDS[CategoryScenario] if key not in entry]
     if missing:
         raise ValidationError(
             f"scenario {name!r}: missing required field(s) {missing}; new "
             "categories must state them (catalog categories inherit theirs by name)"
         )
+    stage_keys = [stage_key for stage_key, _ in _FIELDS[StageMap]]
     for key in ("chi", "prod_reg_years"):
-        for stage_key in ("stage2", "stage3"):
+        for stage_key in stage_keys:
             if stage_key not in entry[key]:
                 raise ValidationError(f"scenario {name!r}: {key}.{stage_key} is required")
-    chi_doc, prod_reg_doc = entry["chi"], entry["prod_reg_years"]
-    env_doc = entry["compute_env"]
-
-    def _build(field_name: str, builder):
-        # Nested parameter objects validate themselves; prefix their
-        # messages with the scenario so errors stay attributable.
-        try:
-            return builder()
-        except ValidationError as exc:
-            raise ValidationError(f"scenario {name!r}: {field_name}: {exc}") from None
-
-    compute_env = _build(
-        "compute_env",
-        lambda: ComputeEnv(
-            current_capacity=Magnitude.from_value(env_doc["current_capacity"]),
-            doubling_period_years=env_doc["doubling_period_years"],
-        ),
-    )
-    crow = _build(
-        "crow",
-        lambda: CrowAmsaaParams(
-            alpha=entry["crow"]["alpha"],
-            beta=entry["crow"]["beta"],
-            severity=entry["crow"]["severity"],
-        ),
-    )
-    poisson = _build(
-        "poisson",
-        lambda: PoissonParams(
-            confidence=entry["poisson"]["confidence"],
-            safety_factor=entry["poisson"]["safety_factor"],
-            lambda_target=entry["poisson"]["lambda_target"],
-        ),
-    )
-    return CategoryScenario(
-        name=name,
-        n_objects=entry["n_objects"],
-        cycle_time_s=entry["cycle_time_s"],
-        chi=StageMap(
-            stage2=_resolve_chi_value(name, "stage2", chi_doc["stage2"]),
-            stage3=_resolve_chi_value(name, "stage3", chi_doc["stage3"]),
-        ),
-        compute_env=compute_env,
-        crow=crow,
-        crow_lambda_target=entry["crow_lambda_target"],
-        poisson=poisson,
-        annual_miles=entry["annual_miles"],
-        gamma_override=entry["gamma_override"],
-        base_delta=entry["base_delta"],
-        f=entry["f"],
-        prod_reg_years=StageMap(
-            stage2=prod_reg_doc["stage2"], stage3=prod_reg_doc["stage3"]
-        ),
-        baseline_year=entry["baseline_year"],
-    )
+    chi = {key: _resolve_chi_value(name, key, entry["chi"][key]) for key in stage_keys}
+    return _from_document(CategoryScenario, {**entry, "chi": chi}, f"scenario {name!r}: ")
 
 
 def parse_scenarios(text: str, origin: str = "<string>") -> tuple[CategoryScenario, ...]:
@@ -681,8 +589,6 @@ def parse_scenarios(text: str, origin: str = "<string>") -> tuple[CategoryScenar
     """
     document = _validated_json(text, SCENARIO_SCHEMA, origin, "scenario document")
     doc_defaults = document.get("defaults", {})
-    catalog_docs = {s.name: scenario_to_document(s) for s in builtin_catalog()}
-    shared = _shared_defaults_document()
 
     scenarios: list[CategoryScenario] = []
     seen: set[str] = set()
@@ -693,7 +599,7 @@ def parse_scenarios(text: str, origin: str = "<string>") -> tuple[CategoryScenar
                 f"{origin}: duplicate scenario name {name!r}; names must be unique"
             )
         seen.add(name)
-        base = catalog_docs.get(name, shared)
+        base = _CATALOG_DOCUMENTS.get(name, _SHARED_DEFAULTS)
         merged = _deep_merge(_deep_merge(base, doc_defaults), entry)
         scenarios.append(_scenario_from_document(merged))
     return tuple(scenarios)

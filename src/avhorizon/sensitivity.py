@@ -26,14 +26,14 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, fields, is_dataclass
-from typing import Callable, Sequence, get_type_hints
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .complexity import Magnitude
 from .errors import UnknownParameterError, ValidationError
-from .scenario import CategoryScenario, project
+from .scenario import _FIELDS, CategoryScenario, _is_finite_number, project
 from .timeline import Gating, Stage
 
 __all__ = [
@@ -68,10 +68,9 @@ def _field_setter(owner: type, name: str, set_child: Callable) -> Callable:
     The rebuild goes through the positional constructor, so the
     owner's own validation runs on every set.
     """
-    names = tuple(f.name for f in fields(owner))
+    names = tuple(field_name for field_name, _ in _FIELDS[owner])
     index = names.index(name)
-    get_all = (operator.attrgetter(*names) if len(names) > 1
-               else lambda obj: (getattr(obj, name),))
+    get_all = operator.attrgetter(*names)  # every scenario dataclass has 2+ fields
 
     def setter(obj, value):
         args = list(get_all(obj))
@@ -84,17 +83,15 @@ def _field_setter(owner: type, name: str, set_child: Callable) -> Callable:
 def _numeric_leaves(owner: type):
     """(path, setter, leaf type) for every int, float or Magnitude field
     under ``owner``, nested dataclasses included, in declaration order."""
-    hints = get_type_hints(owner)
-    for f in fields(owner):
-        kind = hints[f.name]
+    for name, kind in _FIELDS[owner]:
         if kind is Magnitude:
-            set_leaf = _field_setter(owner, f.name, lambda _, v: Magnitude.from_value(v))
-            yield (f.name,), set_leaf, kind
+            set_leaf = _field_setter(owner, name, lambda _, v: Magnitude.from_value(v))
+            yield (name,), set_leaf, kind
         elif kind in (int, float):
-            yield (f.name,), _field_setter(owner, f.name, lambda _, v: v), kind
-        elif is_dataclass(kind):
+            yield (name,), _field_setter(owner, name, lambda _, v: v), kind
+        elif kind in _FIELDS:
             for path, set_child, leaf in _numeric_leaves(kind):
-                yield (f.name, *path), _field_setter(owner, f.name, set_child), leaf
+                yield (name, *path), _field_setter(owner, name, set_child), leaf
 
 
 def _getter(dotted: str, kind: type) -> _Getter:
@@ -131,17 +128,6 @@ def get_parameter(scenario: CategoryScenario, path: str) -> float:
     return getter(scenario)
 
 
-def _is_finite_number(value: object) -> bool:
-    """An int or float, not a bool, that is neither infinite nor NaN; an
-    int beyond float range is not finite here."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def set_parameter(scenario: CategoryScenario, path: str, value: float) -> CategoryScenario:
     """Modified copy with the path set; the field's own validation applies."""
     _, setter, is_int = _lookup(path)
@@ -154,11 +140,6 @@ def set_parameter(scenario: CategoryScenario, path: str, value: float) -> Catego
     if not _is_finite_number(value):
         raise ValidationError(f"parameter {path!r} requires a finite number, got {value!r}")
     return setter(scenario, float(value))
-
-
-def _is_integer_path(path: str) -> bool:
-    _, _, is_int = _lookup(path)
-    return is_int
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +321,12 @@ class SensitivityReport:
 
 
 def _summarize(t_totals: Sequence[float]) -> SensitivitySummary:
-    return SensitivitySummary(
-        minimum=min(t_totals),
-        maximum=max(t_totals),
-        mean=math.fsum(t_totals) / len(t_totals),
-    )
+    try:
+        mean = math.fsum(t_totals) / len(t_totals)
+    except OverflowError:  # only the sum exceeds float range; power-of-two scaling is exact
+        scale = 2.0 ** len(t_totals).bit_length()
+        mean = math.fsum(t / scale for t in t_totals) / len(t_totals) * scale
+    return SensitivitySummary(minimum=min(t_totals), maximum=max(t_totals), mean=mean)
 
 
 def _entry(inputs: tuple[tuple[str, float], ...], result) -> SensitivityEntry:
@@ -469,7 +451,8 @@ def monte_carlo(
                 f"duplicate distribution for parameter {dist.parameter_path!r}"
             )
         seen.add(dist.parameter_path)
-        if _is_integer_path(dist.parameter_path):
+        _, _, is_int = _lookup(dist.parameter_path)
+        if is_int:
             raise ValidationError(
                 f"parameter {dist.parameter_path!r} is integer-valued; continuous "
                 "distributions cannot target it (sweep explicit integer values instead)"

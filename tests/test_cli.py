@@ -1,14 +1,20 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from avhorizon import cli
 from avhorizon.scenario import SCENARIO_SCHEMA, builtin_catalog, serialize_scenarios
+from avhorizon.sensitivity import valid_parameter_paths
 
 
 def run_cli(*args, **kwargs):
@@ -349,6 +355,45 @@ class TestMalformedInput:
         err = assert_single_error_line(capsys, "project", "--file", str(doc))
         assert "n_objects" in err
 
+    @pytest.mark.parametrize("document, where", [
+        ({"scenarios": [{"name": "Robo-Taxis", "annual_miles": 10**400}]}, "annual_miles"),
+        ({"scenarios": [{"name": "Robo-Taxis", "crow": {"alpha": 10**400}}]}, "crow: alpha"),
+        ({"scenarios": [{"name": "Robo-Taxis", "compute_env": {"current_capacity": 10**400}}]},
+         "compute_env: current_capacity"),
+        ({"defaults": {"annual_miles": 10**400}, "scenarios": [{"name": "Robo-Taxis"}]},
+         "annual_miles"),
+    ])
+    def test_integer_beyond_float_range_in_document(self, tmp_path, capsys, document, where):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps(document))
+        err = assert_single_error_line(capsys, "project", "--file", str(doc))
+        assert err == (f"error: scenario 'Robo-Taxis': {where} is an integer beyond "
+                       "float range (1329 bits)\n")
+
+    def test_baseline_year_beyond_calendar_range(self, tmp_path, capsys):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"scenarios": [{"name": "Robo-Taxis",
+                                                  "baseline_year": 10000}]}))
+        for args in (("project", "--file", str(doc)),
+                     ("sweep", "--category", "Robo-Taxis", "--param", "baseline_year",
+                      "--values", "10000")):
+            err = assert_single_error_line(capsys, *args)
+            assert "baseline_year=10000 outside permitted range [1, 9999]" in err
+
+    @pytest.mark.parametrize("entry, field", [
+        ({"crow_lambda_target": 5e-324}, "crow_lambda_target=5e-324"),
+        ({"crow": {"severity": 1e308}}, "crow.severity=1e+308"),
+        ({"poisson": {"lambda_target": 5e-324}}, "poisson.lambda_target=5e-324"),
+        ({"compute_env": {"doubling_period_years": 1e308}},
+         "compute_env.doubling_period_years=1e+308"),
+        ({"n_objects": 10**308}, "n_objects"),
+    ])
+    def test_terms_that_overflow_name_their_input(self, tmp_path, capsys, entry, field):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"scenarios": [{"name": "Robo-Taxis", **entry}]}))
+        err = assert_single_error_line(capsys, "project", "--file", str(doc))
+        assert field in err and "float range" in err
+
     def test_annual_miles_whose_years_overflow(self, tmp_path, capsys):
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps({"scenarios": [{"name": "Robo-Taxis",
@@ -358,3 +403,102 @@ class TestMalformedInput:
                       "--values", "1e-300")):
             err = assert_single_error_line(capsys, *args)
             assert "annual_miles" in err
+
+
+# ---------------------------------------------------------------------------
+# Generated input: no document or flag combination may end in a traceback
+# ---------------------------------------------------------------------------
+
+CATEGORY_NAMES = tuple(s.name for s in builtin_catalog())
+# The first branch lies inside most fields' ranges, so that generated
+# cases also reach projection, the analyses and the renderers.
+EXTREME_NUMBERS = st.one_of(
+    st.floats(0.01, 0.99),
+    st.sampled_from([0, 1, -1, 0.0, -0.0, 2, 2.5, 1e-8, 1e13, 2024, 5e-324,
+                     2.2250738585072014e-308, 1e308, -1e308, 10**400, -(10**400),
+                     float("inf"), float("nan")]),
+    st.floats(),
+    st.integers(),
+)
+PARAMETER_PATHS = st.sampled_from(valid_parameter_paths() + ("bogus",))
+
+
+def strategy_for(schema):
+    """Documents with the shape of a SCENARIO_SCHEMA node and extreme numbers."""
+    if "oneOf" in schema:
+        return st.one_of(*map(strategy_for, schema["oneOf"]))
+    kind = schema.get("type")
+    if kind == "object":
+        required = schema.get("required", [])
+        children = {k: strategy_for(v) for k, v in schema["properties"].items()}
+        return st.fixed_dictionaries(
+            {k: children[k] for k in required},
+            optional={k: v for k, v in children.items() if k not in required},
+        )
+    if kind == "array":
+        if "prefixItems" in schema:
+            return st.tuples(*map(strategy_for, schema["prefixItems"])).map(list)
+        return st.lists(strategy_for(schema["items"]), min_size=schema.get("minItems", 0),
+                        max_size=3)
+    if kind == "string":  # every string is a scenario or factor name
+        return st.sampled_from(CATEGORY_NAMES + ("New", "active_interaction", "mystery"))
+    return EXTREME_NUMBERS
+
+
+def number_text(value):
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def cli_arguments(draw, category):
+    command = draw(st.sampled_from(["project", "catalog", "sweep", "tornado", "mc"]))
+    args = [command, "--category", category,
+            "--stage", draw(st.sampled_from(["1", "2", "3", "all"])),
+            "--format", draw(st.sampled_from(["table", "csv", "json", "markdown", "xml"]))]
+    number = EXTREME_NUMBERS.map(number_text)
+    numbers = st.lists(number, min_size=1, max_size=3).map(",".join)
+    if command == "sweep":
+        args += ["--param", draw(PARAMETER_PATHS)]
+        if draw(st.booleans()):
+            args += ["--values", draw(numbers)]
+        else:
+            args += ["--grid", f"{draw(number)}:{draw(number)}:{draw(st.integers(-1, 50))}"]
+    elif command == "tornado":
+        for _ in range(draw(st.integers(1, 3))):
+            args += ["--bound", f"{draw(PARAMETER_PATHS)}={draw(numbers)}"]
+    elif command == "mc":
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["uniform", "triangular"]))
+            args += ["--dist", f"{draw(PARAMETER_PATHS)}={kind}:{draw(numbers)}"]
+        args += ["--samples", str(draw(st.integers(-1, 20))),
+                 "--seed", str(draw(st.sampled_from([0, 7, -1, 2**64 - 1, 2**64])))]
+    return args
+
+
+@st.composite
+def documents_and_arguments(draw):
+    document = draw(strategy_for(SCENARIO_SCHEMA))
+    category = document["scenarios"][0]["name"]
+    return document, draw(cli_arguments(category))
+
+
+class TestGeneratedInput:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(documents_and_arguments())
+    def test_cli_never_prints_a_traceback(self, case):
+        document, args = case
+        with tempfile.TemporaryDirectory() as work:
+            doc = Path(work) / "doc.json"
+            doc.write_text(json.dumps(document), encoding="utf-8")
+            if args[0] != "catalog":
+                args = [args[0], "--file", str(doc), *args[1:]]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(args)
+                except SystemExit as exc:  # argparse usage error
+                    code = exc.code
+        assert code in (0, 1, 2), (args, err.getvalue())
+        if code == 1:
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

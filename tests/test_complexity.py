@@ -40,6 +40,16 @@ class TestMagnitude:
             with pytest.raises(ValidationError):
                 Magnitude.from_value(bad)
 
+    def test_from_value_keeps_the_value_given(self):
+        m = Magnitude.from_value(3e13)
+        assert m.value == 3e13  # not 10 ** log10(3e13) = 30000000000000.01
+        assert 10.0 ** m.log10_value != 3e13
+        derived = Magnitude(m.log10_value)
+        assert m == derived and hash(m) == hash(derived)
+        assert repr(m) == repr(derived)
+        with pytest.raises(TypeError):  # only from_value sets it
+            Magnitude(13.0, 5.0)
+
     def test_linear_view_saturates(self):
         assert Magnitude(2000.0).value == math.inf  # exponent exact, linear view inf
 
@@ -175,3 +185,9 @@ class TestHpcHorizon:
     def test_env_validation(self):
         with pytest.raises(ValidationError):
             ComputeEnv(current_capacity=Magnitude(13.0), doubling_period_years=0.0)
+
+    def test_horizon_beyond_float_range_names_doubling_period(self):
+        env = ComputeEnv(current_capacity=Magnitude(13.0), doubling_period_years=1e308)
+        with pytest.raises(ValidationError, match=r"compute_env\.doubling_period_years"):
+            hpc_horizon_years(Magnitude(16.0), env)
+        assert hpc_horizon_years(Magnitude(12.0), env) == 0.0  # no gap, no overflow

@@ -86,6 +86,14 @@ class TestCrowMiles:
         # (1e-4 / 1e-8) ** (1 / 0.01) = 1e400 overflows a float.
         with pytest.raises(ValidationError, match=r"crow\.beta"):
             crow_required_miles(CrowAmsaaParams(1e-4, 0.01), 1e-8)
+        # A subnormal beta makes 1 / beta inf, and the power inf, without raising.
+        with pytest.raises(ValidationError, match=r"crow\.beta"):
+            crow_required_miles(CrowAmsaaParams(1e-4, 5e-324), 1e-8)
+
+    def test_ratio_beyond_float_range_names_lambda_target(self):
+        # 1e-4 / 5e-324 overflows to inf before the power is taken.
+        with pytest.raises(ValidationError, match="crow_lambda_target=5e-324"):
+            crow_required_miles(CrowAmsaaParams(1e-4, 0.4), 5e-324)
 
 
     @pytest.mark.parametrize("alpha, beta, severity, target", [
@@ -143,6 +151,11 @@ class TestPoissonMiles:
         factor = poisson_required_miles(
             PoissonParams(confidence=confidence, safety_factor=1.0, lambda_target=1.0))
         assert factor == pytest.approx(stats.chi2.ppf(confidence, 2) / 2, rel=1e-12)
+
+    def test_mileage_beyond_float_range_names_lambda_target(self):
+        params = PoissonParams(confidence=0.95, safety_factor=2.0, lambda_target=5e-324)
+        with pytest.raises(ValidationError, match=r"poisson\.lambda_target=5e-324"):
+            poisson_required_miles(params)
 
     def test_param_validation(self):
         with pytest.raises(ValidationError, match="confidence"):

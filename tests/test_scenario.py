@@ -221,9 +221,18 @@ class TestSerialization:
         assert json.loads(schema_json()) == SCENARIO_SCHEMA
 
     def test_docs_copy_matches_module_schema(self):
+        # Byte for byte: the schema's key order follows the dataclass
+        # field declaration order, which dict equality would not check.
         import pathlib
         docs = pathlib.Path(__file__).resolve().parent.parent / "docs" / "scenario_schema.json"
-        assert json.loads(docs.read_text()) == SCENARIO_SCHEMA
+        assert docs.read_bytes() == schema_json().encode("utf-8")
+
+    def test_user_values_serialize_back_as_given(self):
+        document = json.loads(serialize_scenarios(builtin_catalog()))
+        for entry in document["scenarios"]:
+            entry["compute_env"]["current_capacity"] = 3e13
+        text = json.dumps(document, indent=2) + "\n"
+        assert serialize_scenarios(parse_scenarios(text)) == text
 
 
 class TestScenarioDocuments:
@@ -272,6 +281,17 @@ class TestScenarioDocuments:
         })
         (s,) = parse_scenarios(doc)
         assert s.gamma_override == 0.9
+
+    @pytest.mark.parametrize("year, ok", [
+        (1, True), (9999, True), (0, False), (10000, False), (-2024, False), (10**400, False),
+    ])
+    def test_baseline_year_is_a_calendar_year(self, year, ok):
+        doc = json.dumps({"scenarios": [{"name": "Robo-Taxis", "baseline_year": year}]})
+        if ok:
+            assert parse_scenarios(doc)[0].baseline_year == year
+        else:
+            with pytest.raises(ValidationError, match="baseline_year=.* permitted range"):
+                parse_scenarios(doc)
 
     def test_new_category_must_state_core_fields(self):
         with pytest.raises(ValidationError, match="n_objects"):

@@ -161,6 +161,15 @@ class TestOneAtATime:
         totals = [e.t_total for e in report.entries]
         assert totals == sorted(totals)
 
+    @pytest.mark.parametrize("values", [(1e308, 1e308), (1e308,) * 50, (1e308, 2.0, 1e300)])
+    def test_mean_of_totals_whose_sum_overflows(self, catalog, values):
+        # Totals near 1e308 overflow math.fsum; their mean does not.
+        report = one_at_a_time(catalog["Highway Trucking"], S3,
+                               SweepSpec("prod_reg_years.stage3", values))
+        totals = [e.t_total for e in report.entries]
+        assert report.summary.mean == pytest.approx(
+            math.fsum(t / len(totals) for t in totals), rel=1e-15)
+
     def test_summary_statistics(self, catalog):
         report = one_at_a_time(
             catalog["Industrial/Mining"], S3,
