@@ -161,8 +161,9 @@ def crow_required_miles(params: CrowAmsaaParams, lambda_target: float) -> float:
         miles = math.inf
     if math.isinf(miles):  # a subnormal beta makes 1 / beta inf without raising
         raise ValidationError(
-            f"crow.beta={params.beta!r} is too small: the growth mileage "
-            f"({start_rate!r} / {lambda_target!r}) ** (1 / beta) exceeds float range"
+            f"the growth mileage (crow.alpha={params.alpha!r} * crow.severity="
+            f"{params.severity!r} / crow_lambda_target={lambda_target!r}) ** "
+            f"(1 / crow.beta={params.beta!r}) exceeds float range"
         )
     return miles
 
@@ -220,7 +221,8 @@ def demonstration_years(
     years = required_miles * gamma_value * delta / annual_miles
     if not math.isfinite(years):
         raise ValidationError(
-            f"annual_miles={annual_miles!r} is too small: demonstrating "
-            f"{required_miles!r} miles takes more years than float range holds"
+            f"the demonstration years {required_miles!r} miles * gamma_override="
+            f"{gamma_value!r} * stage delta={delta!r} / annual_miles={annual_miles!r} "
+            "exceed float range"
         )
     return years

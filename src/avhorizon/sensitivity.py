@@ -11,13 +11,20 @@ before any projection runs.
   all others at baseline, ranked by descending output spread.
 * monte_carlo: draw all distribution parameters jointly per sample.
 
-Monte Carlo determinism contract: the generator is Philox4x64, keyed
+All three evaluate their rows together (``_evaluate``): the projection
+pipeline runs term by term over numpy columns of the varying inputs,
+with results bit-identical to ``project`` on each row's modified
+scenario.  A row that fails any of ``project``'s checks is re-run
+through ``set_parameter`` and ``project``, which raise the exact error.
+
+Monte Carlo determinism contract: the generator is Philox4x64-10, keyed
 per sample as (seed, sample_index), with exactly one uniform draw per
 distribution per sample transformed through the distribution's inverse
-CDF.  Sample i therefore never depends on how many samples run before
-it or alongside it, which keeps results identical under any execution
-order; aggregation always walks samples in index order.  Given the
-same seed, distribution list and sample count, reports are
+CDF.  The draws are computed for all samples at once in numpy arrays and
+equal those of ``np.random.Generator(np.random.Philox(key=[seed, i]))``.
+Sample i therefore never depends on how many samples run before it or
+alongside it, and aggregation always walks samples in index order.
+Given the same seed, distribution list and sample count, reports are
 byte-for-byte reproducible on the same package version.
 """
 
@@ -31,10 +38,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .complexity import Magnitude
+from .complexity import LOG10_2, Magnitude
 from .errors import UnknownParameterError, ValidationError
 from .scenario import _FIELDS, CategoryScenario, _is_finite_number, project
-from .timeline import Gating, Stage
+from .timeline import STAGE_DELTA_MULTIPLIERS, Gating, Stage
 
 __all__ = [
     "AnalysisKind",
@@ -101,10 +108,10 @@ def _getter(dotted: str, kind: type) -> _Getter:
     return (lambda s: float(get(s))) if kind is int else get
 
 
-# path -> (getter, setter, is_integer_field), one entry per numeric
-# scenario field, in dataclass field declaration order.
-_PARAMETERS: dict[str, tuple[_Getter, _Setter, bool]] = {
-    ".".join(path): (_getter(".".join(path), kind), setter, kind is int)
+# path -> (getter, setter, leaf type: int, float or Magnitude), one
+# entry per numeric scenario field, in dataclass field declaration order.
+_PARAMETERS: dict[str, tuple[_Getter, _Setter, type]] = {
+    ".".join(path): (_getter(".".join(path), kind), setter, kind)
     for path, setter, kind in _numeric_leaves(CategoryScenario)
 }
 
@@ -114,7 +121,7 @@ def valid_parameter_paths() -> tuple[str, ...]:
     return tuple(sorted(_PARAMETERS))
 
 
-def _lookup(path: str) -> tuple[_Getter, _Setter, bool]:
+def _lookup(path: str) -> tuple[_Getter, _Setter, type]:
     if not isinstance(path, str) or path not in _PARAMETERS:
         raise UnknownParameterError(
             f"unknown parameter path {path!r}; valid paths: "
@@ -130,8 +137,8 @@ def get_parameter(scenario: CategoryScenario, path: str) -> float:
 
 def set_parameter(scenario: CategoryScenario, path: str, value: float) -> CategoryScenario:
     """Modified copy with the path set; the field's own validation applies."""
-    _, setter, is_int = _lookup(path)
-    if is_int:
+    _, setter, kind = _lookup(path)
+    if kind is int:
         if not (_is_finite_number(value) and float(value).is_integer()):
             raise ValidationError(
                 f"parameter {path!r} takes integer values, got {value!r}"
@@ -240,17 +247,77 @@ class DistributionSpec:
             )
 
 
-def _inverse_cdf(dist: DistributionSpec, u: float) -> float:
-    """Map one uniform draw in [0, 1) through the distribution."""
+def _sample(dist: DistributionSpec, u: np.ndarray) -> np.ndarray:
+    """Map a column of uniform draws in [0, 1) through the distribution.
+
+    Same operations in the same order as the scalar inverse CDF
+    ``low + span * u`` and ``low + sqrt(u * span * (mode - low))`` below
+    the branch point, ``high - sqrt((1 - u) * span * (high - mode))``
+    above it; the differences of the bounds are taken in Python first,
+    as the scalar form takes them.
+    """
     span = dist.high - dist.low
     if span == 0.0:
-        return dist.low
+        return np.full(u.size, float(dist.low))
     if dist.kind is DistributionKind.UNIFORM:
-        return dist.low + span * u
+        return float(dist.low) + float(span) * u
     cut = (dist.mode - dist.low) / span
-    if u < cut:
-        return dist.low + math.sqrt(u * span * (dist.mode - dist.low))
-    return dist.high - math.sqrt((1.0 - u) * span * (dist.high - dist.mode))
+    below = float(dist.low) + np.sqrt(u * float(span) * float(dist.mode - dist.low))
+    above = float(dist.high) - np.sqrt((1.0 - u) * float(span) * float(dist.high - dist.mode))
+    return np.where(u < cut, below, above)
+
+
+# Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1,
+# 2, 3", SC'11): round multipliers and key increments, as NumPy's
+# Philox bit generator uses them.
+_PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_KEY_STEPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW_32 = np.uint64(0xFFFFFFFF)
+_SHIFT_32 = np.uint64(32)
+
+
+def _mulhilo(multiplier: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products multiplier * x,
+    assembled from 32-bit halves."""
+    m_low, m_high = np.uint64(multiplier & 0xFFFFFFFF), np.uint64(multiplier >> 32)
+    x_low, x_high = x & _LOW_32, x >> _SHIFT_32
+    middle = x_high * m_low + ((x_low * m_low) >> _SHIFT_32)
+    carry = x_low * m_high + (middle & _LOW_32)
+    high = x_high * m_high + (middle >> _SHIFT_32) + (carry >> _SHIFT_32)
+    return high, x * np.uint64(multiplier)
+
+
+def _philox_block(seed: int, index: np.ndarray, block: int) -> tuple[np.ndarray, ...]:
+    """The four output words of Philox4x64-10 at counter (block, 0, 0, 0)
+    under key (seed, index), for every index at once."""
+    key0, key1 = seed, index
+    zeros = np.zeros(index.size, dtype=np.uint64)
+    x0, x1, x2, x3 = np.full(index.size, block, dtype=np.uint64), zeros, zeros, zeros
+    for round_ in range(_PHILOX_ROUNDS):
+        if round_:
+            key0 = (key0 + _PHILOX_KEY_STEPS[0]) % 2**64
+            key1 = key1 + np.uint64(_PHILOX_KEY_STEPS[1])  # arrays wrap modulo 2**64
+        high0, low0 = _mulhilo(_PHILOX_MULTIPLIERS[0], x0)
+        high1, low1 = _mulhilo(_PHILOX_MULTIPLIERS[1], x2)
+        x0, x1, x2, x3 = high1 ^ x1 ^ np.uint64(key0), low1, high0 ^ x3 ^ key1, low0
+    return x0, x1, x2, x3
+
+
+def _uniforms(seed: int, sample_count: int, draws: int) -> list[np.ndarray]:
+    """Draw j of every sample 0..sample_count-1, for j < draws.
+
+    Sample i's generator is ``Generator(Philox(key=[seed, i]))``: its
+    counter starts at zero and is incremented before each block, so
+    draws 1-4 are the words of counter block 1, draws 5-8 of block 2,
+    and ``random()`` keeps the top 53 bits of each word.
+    """
+    index = np.arange(sample_count, dtype=np.uint64)
+    words: list[np.ndarray] = []
+    for block in range(1, (draws + 3) // 4 + 1):
+        words.extend(_philox_block(seed, index, block))
+    return [(w >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+            for w in words[:draws]]
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +396,131 @@ def _summarize(t_totals: Sequence[float]) -> SensitivitySummary:
     return SensitivitySummary(minimum=min(t_totals), maximum=max(t_totals), mean=mean)
 
 
-def _entry(inputs: tuple[tuple[str, float], ...], result) -> SensitivityEntry:
-    return SensitivityEntry(
-        inputs=inputs,
-        t_total=result.breakdown.t_total,
-        calendar_year=result.breakdown.calendar_year,
-        gating=result.breakdown.gating,
-    )
+_Inputs = tuple[tuple[str, float], ...]
+_GATING = {True: Gating.COMPUTE, False: Gating.RELIABILITY}
+
+
+def _leaf(scenario: CategoryScenario, path: str):
+    """The number ``project`` reads for a path: the field's value, or a
+    Magnitude's log10."""
+    value = operator.attrgetter(path)(scenario)
+    return value.log10_value if isinstance(value, Magnitude) else value
+
+
+def _per_row(fn: Callable[..., float], *args):
+    """``fn`` on Python floats, once per row of the arguments that are
+    columns, or once if none is.  libm's log and pow, which this runs,
+    can differ from numpy's in the last bit."""
+    if all(np.ndim(a) == 0 for a in args):
+        return fn(*map(float, args))
+    columns = np.broadcast_arrays(*args)
+    return np.fromiter(map(fn, *(c.tolist() for c in columns)), dtype=np.float64,
+                       count=columns[0].size)
+
+
+def _leaf_column(path: str, values) -> np.ndarray:
+    """The numbers ``project`` reads for ``path`` after
+    ``set_parameter(path, v)``, one per value."""
+    if not isinstance(values, np.ndarray):
+        values = np.array([float(v) for v in values], dtype=np.float64)
+    return _per_row(math.log10, values) if _lookup(path)[2] is Magnitude else values
+
+
+def _power(base: float, exponent: float) -> float:
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
+def _finite_nonnegative(*terms) -> np.ndarray:
+    ok = True
+    for term in terms:
+        ok = ok & np.isfinite(term) & (term >= 0.0)
+    return ok
+
+
+def _evaluate(
+    scenario: CategoryScenario,
+    stage: Stage,
+    columns: dict[str, np.ndarray],
+    inputs: Sequence[_Inputs],
+    unchecked: np.ndarray | None = None,
+) -> tuple[SensitivityEntry, ...]:
+    """One entry per row of ``inputs``: t_total, calendar year and gating
+    equal to ``project`` on the scenario with the row's ``inputs``
+    applied by ``set_parameter``.
+
+    ``columns`` maps each varying path to the numbers ``project`` reads
+    for it in each row (``_leaf_column``); every other path keeps the
+    scenario's value, and a term none of whose inputs vary is computed
+    once.  Arithmetic is numpy's correctly rounded + - * / and sqrt in
+    the scalar path's order; log10, log and ** run per row in Python.
+    A row that fails one of ``project``'s checks, or that ``unchecked``
+    marks, runs through ``set_parameter`` and ``project`` instead, in
+    row order, so the first invalid row raises the scalar path's error.
+    """
+    def leaf(path):
+        return columns[path] if path in columns else float(_leaf(scenario, path))
+
+    stage_key = stage.value
+    with np.errstate(all="ignore"):
+        naive = leaf("n_objects") * LOG10_2 - _per_row(math.log10, leaf("cycle_time_s"))
+        effective = naive + _per_row(math.log10, leaf(f"chi.{stage_key}"))
+        horizon = (leaf("compute_env.doubling_period_years")
+                   * (effective - leaf("compute_env.current_capacity")) / LOG10_2)
+        t_comp = np.where(horizon > 0.0, horizon, 0.0)  # max(0.0, horizon)
+
+        start_rate = leaf("crow.alpha") * leaf("crow.severity")
+        target = leaf("crow_lambda_target")
+        growth = _per_row(_power, start_rate / target, 1.0 / leaf("crow.beta"))
+        crow_miles = np.where(target >= start_rate, 0.0, growth)
+        poisson_miles = (-_per_row(math.log, 1.0 - leaf("poisson.confidence"))
+                         * leaf("poisson.safety_factor") / leaf("poisson.lambda_target"))
+        gamma_value, annual_miles = leaf("gamma_override"), leaf("annual_miles")
+        delta = leaf("base_delta") * STAGE_DELTA_MULTIPLIERS[stage]
+        t_crow_total = crow_miles * gamma_value * delta / annual_miles
+        t_poisson = poisson_miles * gamma_value * delta / annual_miles
+
+        f = leaf("f")  # split_crow: the larger share by product, the smaller by difference
+        final_below = (1.0 - f) * t_crow_total
+        partial = np.where(f >= 0.5, f * t_crow_total, t_crow_total - final_below)
+        final = np.where(f >= 0.5, t_crow_total - partial, final_below)
+        # Python's max(partial, t_comp); np.maximum can differ on signed zeros.
+        t_total = (np.where(t_comp > partial, t_comp, partial) + final + t_poisson
+                   + leaf(f"prod_reg_years.{stage_key}"))
+        compute_gated = t_comp > partial
+        # The checks of project that a row can fail.  The composition and
+        # gating identities hold by construction, as in compose_total.
+        valid = (np.isfinite(naive) & np.isfinite(effective) & (delta > 0.0)
+                 & _finite_nonnegative(t_comp, crow_miles, t_crow_total, poisson_miles,
+                                       t_poisson, partial, final, t_total)
+                 & (partial + final == t_crow_total))
+
+    rows = (len(inputs),)
+    fallback = ~np.broadcast_to(valid, rows)
+    if unchecked is not None:
+        fallback = fallback | unchecked
+    if any(type(v) is int and float(v) != v  # a JSON integer float64 does not hold
+           for v in (_leaf(scenario, p) for p, (_, _, kind) in _PARAMETERS.items()
+                     if kind is float)):
+        fallback = np.ones(rows, dtype=bool)
+    totals = np.broadcast_to(t_total, rows).tolist()
+    gating = list(map(_GATING.__getitem__, np.broadcast_to(compute_gated, rows).tolist()))
+    for row in np.flatnonzero(fallback).tolist():
+        modified = scenario
+        for path, value in inputs[row]:
+            modified = set_parameter(modified, path, value)
+        breakdown = project(modified, stage).breakdown
+        totals[row], gating[row] = breakdown.t_total, breakdown.gating
+
+    baseline_year = columns.get("baseline_year")
+    if baseline_year is None:
+        baseline_years = [scenario.baseline_year] * len(totals)
+    else:
+        baseline_years = [int(b) for b in baseline_year.tolist()]
+    years = [b + math.floor(t + 0.5) for b, t in zip(baseline_years, totals)]
+    return tuple(map(SensitivityEntry, inputs, totals, years, gating))
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +534,12 @@ def one_at_a_time(scenario: CategoryScenario, stage: Stage, sweep: SweepSpec) ->
     Every value is validated (by constructing the modified scenario)
     before the first projection runs.
     """
-    modified = [
-        (v, set_parameter(scenario, sweep.parameter_path, v)) for v in sweep.values
-    ]
+    path = sweep.parameter_path
+    for v in sweep.values:
+        set_parameter(scenario, path, v)
     baseline = project(scenario, stage)
-    entries = tuple(
-        _entry(((sweep.parameter_path, v),), project(m, stage)) for v, m in modified
-    )
+    entries = _evaluate(scenario, stage, {path: _leaf_column(path, sweep.values)},
+                       [((path, v),) for v in sweep.values])
     return SensitivityReport(
         kind=AnalysisKind.SWEEP,
         category=scenario.name,
@@ -386,35 +570,38 @@ def tornado(
             )
         seen.add(b.parameter_path)
     # Validate all excursions up front, before any projection.
-    probes = [
-        (b, set_parameter(scenario, b.parameter_path, b.low),
-         set_parameter(scenario, b.parameter_path, b.high))
-        for b in bounds
-    ]
+    for b in bounds:
+        set_parameter(scenario, b.parameter_path, b.low)
+        set_parameter(scenario, b.parameter_path, b.high)
     baseline = project(scenario, stage)
-    evaluated = []
-    for b, low_scenario, high_scenario in probes:
-        low_result = project(low_scenario, stage)
-        high_result = project(high_scenario, stage)
-        spread = abs(high_result.breakdown.t_total - low_result.breakdown.t_total)
-        evaluated.append((b, low_result, high_result, spread))
+    # One batch: rows 2i and 2i + 1 set bound i's low and high, and
+    # every other row keeps that parameter at baseline.
+    rows = 2 * len(bounds)
+    columns = {}
+    for i, b in enumerate(bounds):
+        column = np.full(rows, float(_leaf(scenario, b.parameter_path)))
+        column[2 * i:2 * i + 2] = _leaf_column(b.parameter_path, (b.low, b.high))
+        columns[b.parameter_path] = column
+    points = _evaluate(scenario, stage, columns, [
+        ((b.parameter_path, value),) for b in bounds for value in (b.low, b.high)
+    ])
+    evaluated = [
+        (b, low, high, abs(high.t_total - low.t_total))
+        for b, low, high in zip(bounds, points[0::2], points[1::2])
+    ]
     evaluated.sort(key=lambda item: item[3], reverse=True)  # stable: ties keep order
     spreads = tuple(
         TornadoSpread(
             parameter_path=b.parameter_path,
             low=b.low,
             high=b.high,
-            t_total_low=low_result.breakdown.t_total,
-            t_total_high=high_result.breakdown.t_total,
+            t_total_low=low.t_total,
+            t_total_high=high.t_total,
             spread=spread,
         )
-        for b, low_result, high_result, spread in evaluated
+        for b, low, high, spread in evaluated
     )
-    entries = []
-    for b, low_result, high_result, _ in evaluated:
-        entries.append(_entry(((b.parameter_path, b.low),), low_result))
-        entries.append(_entry(((b.parameter_path, b.high),), high_result))
-    entries = tuple(entries)
+    entries = tuple(entry for _, low, high, _ in evaluated for entry in (low, high))
     return SensitivityReport(
         kind=AnalysisKind.TORNADO,
         category=scenario.name,
@@ -451,8 +638,7 @@ def monte_carlo(
                 f"duplicate distribution for parameter {dist.parameter_path!r}"
             )
         seen.add(dist.parameter_path)
-        _, _, is_int = _lookup(dist.parameter_path)
-        if is_int:
+        if _lookup(dist.parameter_path)[2] is int:
             raise ValidationError(
                 f"parameter {dist.parameter_path!r} is integer-valued; continuous "
                 "distributions cannot target it (sweep explicit integer values instead)"
@@ -464,20 +650,21 @@ def monte_carlo(
             set_parameter(scenario, dist.parameter_path, dist.mode)
 
     baseline = project(scenario, stage)
-    entries = []
-    for index in range(sample_count):
-        # Explicit uint64 keying: a plain list would round-trip through
-        # float64 and corrupt seeds above 2**53.
-        key = np.array([seed, index], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        modified = scenario
-        inputs = []
-        for dist in distributions:
-            value = _inverse_cdf(dist, rng.random())
-            modified = set_parameter(modified, dist.parameter_path, value)
-            inputs.append((dist.parameter_path, value))
-        entries.append(_entry(tuple(inputs), project(modified, stage)))
-    entries = tuple(entries)
+    # Every field's domain is an interval, so a sample inside the
+    # validated [low, high] is valid; one outside is checked by the
+    # scalar path.
+    columns, values = {}, []
+    outside = np.zeros(sample_count, dtype=bool)
+    for dist, u in zip(distributions, _uniforms(seed, sample_count, len(distributions))):
+        column = _sample(dist, u)
+        outside |= (column < float(dist.low)) | (column > float(dist.high))
+        # A zero-width distribution reports its bound as given.
+        values.append([dist.low] * sample_count if dist.high - dist.low == 0.0
+                      else column.tolist())
+        columns[dist.parameter_path] = _leaf_column(dist.parameter_path, column)
+    paths = [dist.parameter_path for dist in distributions]
+    entries = _evaluate(scenario, stage, columns,
+                       [tuple(zip(paths, row)) for row in zip(*values)], outside)
 
     t_totals = np.array([e.t_total for e in entries], dtype=np.float64)
     percentiles = tuple(

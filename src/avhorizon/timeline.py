@@ -240,6 +240,12 @@ def compose_total(
         raise ValidationError(f"t_prod_reg must be >= 0, got {t_prod_reg!r}")
     partial, final = split_crow(t_crow_total, f)
     t_total = max(partial, t_comp) + final + t_poisson + t_prod_reg
+    if math.isinf(t_total):
+        raise ValidationError(
+            f"the total of the spans t_comp={t_comp!r}, t_crow_total={t_crow_total!r} "
+            f"(f={f!r}), t_poisson={t_poisson!r} and t_prod_reg={t_prod_reg!r} "
+            "exceeds float range"
+        )
     gating = Gating.COMPUTE if t_comp > partial else Gating.RELIABILITY
     return TimelineBreakdown(
         t_comp=t_comp,

@@ -394,6 +394,27 @@ class TestMalformedInput:
         err = assert_single_error_line(capsys, "project", "--file", str(doc))
         assert field in err and "float range" in err
 
+    @pytest.mark.parametrize("entry, message", [
+        # The growth mileage stays finite; gamma_override overflows the years.
+        ({"gamma_override": 1e300},
+         "the demonstration years 56568542494.923805 miles * gamma_override=1e+300 * "
+         "stage delta=1.0 / annual_miles=1000000000.0 exceed float range"),
+        # The rate ratio stays finite; its power overflows.
+        ({"crow": {"severity": 1e300}},
+         "the growth mileage (crow.alpha=0.0001 * crow.severity=1e+300 / "
+         "crow_lambda_target=1e-08) ** (1 / crow.beta=0.4) exceeds float range"),
+        # Every span is finite; their sum is not.
+        ({"prod_reg_years": {"stage3": 1e308}, "compute_env": {"doubling_period_years": 1e307}},
+         "the total of the spans t_comp=8.000000000000002e+307, "
+         "t_crow_total=50.91168824543143 (f=0.7), t_poisson=0.7594814214643918 and "
+         "t_prod_reg=1e+308 exceeds float range"),
+    ])
+    def test_overflow_names_every_input_of_the_term(self, tmp_path, capsys, entry, message):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"scenarios": [{"name": "Robo-Taxis", **entry}]}))
+        err = assert_single_error_line(capsys, "project", "--file", str(doc), "--stage", "3")
+        assert err == f"error: {message}\n"
+
     def test_annual_miles_whose_years_overflow(self, tmp_path, capsys):
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps({"scenarios": [{"name": "Robo-Taxis",

@@ -1,0 +1,395 @@
+"""The columnar evaluator against the scalar path it replaces.
+
+Sweep, tornado and Monte Carlo evaluate all their rows at once in numpy.
+Every case here compares them with a copy of the per-row loops they
+replaced (set_parameter then project, one row at a time, one Philox
+generator per Monte Carlo sample): reports must be equal, renders in
+all four formats byte-identical, and errors the same text.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from avhorizon import sensitivity
+from avhorizon.complexity import ComputeEnv, Magnitude
+from avhorizon.errors import ValidationError
+from avhorizon.report import ReportFormat, render_sensitivity
+from avhorizon.scenario import builtin_catalog, project
+from avhorizon.sensitivity import (
+    MC_PERCENTILES,
+    AnalysisKind,
+    DistributionKind,
+    DistributionSpec,
+    ParameterBounds,
+    SensitivityEntry,
+    SensitivityReport,
+    SweepSpec,
+    TornadoSpread,
+    _leaf,
+    _leaf_column,
+    _summarize,
+    _uniforms,
+    monte_carlo,
+    one_at_a_time,
+    set_parameter,
+    tornado,
+    valid_parameter_paths,
+)
+from avhorizon.timeline import PROJECTABLE_STAGES, Stage
+
+CATALOG = builtin_catalog()
+S2, S3 = Stage.REVENUE_SERVICE, Stage.BROAD_COMMERCIAL
+
+# A valid interval for every float path; some reach values whose terms
+# overflow (tiny crow.beta, huge severity), so errors are compared too.
+FLOAT_RANGES = {
+    "cycle_time_s": (1e-3, 2.0),
+    "chi.stage2": (1e-30, 1.0),
+    "chi.stage3": (1e-30, 1.0),
+    "compute_env.current_capacity": (1e3, 1e25),
+    "compute_env.doubling_period_years": (0.1, 10.0),
+    "crow.alpha": (1e-9, 1.0),
+    "crow.beta": (0.005, 0.999),
+    "crow.severity": (1.0, 1e30),
+    "crow_lambda_target": (1e-14, 1e-2),
+    "poisson.confidence": (1e-6, 0.999999),
+    "poisson.safety_factor": (1.0, 100.0),
+    "poisson.lambda_target": (1e-14, 1e-3),
+    "annual_miles": (1e-3, 1e13),
+    "gamma_override": (1e-3, 1e3),
+    "base_delta": (1e-6, 1.0),
+    "f": (0.0, 1.0),
+    "prod_reg_years.stage2": (0.0, 50.0),
+    "prod_reg_years.stage3": (0.0, 50.0),
+}
+FORMATS = tuple(ReportFormat)
+
+
+# ---------------------------------------------------------------------------
+# The scalar path: the per-row loops the columnar evaluator replaced
+# ---------------------------------------------------------------------------
+
+
+def scalar_inverse_cdf(dist, u):
+    span = dist.high - dist.low
+    if span == 0.0:
+        return dist.low
+    if dist.kind is DistributionKind.UNIFORM:
+        return dist.low + span * u
+    cut = (dist.mode - dist.low) / span
+    if u < cut:
+        return dist.low + math.sqrt(u * span * (dist.mode - dist.low))
+    return dist.high - math.sqrt((1.0 - u) * span * (dist.high - dist.mode))
+
+
+def scalar_entry(inputs, scenario, stage):
+    breakdown = project(scenario, stage).breakdown
+    return SensitivityEntry(inputs, breakdown.t_total, breakdown.calendar_year,
+                            breakdown.gating)
+
+
+def scalar_monte_carlo(scenario, stage, distributions, sample_count, seed):
+    for dist in distributions:
+        for value in (dist.low, dist.high, dist.mode):
+            if value is not None:
+                set_parameter(scenario, dist.parameter_path, value)
+    baseline = project(scenario, stage)
+    entries = []
+    for index in range(sample_count):
+        key = np.array([seed, index], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        modified, inputs = scenario, []
+        for dist in distributions:
+            value = scalar_inverse_cdf(dist, rng.random())
+            modified = set_parameter(modified, dist.parameter_path, value)
+            inputs.append((dist.parameter_path, value))
+        entries.append(scalar_entry(tuple(inputs), modified, stage))
+    t_totals = np.array([e.t_total for e in entries], dtype=np.float64)
+    return SensitivityReport(
+        kind=AnalysisKind.MONTE_CARLO, category=scenario.name, stage=stage,
+        baseline_t_total=baseline.breakdown.t_total, entries=tuple(entries),
+        summary=_summarize([e.t_total for e in entries]),
+        percentiles=tuple((p, float(np.percentile(t_totals, p))) for p in MC_PERCENTILES),
+        seed=seed, sample_count=sample_count,
+    )
+
+
+def scalar_sweep(scenario, stage, sweep):
+    path = sweep.parameter_path
+    modified = [(v, set_parameter(scenario, path, v)) for v in sweep.values]
+    baseline = project(scenario, stage)
+    entries = tuple(scalar_entry(((path, v),), m, stage) for v, m in modified)
+    return SensitivityReport(
+        kind=AnalysisKind.SWEEP, category=scenario.name, stage=stage,
+        baseline_t_total=baseline.breakdown.t_total, entries=entries,
+        summary=_summarize([e.t_total for e in entries]),
+    )
+
+
+def scalar_tornado(scenario, stage, bounds):
+    probes = [(b, set_parameter(scenario, b.parameter_path, b.low),
+               set_parameter(scenario, b.parameter_path, b.high)) for b in bounds]
+    baseline = project(scenario, stage)
+    evaluated = []
+    for b, low_scenario, high_scenario in probes:
+        low = scalar_entry(((b.parameter_path, b.low),), low_scenario, stage)
+        high = scalar_entry(((b.parameter_path, b.high),), high_scenario, stage)
+        evaluated.append((b, low, high, abs(high.t_total - low.t_total)))
+    evaluated.sort(key=lambda item: item[3], reverse=True)
+    entries = tuple(e for _, low, high, _ in evaluated for e in (low, high))
+    return SensitivityReport(
+        kind=AnalysisKind.TORNADO, category=scenario.name, stage=stage,
+        baseline_t_total=baseline.breakdown.t_total, entries=entries,
+        summary=_summarize([e.t_total for e in entries]) if entries else None,
+        tornado_spreads=tuple(
+            TornadoSpread(b.parameter_path, b.low, b.high, low.t_total, high.t_total, spread)
+            for b, low, high, spread in evaluated),
+    )
+
+
+def outcome(analysis, *args):
+    """The report, or the type and text of the error raised."""
+    try:
+        return analysis(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same(columnar, scalar):
+    assert columnar == scalar
+    if isinstance(scalar, SensitivityReport) and scalar.entries:
+        for fmt in FORMATS:
+            assert render_sensitivity(columnar, fmt) == render_sensitivity(scalar, fmt)
+
+
+# ---------------------------------------------------------------------------
+# Draws
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 2**53 + 1, 2**64 - 1])
+@pytest.mark.parametrize("draws", range(1, 9))
+def test_draws_equal_numpy_philox(seed, draws):
+    # Draws 1-4 come from counter block 1, draws 5-8 from block 2.
+    columns = _uniforms(seed, 300, draws)
+    assert len(columns) == draws
+    for index in range(300):
+        key = np.array([seed, index], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        assert [float(c[index]) for c in columns] == [rng.random() for _ in range(draws)]
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def distributions(draw):
+    paths = draw(st.lists(st.sampled_from(sorted(FLOAT_RANGES)), min_size=1, max_size=6,
+                          unique=True))
+    specs = []
+    for path in paths:
+        low_limit, high_limit = FLOAT_RANGES[path]
+        bound = st.floats(low_limit, high_limit, allow_nan=False, allow_infinity=False)
+        low = draw(bound)
+        high = draw(st.one_of(st.just(low), bound.filter(lambda v: v >= low)))
+        kind = draw(st.sampled_from(DistributionKind))
+        mode = None
+        if kind is DistributionKind.TRIANGULAR:
+            mode = draw(st.one_of(st.just(low), st.just(high),
+                                  st.floats(low, high, allow_nan=False)))
+        specs.append(DistributionSpec(path, kind, low, high, mode))
+    return specs
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(scenario=st.sampled_from(CATALOG), stage=st.sampled_from(PROJECTABLE_STAGES),
+       dists=distributions(), sample_count=st.integers(1, 40),
+       seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**53 + 1, 2**64 - 1])))
+def test_monte_carlo_equals_scalar_loop(scenario, stage, dists, sample_count, seed):
+    assert_same(outcome(monte_carlo, scenario, stage, dists, sample_count, seed),
+                outcome(scalar_monte_carlo, scenario, stage, dists, sample_count, seed))
+
+
+def one_span(scenario, span):
+    """The scenario with every stage-3 span but one made negligible, so a
+    last-bit difference in that span reaches t_total."""
+    no_growth = dict(crow_lambda_target=1.0, prod_reg_years=dataclasses.replace(
+        scenario.prod_reg_years, stage3=0.0))
+    if span == "t_comp":
+        return dataclasses.replace(scenario, poisson=dataclasses.replace(
+            scenario.poisson, lambda_target=1.0), **no_growth)
+    return dataclasses.replace(scenario, chi=dataclasses.replace(scenario.chi, stage3=1e-30),
+                               **no_growth)
+
+
+@pytest.mark.parametrize("path", sorted(FLOAT_RANGES))
+def test_monte_carlo_each_path(path):
+    # Enough samples that numpy's log10, log or ** would differ from
+    # libm's in the last bit somewhere.
+    low, high = FLOAT_RANGES[path]
+    dists = [DistributionSpec(path, DistributionKind.TRIANGULAR, low, high, low + (high - low) / 3)]
+    cases = [(CATALOG[0], S2), (CATALOG[0], S3),
+             (one_span(CATALOG[0], "t_comp"), S3), (one_span(CATALOG[0], "t_poisson"), S3)]
+    for scenario, stage in cases:
+        assert_same(outcome(monte_carlo, scenario, stage, dists, 1000, 7),
+                    outcome(scalar_monte_carlo, scenario, stage, dists, 1000, 7))
+
+
+@pytest.mark.parametrize("path", sorted(FLOAT_RANGES))
+def test_leaf_columns_equal_what_set_parameter_sets(path):
+    low, high = FLOAT_RANGES[path]
+    values = np.linspace(low, high, 2000).tolist()
+    expected = [_leaf(set_parameter(CATALOG[0], path, v), path) for v in values]
+    assert _leaf_column(path, values).tolist() == expected
+
+
+def test_zero_width_distribution_reports_bound_as_given():
+    dists = [DistributionSpec("gamma_override", DistributionKind.UNIFORM, 1, 1),
+             DistributionSpec("f", DistributionKind.TRIANGULAR, 0, 1, 1)]
+    report = monte_carlo(CATALOG[1], S3, dists, 8, 3)
+    assert all(type(dict(e.inputs)["gamma_override"]) is int for e in report.entries)
+    assert_same(report, scalar_monte_carlo(CATALOG[1], S3, dists, 8, 3))
+
+
+@pytest.mark.parametrize("scenario", CATALOG[:4])
+@pytest.mark.parametrize("stage", PROJECTABLE_STAGES)
+def test_no_generator_set_parameter_or_project_per_sample(monkeypatch, scenario, stage):
+    calls = {"set_parameter": 0, "project": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sensitivity, "set_parameter", counted("set_parameter", set_parameter))
+    monkeypatch.setattr(sensitivity, "project", counted("project", project))
+    monkeypatch.setattr(np.random, "Philox", None)
+    dists = [DistributionSpec("crow.beta", DistributionKind.TRIANGULAR, 0.3, 0.6, 0.4),
+             DistributionSpec("f", DistributionKind.UNIFORM, 0.0, 1.0),
+             DistributionSpec("cycle_time_s", DistributionKind.UNIFORM, 0.01, 1.0),
+             DistributionSpec("chi.stage3", DistributionKind.TRIANGULAR, 1e-6, 1.0, 1.0),
+             DistributionSpec("poisson.confidence", DistributionKind.UNIFORM, 0.5, 0.99),
+             DistributionSpec("crow.severity", DistributionKind.TRIANGULAR, 1.0, 9.0, 1.0)]
+    report = monte_carlo(scenario, stage, dists, 5000, 11)
+    assert len(report.entries) == 5000
+    # Each distribution's bounds (and mode) are validated; one baseline projection.
+    assert calls == {"set_parameter": 15, "project": 1}
+
+
+def test_sample_outside_its_bounds_takes_the_scalar_path(monkeypatch):
+    # u = 0 maps triangular(low, low, 1) to 1 - sqrt(1 * 1 * 1) = 0.0,
+    # below a subnormal low: the scalar path rejects that gamma_override.
+    monkeypatch.setattr(sensitivity, "_uniforms", lambda *_: [np.array([0.5, 0.0])])
+    dist = DistributionSpec("gamma_override", DistributionKind.TRIANGULAR, 5e-324, 1.0, 5e-324)
+    with pytest.raises(ValidationError) as expected:
+        set_parameter(CATALOG[0], "gamma_override", 0.0)
+    with pytest.raises(ValidationError) as raised:
+        monte_carlo(CATALOG[0], S3, [dist], 2, 0)
+    assert str(raised.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
+# Sweep and tornado
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path, values", [
+    ("n_objects", (1, 20, 35.0, 60, 120, 1000, 2**70)),
+    ("baseline_year", (1, 2024, 2030.0, 9999)),
+    ("crow.beta", (0.05, 0.3, 0.4, 0.5, 0.999)),
+    ("compute_env.current_capacity", (1, 1e13, 3e13, 1e300)),
+    ("f", (0, 0.25, 0.5, 0.7, 1)),
+])
+@pytest.mark.parametrize("stage", PROJECTABLE_STAGES)
+def test_sweep_equals_scalar_loop(path, values, stage):
+    for scenario in CATALOG:
+        sweep = SweepSpec(path, values)
+        assert_same(outcome(one_at_a_time, scenario, stage, sweep),
+                    outcome(scalar_sweep, scenario, stage, sweep))
+
+
+def every_path_bounds(scale):
+    """Bounds for all 20 registry paths, from baseline-like to wide."""
+    bounds = [ParameterBounds(path, low, low + (high - low) * scale)
+              for path, (low, high) in FLOAT_RANGES.items()]
+    bounds.append(ParameterBounds("n_objects", 10, 10 + round(90 * scale)))
+    bounds.append(ParameterBounds("baseline_year", 2000, 2000 + round(50 * scale)))
+    assert sorted(b.parameter_path for b in bounds) == sorted(valid_parameter_paths())
+    return bounds
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-6, 0.01, 0.5])
+@pytest.mark.parametrize("stage", PROJECTABLE_STAGES)
+def test_tornado_over_every_path_equals_scalar_loop(scale, stage):
+    bounds = every_path_bounds(scale)
+    for scenario in CATALOG:
+        assert_same(outcome(tornado, scenario, stage, bounds),
+                    outcome(scalar_tornado, scenario, stage, bounds))
+
+
+@pytest.mark.parametrize("stage", PROJECTABLE_STAGES)
+def test_scenarios_the_registry_does_not_build(stage):
+    # A Magnitude built from its exponent (no linear value given), and
+    # JSON integers in float fields, one of them beyond float64's 53 bits.
+    base = CATALOG[0]
+    for scenario in (
+        dataclasses.replace(base, compute_env=ComputeEnv(Magnitude(13.0), 2)),
+        dataclasses.replace(base, annual_miles=10**9, gamma_override=1,
+                            crow=dataclasses.replace(base.crow, alpha=1, severity=3)),
+        dataclasses.replace(base, annual_miles=2**60 + 1),
+        dataclasses.replace(base, crow=dataclasses.replace(base.crow, alpha=1, severity=2**60 + 1)),
+    ):
+        bounds = every_path_bounds(0.01)
+        assert_same(outcome(tornado, scenario, stage, bounds),
+                    outcome(scalar_tornado, scenario, stage, bounds))
+        # 2.0**60 < 2**60 + 1 exactly, but not once the integer is a float.
+        sweep = SweepSpec("crow_lambda_target", (1e-9, 1e-8, 0.9999999999999999, 1, 2.0**60))
+        assert_same(outcome(one_at_a_time, scenario, stage, sweep),
+                    outcome(scalar_sweep, scenario, stage, sweep))
+
+
+# ---------------------------------------------------------------------------
+# Errors: the first failing row raises the scalar path's text
+# ---------------------------------------------------------------------------
+
+
+def test_monte_carlo_sample_whose_growth_mileage_overflows():
+    dists = [DistributionSpec("crow.beta", DistributionKind.UNIFORM, 0.005, 0.5)]
+    columnar = outcome(monte_carlo, CATALOG[0], S3, dists, 200, 1)
+    assert columnar == outcome(scalar_monte_carlo, CATALOG[0], S3, dists, 200, 1)
+    assert columnar[0] is ValidationError
+    assert columnar[1].startswith("the growth mileage (crow.alpha=0.0001 * crow.severity=1.0 "
+                                  "/ crow_lambda_target=1e-08) ** (1 / crow.beta=0.0")
+
+
+@pytest.mark.parametrize("path, values, stage, message", [
+    # 5e-324 * 0.5 rounds to a zero stage delta.
+    ("base_delta", (1.0, 5e-324), S2, "delta must lie in (0, 1], got 0.0"),
+    ("annual_miles", (1e9, 1e-300), S3,
+     "the demonstration years 56568542494.923805 miles * gamma_override=0.9 * "
+     "stage delta=1.0 / annual_miles=1e-300 exceed float range"),
+])
+def test_sweep_row_that_fails_a_term_check(path, values, stage, message):
+    sweep = SweepSpec(path, values)
+    columnar = outcome(one_at_a_time, CATALOG[1], stage, sweep)
+    assert columnar == outcome(scalar_sweep, CATALOG[1], stage, sweep)
+    assert columnar == (ValidationError, message)
+
+
+def test_sweep_whose_total_overflows():
+    sweep = SweepSpec("prod_reg_years.stage3", (1.0, 1e308, 5e307))
+    scenario = set_parameter(CATALOG[0], "compute_env.doubling_period_years", 1e307)
+    columnar = outcome(one_at_a_time, scenario, S3, sweep)
+    assert columnar == outcome(scalar_sweep, scenario, S3, sweep)
+    assert columnar[1] == (
+        "the total of the spans t_comp=1.4000000000000003e+308, t_crow_total=10.0 "
+        "(f=0.7), t_poisson=0.8438682460715464 and t_prod_reg=1e+308 exceeds float range"
+    )

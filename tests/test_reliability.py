@@ -84,11 +84,17 @@ class TestCrowMiles:
 
     def test_mileage_beyond_float_range_names_beta(self):
         # (1e-4 / 1e-8) ** (1 / 0.01) = 1e400 overflows a float.
-        with pytest.raises(ValidationError, match=r"crow\.beta"):
+        with pytest.raises(ValidationError) as err:
             crow_required_miles(CrowAmsaaParams(1e-4, 0.01), 1e-8)
+        assert str(err.value) == (
+            "the growth mileage (crow.alpha=0.0001 * crow.severity=1.0 / "
+            "crow_lambda_target=1e-08) ** (1 / crow.beta=0.01) exceeds float range")
         # A subnormal beta makes 1 / beta inf, and the power inf, without raising.
-        with pytest.raises(ValidationError, match=r"crow\.beta"):
+        with pytest.raises(ValidationError) as err:
             crow_required_miles(CrowAmsaaParams(1e-4, 5e-324), 1e-8)
+        assert str(err.value) == (
+            "the growth mileage (crow.alpha=0.0001 * crow.severity=1.0 / "
+            "crow_lambda_target=1e-08) ** (1 / crow.beta=5e-324) exceeds float range")
 
     def test_ratio_beyond_float_range_names_lambda_target(self):
         # 1e-4 / 5e-324 overflows to inf before the power is taken.
@@ -231,8 +237,11 @@ class TestDemonstrationYears:
         assert demonstration_years(1e9, 2.5, 1.0, 1e9) == pytest.approx(2.5, rel=1e-12)
 
     def test_year_count_beyond_float_range_names_annual_miles(self):
-        with pytest.raises(ValidationError, match="annual_miles"):
+        with pytest.raises(ValidationError) as err:
             demonstration_years(5.657e10, 0.9, 1.0, 1e-300)
+        assert str(err.value) == (
+            "the demonstration years 56570000000.0 miles * gamma_override=0.9 * "
+            "stage delta=1.0 / annual_miles=1e-300 exceed float range")
 
     def test_validation(self):
         with pytest.raises(ValidationError):
