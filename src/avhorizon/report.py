@@ -24,7 +24,7 @@ from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 from .errors import EmptyResultsError, ValidationError
 from .scenario import ProjectionResult
 from .sensitivity import AnalysisKind, SensitivityReport
-from .timeline import Stage
+from .timeline import Gating, Stage
 
 __all__ = [
     "ReportFormat",
@@ -421,24 +421,79 @@ def render_sensitivity(
     return _page(fmt, resolved_title, timestamp, facts, tables)
 
 
+def _gating_texts(report: SensitivityReport, compute: str, reliability: str) -> list[str]:
+    return [compute if g is Gating.COMPUTE else reliability for g in report.gating]
+
+
 def _entries_table(report: SensitivityReport, for_csv: bool = False) -> _Table:
     """One row per entry: a column per input path in first-seen order
     (blank where an entry does not set it), then t_total, year, gating.
     CSV cells carry full precision; text and Markdown cells are rounded."""
-    columns = list(dict.fromkeys(path for e in report.entries for path, _ in e.inputs))
+    paths = [path for path, _ in report.inputs]
     if for_csv:
         tail, value_text, total_text = ["t_total_years", "calendar_year"], repr, repr
     else:
         tail, value_text, total_text = ["t_total", "year"], "{:g}".format, "{:.4f}".format
+    cells = [["" if v is None else value_text(v) for v in column]
+             for _, column in report.inputs]
+    cells.append(list(map(total_text, report.t_total)))
+    cells.append(list(map(str, report.calendar_year)))
+    cells.append(_gating_texts(report, Gating.COMPUTE.value, Gating.RELIABILITY.value))
+    return _Table(paths + tail + ["gating"], zip(*cells), right_aligned=range(len(paths) + 2))
 
-    def rows() -> Iterator[list[str]]:
-        for entry in report.entries:
-            inputs = dict(entry.inputs)
-            yield ([value_text(inputs[c]) if c in inputs else "" for c in columns]
-                   + [total_text(entry.t_total), str(entry.calendar_year),
-                      entry.gating.value])
 
-    return _Table(columns + tail + ["gating"], rows(), right_aligned=range(len(columns) + 2))
+_PLAIN_TYPES = {int, float, type(None)}
+
+
+def _json_values(column: Sequence) -> Sequence:
+    """The column with every number as a value whose ``str`` is its
+    ``json.dumps`` text.
+
+    ``str`` of an exact int, or of an exact finite float, is the text
+    the JSON encoder writes, and report values are finite, so a column
+    holding only those (and None) is returned as it is.  Any other
+    value, such as a float subclass with its own repr, is mapped
+    through ``json.dumps``.
+    """
+    if set(map(type, column)) <= _PLAIN_TYPES:
+        return column
+    return [None if v is None else json.dumps(v) for v in column]
+
+
+def _entry_template(paths: Sequence[str]) -> str:
+    """``%``-template of one entry as ``json.dumps(indent=2)`` writes it
+    inside the top-level ``entries`` list: a slot per input path, then
+    t_total, calendar_year and gating."""
+    slots = ",\n".join(f"        {json.dumps(path).replace('%', '%%')}: %s" for path in paths)
+    inputs = f"{{\n{slots}\n      }}" if paths else "{}"
+    return ("    {\n"
+            f'      "inputs": {inputs},\n'
+            '      "t_total": %s,\n'
+            '      "calendar_year": %s,\n'
+            '      "gating": %s\n'
+            "    }")
+
+
+def _json_entries(report: SensitivityReport) -> list[str]:
+    """The JSON text of every entry, from one template per distinct set
+    of input paths the rows set."""
+    paths = [path for path, _ in report.inputs]
+    columns = [_json_values(column) for _, column in report.inputs]
+    gating = _gating_texts(report, json.dumps(Gating.COMPUTE.value),
+                           json.dumps(Gating.RELIABILITY.value))
+    rows = zip(*columns, _json_values(report.t_total), _json_values(report.calendar_year),
+               gating)
+    if not any(None in column for column in columns):
+        return list(map(_entry_template(paths).__mod__, rows))
+    templates: dict[tuple[bool, ...], str] = {}
+    texts = []
+    for row in rows:
+        present = tuple(v is not None for v in row[:len(paths)])
+        if present not in templates:
+            templates[present] = _entry_template(
+                [path for path, here in zip(paths, present) if here])
+        texts.append(templates[present] % tuple(v for v in row if v is not None))
+    return texts
 
 
 def _render_sensitivity_json(report: SensitivityReport, title: str,
@@ -475,13 +530,8 @@ def _render_sensitivity_json(report: SensitivityReport, title: str,
             }
             for s in report.tornado_spreads
         ]
-    payload["entries"] = [
-        {
-            "inputs": {path: value for path, value in entry.inputs},
-            "t_total": entry.t_total,
-            "calendar_year": entry.calendar_year,
-            "gating": entry.gating.value,
-        }
-        for entry in report.entries
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    # The entries list is the last member: the rest of the document as
+    # json.dumps writes it, without its closing brace, then the entries.
+    head = json.dumps(payload, indent=2)
+    return (head[:-2] + ',\n  "entries": [\n' + ",\n".join(_json_entries(report))
+            + "\n  ]\n}\n")

@@ -33,14 +33,21 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .complexity import LOG10_2, Magnitude
 from .errors import UnknownParameterError, ValidationError
-from .scenario import _FIELDS, CategoryScenario, _is_finite_number, project
+from .scenario import (
+    _FIELDS,
+    CategoryScenario,
+    ProjectionResult,
+    _is_finite_number,
+    project,
+)
 from .timeline import STAGE_DELTA_MULTIPLIERS, Gating, Stage
 
 __all__ = [
@@ -54,6 +61,7 @@ __all__ = [
     "TornadoSpread",
     "SensitivityReport",
     "MC_PERCENTILES",
+    "MAX_ROWS",
     "valid_parameter_paths",
     "get_parameter",
     "set_parameter",
@@ -63,6 +71,10 @@ __all__ = [
 ]
 
 MC_PERCENTILES = (5, 25, 50, 75, 95)
+
+# The most rows one analysis evaluates: Monte Carlo samples or grid
+# steps.  Larger counts are rejected before anything is allocated.
+MAX_ROWS = 10_000_000
 
 _Getter = Callable[[CategoryScenario], float]
 _Setter = Callable[[CategoryScenario, float], CategoryScenario]
@@ -179,6 +191,8 @@ class SweepSpec:
         """Evenly spaced inclusive grid; endpoints land exactly on low and high."""
         if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
             raise ValidationError(f"grid steps must be an integer >= 2, got {steps!r}")
+        if steps > MAX_ROWS:
+            raise ValidationError(f"grid steps must be at most {MAX_ROWS}, got {steps!r}")
         if not (_is_finite_number(low) and _is_finite_number(high) and low <= high):
             raise ValidationError(
                 f"grid bounds must be finite with low <= high, got ({low!r}, {high!r})"
@@ -327,7 +341,10 @@ def _uniforms(seed: int, sample_count: int, draws: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True, slots=True)
 class SensitivityEntry:
-    """One evaluated point: the swept inputs and the outputs that matter."""
+    """One evaluated point: the swept inputs and the outputs that matter.
+
+    Built on demand from a report's columns by ``SensitivityReport.entries``.
+    """
 
     inputs: tuple[tuple[str, float], ...]
     t_total: float
@@ -360,18 +377,29 @@ class AnalysisKind(enum.Enum):
     MONTE_CARLO = "monte_carlo"
 
 
+_InputColumns = tuple[tuple[str, tuple[float | None, ...]], ...]
+
+
 @dataclass(frozen=True, slots=True)
 class SensitivityReport:
-    """Outcome of one analysis run.
+    """Outcome of one analysis run, one column per evaluated quantity.
 
-    summary is None only for an empty report (tornado with no bounds).
+    ``inputs`` holds one (path, values) column per input path, in the
+    order the rows first set them; a row that does not set a path (a
+    tornado row varies one) holds None there.  Values are as given:
+    a finite int or float.  ``t_total``, ``calendar_year`` and
+    ``gating`` hold each row's outputs.  summary is None only for an
+    empty report (tornado with no bounds).
     """
 
     kind: AnalysisKind
     category: str
     stage: Stage
     baseline_t_total: float
-    entries: tuple[SensitivityEntry, ...]
+    inputs: _InputColumns
+    t_total: tuple[float, ...]
+    calendar_year: tuple[int, ...]
+    gating: tuple[Gating, ...]
     summary: SensitivitySummary | None
     tornado_spreads: tuple[TornadoSpread, ...] | None = None
     percentiles: tuple[tuple[int, float], ...] | None = None
@@ -379,12 +407,52 @@ class SensitivityReport:
     sample_count: int | None = None
 
     def __post_init__(self) -> None:
+        rows = len(self.t_total)
+        lengths = {len(c) for _, c in self.inputs} | {len(self.calendar_year), len(self.gating)}
+        if lengths - {rows}:
+            raise ValidationError(
+                f"report columns must all hold {rows} rows, got lengths {sorted(lengths)}"
+            )
         if self.percentiles is not None:
             values = [v for _, v in self.percentiles]
             if sorted(values) != values:
                 raise ValidationError(
                     f"percentile values must be nondecreasing, got {values!r}"
                 )
+
+    @property
+    def entries(self) -> "_Entries":
+        """The rows as a read-only sequence of ``SensitivityEntry``."""
+        return _Entries(self)
+
+
+class _Entries(Sequence):
+    """Read-only row view of a report's columns; each ``SensitivityEntry``
+    is built when a row is read.  Equal to another view or a tuple with
+    equal entries."""
+
+    __slots__ = ("_report",)
+
+    def __init__(self, report: SensitivityReport) -> None:
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.t_total)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        report = self._report
+        t_total = report.t_total[index]  # IndexError ends iteration
+        inputs = tuple((path, column[index]) for path, column in report.inputs
+                       if column[index] is not None)
+        return SensitivityEntry(inputs, t_total, report.calendar_year[index],
+                                report.gating[index])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (_Entries, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 def _summarize(t_totals: Sequence[float]) -> SensitivitySummary:
@@ -396,7 +464,6 @@ def _summarize(t_totals: Sequence[float]) -> SensitivitySummary:
     return SensitivitySummary(minimum=min(t_totals), maximum=max(t_totals), mean=mean)
 
 
-_Inputs = tuple[tuple[str, float], ...]
 _GATING = {True: Gating.COMPUTE, False: Gating.RELIABILITY}
 
 
@@ -444,21 +511,23 @@ def _evaluate(
     scenario: CategoryScenario,
     stage: Stage,
     columns: dict[str, np.ndarray],
-    inputs: Sequence[_Inputs],
+    inputs: dict[str, list],
     unchecked: np.ndarray | None = None,
-) -> tuple[SensitivityEntry, ...]:
-    """One entry per row of ``inputs``: t_total, calendar year and gating
-    equal to ``project`` on the scenario with the row's ``inputs``
-    applied by ``set_parameter``.
+) -> tuple[list[float], list[int], list[Gating]]:
+    """The t_total, calendar year and gating columns of the rows of
+    ``inputs``: each row equal to ``project`` on the scenario with the
+    row's inputs applied by ``set_parameter``.
 
-    ``columns`` maps each varying path to the numbers ``project`` reads
-    for it in each row (``_leaf_column``); every other path keeps the
-    scenario's value, and a term none of whose inputs vary is computed
-    once.  Arithmetic is numpy's correctly rounded + - * / and sqrt in
-    the scalar path's order; log10, log and ** run per row in Python.
-    A row that fails one of ``project``'s checks, or that ``unchecked``
-    marks, runs through ``set_parameter`` and ``project`` instead, in
-    row order, so the first invalid row raises the scalar path's error.
+    ``inputs`` maps each varying path to its values as given, None in
+    a row that keeps the scenario's value; ``columns`` maps the same
+    paths to the numbers ``project`` reads in each row
+    (``_leaf_column``).  Every other path keeps the scenario's value,
+    and a term none of whose inputs vary is computed once.  Arithmetic
+    is numpy's correctly rounded + - * / and sqrt in the scalar path's
+    order; log10, log and ** run per row in Python.  A row that fails
+    one of ``project``'s checks, or that ``unchecked`` marks, runs
+    through ``set_parameter`` and ``project`` instead, in row order,
+    so the first invalid row raises the scalar path's error.
     """
     def leaf(path):
         return columns[path] if path in columns else float(_leaf(scenario, path))
@@ -497,7 +566,7 @@ def _evaluate(
                                        t_poisson, partial, final, t_total)
                  & (partial + final == t_crow_total))
 
-    rows = (len(inputs),)
+    rows = (len(next(iter(inputs.values()), ())),)
     fallback = ~np.broadcast_to(valid, rows)
     if unchecked is not None:
         fallback = fallback | unchecked
@@ -509,8 +578,9 @@ def _evaluate(
     gating = list(map(_GATING.__getitem__, np.broadcast_to(compute_gated, rows).tolist()))
     for row in np.flatnonzero(fallback).tolist():
         modified = scenario
-        for path, value in inputs[row]:
-            modified = set_parameter(modified, path, value)
+        for path, values in inputs.items():
+            if values[row] is not None:
+                modified = set_parameter(modified, path, values[row])
         breakdown = project(modified, stage).breakdown
         totals[row], gating[row] = breakdown.t_total, breakdown.gating
 
@@ -520,7 +590,32 @@ def _evaluate(
     else:
         baseline_years = [int(b) for b in baseline_year.tolist()]
     years = [b + math.floor(t + 0.5) for b, t in zip(baseline_years, totals)]
-    return tuple(map(SensitivityEntry, inputs, totals, years, gating))
+    return totals, years, gating
+
+
+def _report(
+    kind: AnalysisKind,
+    scenario: CategoryScenario,
+    stage: Stage,
+    baseline: ProjectionResult,
+    inputs: dict[str, list],
+    outputs: tuple[list[float], list[int], list[Gating]],
+    **fields,
+) -> SensitivityReport:
+    """The report of rows whose inputs and ``_evaluate`` outputs are given."""
+    t_total, calendar_year, gating = outputs
+    return SensitivityReport(
+        kind=kind,
+        category=scenario.name,
+        stage=stage,
+        baseline_t_total=baseline.breakdown.t_total,
+        inputs=tuple((path, tuple(values)) for path, values in inputs.items()),
+        t_total=tuple(t_total),
+        calendar_year=tuple(calendar_year),
+        gating=tuple(gating),
+        summary=_summarize(t_total) if t_total else None,
+        **fields,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -538,16 +633,9 @@ def one_at_a_time(scenario: CategoryScenario, stage: Stage, sweep: SweepSpec) ->
     for v in sweep.values:
         set_parameter(scenario, path, v)
     baseline = project(scenario, stage)
-    entries = _evaluate(scenario, stage, {path: _leaf_column(path, sweep.values)},
-                       [((path, v),) for v in sweep.values])
-    return SensitivityReport(
-        kind=AnalysisKind.SWEEP,
-        category=scenario.name,
-        stage=stage,
-        baseline_t_total=baseline.breakdown.t_total,
-        entries=entries,
-        summary=_summarize([e.t_total for e in entries]),
-    )
+    inputs = {path: list(sweep.values)}
+    outputs = _evaluate(scenario, stage, {path: _leaf_column(path, sweep.values)}, inputs)
+    return _report(AnalysisKind.SWEEP, scenario, stage, baseline, inputs, outputs)
 
 
 def tornado(
@@ -577,40 +665,34 @@ def tornado(
     # One batch: rows 2i and 2i + 1 set bound i's low and high, and
     # every other row keeps that parameter at baseline.
     rows = 2 * len(bounds)
-    columns = {}
+    columns, given = {}, {}
     for i, b in enumerate(bounds):
         column = np.full(rows, float(_leaf(scenario, b.parameter_path)))
         column[2 * i:2 * i + 2] = _leaf_column(b.parameter_path, (b.low, b.high))
         columns[b.parameter_path] = column
-    points = _evaluate(scenario, stage, columns, [
-        ((b.parameter_path, value),) for b in bounds for value in (b.low, b.high)
-    ])
-    evaluated = [
-        (b, low, high, abs(high.t_total - low.t_total))
-        for b, low, high in zip(bounds, points[0::2], points[1::2])
-    ]
-    evaluated.sort(key=lambda item: item[3], reverse=True)  # stable: ties keep order
+        given[b.parameter_path] = [None] * rows
+        given[b.parameter_path][2 * i:2 * i + 2] = b.low, b.high
+    t_total, calendar_year, gating = _evaluate(scenario, stage, columns, given)
+    spread = [abs(t_total[2 * i + 1] - t_total[2 * i]) for i in range(len(bounds))]
+    ranked = sorted(range(len(bounds)), key=spread.__getitem__, reverse=True)  # stable
+    # The report lists each bound's low and high row in ranked order.
+    order = [row for i in ranked for row in (2 * i, 2 * i + 1)]
+    inputs = {bounds[i].parameter_path: [given[bounds[i].parameter_path][row] for row in order]
+              for i in ranked}
+    outputs = tuple([column[row] for row in order] for column in (t_total, calendar_year, gating))
     spreads = tuple(
         TornadoSpread(
-            parameter_path=b.parameter_path,
-            low=b.low,
-            high=b.high,
-            t_total_low=low.t_total,
-            t_total_high=high.t_total,
-            spread=spread,
+            parameter_path=bounds[i].parameter_path,
+            low=bounds[i].low,
+            high=bounds[i].high,
+            t_total_low=t_total[2 * i],
+            t_total_high=t_total[2 * i + 1],
+            spread=spread[i],
         )
-        for b, low, high, spread in evaluated
+        for i in ranked
     )
-    entries = tuple(entry for _, low, high, _ in evaluated for entry in (low, high))
-    return SensitivityReport(
-        kind=AnalysisKind.TORNADO,
-        category=scenario.name,
-        stage=stage,
-        baseline_t_total=baseline.breakdown.t_total,
-        entries=entries,
-        summary=_summarize([e.t_total for e in entries]) if entries else None,
-        tornado_spreads=spreads,
-    )
+    return _report(AnalysisKind.TORNADO, scenario, stage, baseline, inputs, outputs,
+                   tornado_spreads=spreads)
 
 
 def monte_carlo(
@@ -629,6 +711,8 @@ def monte_carlo(
         raise ValidationError("monte_carlo requires at least one distribution")
     if not isinstance(sample_count, int) or isinstance(sample_count, bool) or sample_count < 1:
         raise ValidationError(f"sample_count must be an integer >= 1, got {sample_count!r}")
+    if sample_count > MAX_ROWS:
+        raise ValidationError(f"sample_count must be at most {MAX_ROWS}, got {sample_count!r}")
     if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2**64):
         raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     seen: set[str] = set()
@@ -653,31 +737,17 @@ def monte_carlo(
     # Every field's domain is an interval, so a sample inside the
     # validated [low, high] is valid; one outside is checked by the
     # scalar path.
-    columns, values = {}, []
+    columns, inputs = {}, {}
     outside = np.zeros(sample_count, dtype=bool)
     for dist, u in zip(distributions, _uniforms(seed, sample_count, len(distributions))):
         column = _sample(dist, u)
         outside |= (column < float(dist.low)) | (column > float(dist.high))
         # A zero-width distribution reports its bound as given.
-        values.append([dist.low] * sample_count if dist.high - dist.low == 0.0
-                      else column.tolist())
+        inputs[dist.parameter_path] = ([dist.low] * sample_count if dist.high - dist.low == 0.0
+                                       else column.tolist())
         columns[dist.parameter_path] = _leaf_column(dist.parameter_path, column)
-    paths = [dist.parameter_path for dist in distributions]
-    entries = _evaluate(scenario, stage, columns,
-                       [tuple(zip(paths, row)) for row in zip(*values)], outside)
-
-    t_totals = np.array([e.t_total for e in entries], dtype=np.float64)
-    percentiles = tuple(
-        (p, float(np.percentile(t_totals, p))) for p in MC_PERCENTILES
-    )
-    return SensitivityReport(
-        kind=AnalysisKind.MONTE_CARLO,
-        category=scenario.name,
-        stage=stage,
-        baseline_t_total=baseline.breakdown.t_total,
-        entries=entries,
-        summary=_summarize([e.t_total for e in entries]),
-        percentiles=percentiles,
-        seed=seed,
-        sample_count=sample_count,
-    )
+    outputs = _evaluate(scenario, stage, columns, inputs, outside)
+    t_totals = np.array(outputs[0], dtype=np.float64)
+    percentiles = tuple((p, float(np.percentile(t_totals, p))) for p in MC_PERCENTILES)
+    return _report(AnalysisKind.MONTE_CARLO, scenario, stage, baseline, inputs, outputs,
+                   percentiles=percentiles, seed=seed, sample_count=sample_count)

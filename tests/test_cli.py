@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from avhorizon import cli
+from avhorizon import cli, sensitivity
 from avhorizon.scenario import SCENARIO_SCHEMA, builtin_catalog, serialize_scenarios
 from avhorizon.sensitivity import valid_parameter_paths
 
@@ -333,6 +333,29 @@ class TestMalformedInput:
         from_file = capsys.readouterr().out
         assert cli.main(args + ["--dist", "f=triangular:0.6,0.7,0.8"]) == 0
         assert capsys.readouterr().out == from_file
+
+    @pytest.mark.parametrize("args, spec, message", [
+        (["mc", "--dist", "f=uniform:0.6,0.8", "--samples", str(10**30)], None,
+         f"sample_count must be at most 10000000, got {10**30}"),
+        (["sweep", "--param", "f", "--grid", f"0.6:0.8:{10**30}"], None,
+         f"grid steps must be at most 10000000, got {10**30}"),
+        (["sweep"], {"parameter_path": "f", "grid": {"low": 0.6, "high": 0.8, "steps": 2**63}},
+         f"grid steps must be at most 10000000, got {2**63}"),
+    ])
+    def test_row_count_beyond_the_maximum(self, tmp_path, capsys, monkeypatch, args, spec,
+                                          message):
+        # Were the check missing, building the grid would still fail at once.
+        def bounded_range(*range_args):
+            assert max(range_args) <= sensitivity.MAX_ROWS
+            return range(*range_args)
+
+        monkeypatch.setattr(sensitivity, "range", bounded_range, raising=False)
+        if spec is not None:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            args = args + ["--spec-file", str(path)]
+        err = assert_single_error_line(capsys, *args, "--category", "Robo-Taxis")
+        assert err == f"error: {message}\n"
 
     def test_integer_beyond_float_range_in_spec_file(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -92,6 +92,21 @@ def scalar_entry(inputs, scenario, stage):
                             breakdown.gating)
 
 
+def columnar_report(entries, **fields):
+    """The report holding per-row entries as columns: one per input path
+    in first-seen order, None where a row does not set the path."""
+    paths = dict.fromkeys(path for e in entries for path, _ in e.inputs)
+    rows = [dict(e.inputs) for e in entries]
+    return SensitivityReport(
+        inputs=tuple((path, tuple(row.get(path) for row in rows)) for path in paths),
+        t_total=tuple(e.t_total for e in entries),
+        calendar_year=tuple(e.calendar_year for e in entries),
+        gating=tuple(e.gating for e in entries),
+        summary=_summarize([e.t_total for e in entries]) if entries else None,
+        **fields,
+    )
+
+
 def scalar_monte_carlo(scenario, stage, distributions, sample_count, seed):
     for dist in distributions:
         for value in (dist.low, dist.high, dist.mode):
@@ -109,10 +124,9 @@ def scalar_monte_carlo(scenario, stage, distributions, sample_count, seed):
             inputs.append((dist.parameter_path, value))
         entries.append(scalar_entry(tuple(inputs), modified, stage))
     t_totals = np.array([e.t_total for e in entries], dtype=np.float64)
-    return SensitivityReport(
-        kind=AnalysisKind.MONTE_CARLO, category=scenario.name, stage=stage,
-        baseline_t_total=baseline.breakdown.t_total, entries=tuple(entries),
-        summary=_summarize([e.t_total for e in entries]),
+    return columnar_report(
+        entries, kind=AnalysisKind.MONTE_CARLO, category=scenario.name, stage=stage,
+        baseline_t_total=baseline.breakdown.t_total,
         percentiles=tuple((p, float(np.percentile(t_totals, p))) for p in MC_PERCENTILES),
         seed=seed, sample_count=sample_count,
     )
@@ -123,10 +137,9 @@ def scalar_sweep(scenario, stage, sweep):
     modified = [(v, set_parameter(scenario, path, v)) for v in sweep.values]
     baseline = project(scenario, stage)
     entries = tuple(scalar_entry(((path, v),), m, stage) for v, m in modified)
-    return SensitivityReport(
-        kind=AnalysisKind.SWEEP, category=scenario.name, stage=stage,
-        baseline_t_total=baseline.breakdown.t_total, entries=entries,
-        summary=_summarize([e.t_total for e in entries]),
+    return columnar_report(
+        entries, kind=AnalysisKind.SWEEP, category=scenario.name, stage=stage,
+        baseline_t_total=baseline.breakdown.t_total,
     )
 
 
@@ -141,10 +154,9 @@ def scalar_tornado(scenario, stage, bounds):
         evaluated.append((b, low, high, abs(high.t_total - low.t_total)))
     evaluated.sort(key=lambda item: item[3], reverse=True)
     entries = tuple(e for _, low, high, _ in evaluated for e in (low, high))
-    return SensitivityReport(
-        kind=AnalysisKind.TORNADO, category=scenario.name, stage=stage,
-        baseline_t_total=baseline.breakdown.t_total, entries=entries,
-        summary=_summarize([e.t_total for e in entries]) if entries else None,
+    return columnar_report(
+        entries, kind=AnalysisKind.TORNADO, category=scenario.name, stage=stage,
+        baseline_t_total=baseline.breakdown.t_total,
         tornado_spreads=tuple(
             TornadoSpread(b.parameter_path, b.low, b.high, low.t_total, high.t_total, spread)
             for b, low, high, spread in evaluated),
@@ -284,6 +296,29 @@ def test_no_generator_set_parameter_or_project_per_sample(monkeypatch, scenario,
     assert calls == {"set_parameter": 15, "project": 1}
 
 
+def test_no_entry_object_while_analysing_or_rendering(monkeypatch):
+    # Reports hold columns; SensitivityEntry is built only when a caller
+    # reads report.entries.
+    def no_entry(*args):
+        raise AssertionError("SensitivityEntry built")
+
+    monkeypatch.setattr(sensitivity, "SensitivityEntry", no_entry)
+    reports = [
+        monte_carlo(CATALOG[0], S3, [
+            DistributionSpec("crow.beta", DistributionKind.TRIANGULAR, 0.3, 0.6, 0.4),
+            DistributionSpec("f", DistributionKind.UNIFORM, 0, 0)], 500, 1),
+        one_at_a_time(CATALOG[1], S2, SweepSpec("n_objects", (10, 20.0, 30))),
+        tornado(CATALOG[2], S3, [ParameterBounds("crow.beta", 0.3, 0.5),
+                                 ParameterBounds("n_objects", 10, 10),
+                                 ParameterBounds("f", 0.2, 0.9)]),
+    ]
+    for report in reports:
+        for fmt in FORMATS:
+            render_sensitivity(report, fmt)
+    with pytest.raises(AssertionError, match="SensitivityEntry built"):
+        reports[0].entries[0]
+
+
 def test_sample_outside_its_bounds_takes_the_scalar_path(monkeypatch):
     # u = 0 maps triangular(low, low, 1) to 1 - sqrt(1 * 1 * 1) = 0.0,
     # below a subnormal low: the scalar path rejects that gamma_override.
@@ -316,10 +351,15 @@ def test_sweep_equals_scalar_loop(path, values, stage):
                     outcome(scalar_sweep, scenario, stage, sweep))
 
 
-def every_path_bounds(scale):
-    """Bounds for all 20 registry paths, from baseline-like to wide."""
+def every_path_bounds(scale, beta_low=0.3):
+    """Bounds for all 20 registry paths, from baseline-like to wide.
+
+    From crow.beta 0.3 every catalog scenario projects at every bound;
+    from 0.005 the growth mileage overflows at the low bound.
+    """
+    ranges = {**FLOAT_RANGES, "crow.beta": (beta_low, FLOAT_RANGES["crow.beta"][1])}
     bounds = [ParameterBounds(path, low, low + (high - low) * scale)
-              for path, (low, high) in FLOAT_RANGES.items()]
+              for path, (low, high) in ranges.items()]
     bounds.append(ParameterBounds("n_objects", 10, 10 + round(90 * scale)))
     bounds.append(ParameterBounds("baseline_year", 2000, 2000 + round(50 * scale)))
     assert sorted(b.parameter_path for b in bounds) == sorted(valid_parameter_paths())
@@ -331,8 +371,9 @@ def every_path_bounds(scale):
 def test_tornado_over_every_path_equals_scalar_loop(scale, stage):
     bounds = every_path_bounds(scale)
     for scenario in CATALOG:
-        assert_same(outcome(tornado, scenario, stage, bounds),
-                    outcome(scalar_tornado, scenario, stage, bounds))
+        columnar = outcome(tornado, scenario, stage, bounds)
+        assert isinstance(columnar, SensitivityReport)
+        assert_same(columnar, outcome(scalar_tornado, scenario, stage, bounds))
 
 
 @pytest.mark.parametrize("stage", PROJECTABLE_STAGES)
@@ -368,6 +409,15 @@ def test_monte_carlo_sample_whose_growth_mileage_overflows():
     assert columnar[0] is ValidationError
     assert columnar[1].startswith("the growth mileage (crow.alpha=0.0001 * crow.severity=1.0 "
                                   "/ crow_lambda_target=1e-08) ** (1 / crow.beta=0.0")
+
+
+@pytest.mark.parametrize("stage", PROJECTABLE_STAGES)
+def test_tornado_row_whose_growth_mileage_overflows(stage):
+    bounds = every_path_bounds(0.01, beta_low=0.005)
+    for scenario in CATALOG:
+        columnar = outcome(tornado, scenario, stage, bounds)
+        assert columnar == outcome(scalar_tornado, scenario, stage, bounds)
+        assert columnar[1].startswith("the growth mileage")
 
 
 @pytest.mark.parametrize("path, values, stage, message", [
