@@ -19,6 +19,7 @@ import enum
 import io
 import json
 from datetime import datetime, timezone
+from operator import itemgetter
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptyResultsError, ValidationError
@@ -189,19 +190,12 @@ class _Table(NamedTuple):
 
 
 def _aligned_lines(table: _Table) -> list[str]:
-    headers, right = table.headers, table.right_aligned
-    rows = list(table.rows)
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    for row in (headers, *rows):
-        cells = [
-            cell.rjust(widths[i]) if i in right else cell.ljust(widths[i])
-            for i, cell in enumerate(row)
-        ]
-        lines.append("  ".join(cells).rstrip())
+    rows = [table.headers, *table.rows]
+    widths = [max(map(len, map(itemgetter(i), rows))) for i in range(len(table.headers))]
+    # "%10s" pads like str.rjust(10), "%-10s" like str.ljust(10).
+    template = "  ".join(f"%{'' if i in table.right_aligned else '-'}{width}s"
+                         for i, width in enumerate(widths))
+    lines = [(template % tuple(row)).rstrip() for row in rows]
     lines.insert(1, "  ".join("-" * w for w in widths))
     return lines
 
@@ -214,10 +208,21 @@ def _markdown_lines(table: _Table) -> Iterator[str]:
 
 
 def _csv_text(table: _Table) -> str:
+    """The table as ``csv.writer`` writes it with minimal quoting.
+
+    Cells are joined directly when none needs quoting, that is when the
+    joined text holds one comma fewer than cells in each row, one
+    newline per row, and no quote or carriage return.  A row of one
+    empty cell is written quoted, so one-column tables always go
+    through the writer."""
+    rows = [table.headers, *table.rows]
+    text = "\n".join(map(",".join, rows)) + "\n"
+    if (len(table.headers) > 1 and '"' not in text and "\r" not in text
+            and text.count("\n") == len(rows)
+            and text.count(",") == sum(map(len, rows)) - len(rows)):
+        return text
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(table.headers)
-    writer.writerows(table.rows)
+    csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_MINIMAL).writerows(rows)
     return buffer.getvalue()
 
 

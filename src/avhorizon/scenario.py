@@ -36,8 +36,7 @@ from datetime import MAXYEAR, MINYEAR
 from pathlib import Path
 from typing import Any, Mapping, get_type_hints
 
-import jsonschema
-
+from . import _jsonschema as jsonschema
 from .complexity import (
     LOG10_2,
     ComputeEnv,

@@ -322,6 +322,10 @@ class TestMalformedInput:
         err = assert_single_error_line(capsys, command, "--category", "Robo-Taxis",
                                        "--spec-file", str(spec))
         assert err.startswith(f"error: {spec}: invalid {command} spec at {where}: ")
+        # The full text is jsonschema's own first error under the path sort.
+        errors = sorted(jsonschema.Draft202012Validator(cli._SPEC_SCHEMAS[command])
+                        .iter_errors(body), key=lambda e: list(e.absolute_path))
+        assert err == f"error: {spec}: invalid {command} spec at {where}: {errors[0].message}\n"
 
     def test_distribution_kind_is_case_insensitive(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

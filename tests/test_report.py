@@ -1,6 +1,7 @@
 """Tests for the table, CSV, JSON, and Markdown renderers."""
 
 import csv
+import dataclasses
 import datetime
 import hashlib
 import io
@@ -10,6 +11,7 @@ import pathlib
 import jsonschema
 import pytest
 
+from avhorizon import report as report_module
 from avhorizon.errors import EmptyResultsError, ValidationError
 from avhorizon.report import REPORT_SCHEMA, ReportFormat, render, render_sensitivity
 from avhorizon.scenario import builtin_catalog, project
@@ -92,6 +94,30 @@ class TestCsv:
     def test_category_names_need_no_quoting(self, catalog_results):
         text = render(catalog_results, ReportFormat.CSV, title="x")
         assert '"' not in text
+
+    @pytest.mark.parametrize("name", ["Robo-Taxis", "Robo, Taxis", 'Robo "Taxi"',
+                                      "Robo\nTaxis", "Robo\rTaxis", " Robo-Taxis "])
+    def test_csv_bytes_match_csv_writer(self, catalog, name):
+        # Cells are joined directly unless one needs quoting; either way the
+        # bytes are those csv.writer writes.
+        scenario = dataclasses.replace(catalog["Robo-Taxis"], name=name)
+        results = [project(scenario, stage) for stage in (Stage.REVENUE_SERVICE,
+                                                          Stage.BROAD_COMMERCIAL)]
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(
+            [report_module._CSV_COLUMNS, *report_module._projection_csv_table(results).rows])
+        assert render(results, ReportFormat.CSV, title="x") == expected.getvalue()
+
+    @pytest.mark.parametrize("headers, rows", [
+        (["a"], [[""], ["b"]]),
+        (["a", "b"], [["", ""], ["1", "2,3"]]),
+        (["a", "b"], []),
+    ])
+    def test_small_csv_tables_match_csv_writer(self, headers, rows):
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows([headers, *rows])
+        text = report_module._csv_text(report_module._Table(headers, rows))
+        assert text == expected.getvalue()
 
 
 class TestJson:
