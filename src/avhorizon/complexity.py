@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ValidationError
+from .errors import _POSITIVE, ValidationError, _check_fields
 
 __all__ = [
     "Magnitude",
@@ -99,19 +99,15 @@ class Magnitude:
 class ComputeEnv:
     """Fleet-scale compute environment the planner runs against."""
 
-    current_capacity: Magnitude  # ops per second available today
-    doubling_period_years: float  # historical capacity doubling period
+    current_capacity: Magnitude = field(metadata=_POSITIVE)  # ops per second available today
+    doubling_period_years: float = field(metadata=_POSITIVE)  # historical capacity doubling period
 
     def __post_init__(self) -> None:
         if not isinstance(self.current_capacity, Magnitude):
             raise ValidationError(
                 f"current_capacity must be a Magnitude, got {self.current_capacity!r}"
             )
-        if not (math.isfinite(self.doubling_period_years) and self.doubling_period_years > 0):
-            raise ValidationError(
-                "doubling_period_years must be positive, "
-                f"got {self.doubling_period_years!r}"
-            )
+        _check_fields(self)
 
 
 @dataclass(frozen=True, slots=True)

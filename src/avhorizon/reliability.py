@@ -33,9 +33,9 @@ always derived, never stored upstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import ValidationError
+from .errors import _POSITIVE, ValidationError, _check_fields, _domain
 
 __all__ = [
     "CrowAmsaaParams",
@@ -50,48 +50,31 @@ __all__ = [
 ]
 
 _WEIGHT_SUM_TOL = 1e-9
+_AT_LEAST_ONE = _domain(1, math.inf, high_open=True)
 
 
 @dataclass(frozen=True, slots=True)
 class CrowAmsaaParams:
     """Power-law reliability growth curve parameters."""
 
-    alpha: float  # failure rate per mile at one accumulated mile
-    beta: float  # learning exponent; larger means faster improvement
-    severity: float = 1.0  # mean harm per failure event, scales the effective rate
+    alpha: float = field(metadata=_domain(0, 1, low_open=True))  # failure rate per mile at mile 1
+    beta: float = field(metadata=_domain(0, 1, low_open=True, high_open=True))  # learning exponent
+    severity: float = field(default=1.0, metadata=_AT_LEAST_ONE)  # mean harm per failure event
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and 0.0 < self.alpha <= 1.0):
-            raise ValidationError(f"alpha must lie in (0, 1], got {self.alpha!r}")
-        if not (math.isfinite(self.beta) and 0.0 < self.beta < 1.0):
-            raise ValidationError(
-                f"beta must lie strictly in (0, 1), got {self.beta!r}"
-            )
-        if not (math.isfinite(self.severity) and self.severity >= 1.0):
-            raise ValidationError(f"severity must be >= 1, got {self.severity!r}")
+        _check_fields(self)
 
 
 @dataclass(frozen=True, slots=True)
 class PoissonParams:
     """Zero-failure demonstration parameters."""
 
-    confidence: float  # statistical confidence level, e.g. 0.95
-    safety_factor: float  # margin multiplier on the demonstrated miles
-    lambda_target: float  # target failure rate per mile
+    confidence: float = field(metadata=_domain(0, 1, low_open=True, high_open=True))  # e.g. 0.95
+    safety_factor: float = field(metadata=_AT_LEAST_ONE)  # margin multiplier on the miles
+    lambda_target: float = field(metadata=_POSITIVE)  # target failure rate per mile
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.confidence) and 0.0 < self.confidence < 1.0):
-            raise ValidationError(
-                f"confidence must lie strictly in (0, 1), got {self.confidence!r}"
-            )
-        if not (math.isfinite(self.safety_factor) and self.safety_factor >= 1.0):
-            raise ValidationError(
-                f"safety_factor must be >= 1, got {self.safety_factor!r}"
-            )
-        if not (math.isfinite(self.lambda_target) and self.lambda_target > 0.0):
-            raise ValidationError(
-                f"lambda_target must be positive, got {self.lambda_target!r}"
-            )
+        _check_fields(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,20 +82,13 @@ class OddDimension:
     """One operational condition with its mix weight and difficulty score."""
 
     name: str
-    weight: float
-    score: float
+    weight: float = field(metadata=_domain(0, 1))
+    score: float = field(metadata=_domain(0, 1))
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValidationError(f"dimension name must be a non-empty string, got {self.name!r}")
-        if not (math.isfinite(self.weight) and 0.0 <= self.weight <= 1.0):
-            raise ValidationError(
-                f"dimension {self.name!r}: weight must lie in [0, 1], got {self.weight!r}"
-            )
-        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
-            raise ValidationError(
-                f"dimension {self.name!r}: score must lie in [0, 1], got {self.score!r}"
-            )
+        _check_fields(self, "dimension")
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,7 +100,7 @@ class OddProfile:
     """
 
     dimensions: tuple[OddDimension, ...]
-    delta: float = 1.0
+    delta: float = field(default=1.0, metadata=_domain(0, 1, low_open=True))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dimensions", tuple(self.dimensions))
@@ -138,8 +114,7 @@ class OddProfile:
             raise ValidationError(
                 f"dimension weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {total!r}"
             )
-        if not (math.isfinite(self.delta) and 0.0 < self.delta <= 1.0):
-            raise ValidationError(f"delta must lie in (0, 1], got {self.delta!r}")
+        _check_fields(self)
 
 
 def crow_required_miles(params: CrowAmsaaParams, lambda_target: float) -> float:

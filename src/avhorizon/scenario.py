@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from datetime import MAXYEAR, MINYEAR
 from pathlib import Path
 from typing import Any, Mapping, get_type_hints
@@ -50,6 +50,8 @@ from .complexity import (
     hpc_horizon_years,
 )
 from .errors import ScenarioFormatError, UnsupportedStageError, ValidationError
+from .errors import _NONNEGATIVE, _POSITIVE, _check_fields, _domain, _in_interval
+from .errors import _is_finite_number, _outside
 from .reliability import (
     CrowAmsaaParams,
     PoissonParams,
@@ -98,37 +100,6 @@ class StageMap:
         )
 
 
-def _is_finite_number(value: object) -> bool:
-    """An int or float, not a bool, that is neither infinite nor NaN; an
-    int beyond float range is not finite here."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _check_number(scenario: str, field_name: str, value: Any, *,
-                  low: float | None = None, high: float | None = None,
-                  low_open: bool = False, high_open: bool = False) -> None:
-    if not _is_finite_number(value):
-        raise ValidationError(
-            f"scenario {scenario!r}: {field_name} must be a finite number, got {value!r}"
-        )
-    if low is not None and (value <= low if low_open else value < low):
-        bound = "(" if low_open else "["
-        raise ValidationError(
-            f"scenario {scenario!r}: {field_name}={value!r} below permitted range "
-            f"{bound}{low}, ...]"
-        )
-    if high is not None and (value >= high if high_open else value > high):
-        raise ValidationError(
-            f"scenario {scenario!r}: {field_name}={value!r} above permitted range "
-            f"[..., {high}{')' if high_open else ']'}"
-        )
-
-
 @dataclass(frozen=True, slots=True)
 class CategoryScenario:
     """Complete model inputs for one vehicle category.
@@ -141,71 +112,47 @@ class CategoryScenario:
     """
 
     name: str
-    n_objects: int
-    cycle_time_s: float
-    chi: StageMap
+    n_objects: int = field(metadata=_domain(1, math.inf, high_open=True))
+    cycle_time_s: float = field(metadata=_POSITIVE)
+    chi: StageMap = field(metadata=_domain(0, 1, low_open=True))
     compute_env: ComputeEnv
     crow: CrowAmsaaParams
-    crow_lambda_target: float
+    crow_lambda_target: float = field(metadata=_POSITIVE)
     poisson: PoissonParams
-    annual_miles: float
-    gamma_override: float
-    base_delta: float
-    f: float
-    prod_reg_years: StageMap
-    baseline_year: int
+    annual_miles: float = field(metadata=_POSITIVE)
+    gamma_override: float = field(metadata=_POSITIVE)
+    base_delta: float = field(metadata=_domain(0, 1, low_open=True))
+    f: float = field(metadata=_domain(0, 1))
+    prod_reg_years: StageMap = field(metadata=_NONNEGATIVE)
+    baseline_year: int = field(metadata=_domain(MINYEAR, MAXYEAR))
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValidationError(f"scenario name must be a non-empty string, got {self.name!r}")
-        if not isinstance(self.n_objects, int) or isinstance(self.n_objects, bool) or self.n_objects < 1:
-            raise ValidationError(
-                f"scenario {self.name!r}: n_objects must be an integer >= 1, "
-                f"got {self.n_objects!r}"
-            )
-        _check_number(self.name, "cycle_time_s", self.cycle_time_s, low=0.0, low_open=True)
         if not isinstance(self.chi, StageMap):
             raise ValidationError(f"scenario {self.name!r}: chi must be a StageMap")
-        _check_number(self.name, "chi.stage2", self.chi.stage2, low=0.0, low_open=True, high=1.0)
-        _check_number(self.name, "chi.stage3", self.chi.stage3, low=0.0, low_open=True, high=1.0)
         if not isinstance(self.compute_env, ComputeEnv):
             raise ValidationError(f"scenario {self.name!r}: compute_env must be a ComputeEnv")
         if not isinstance(self.crow, CrowAmsaaParams):
             raise ValidationError(f"scenario {self.name!r}: crow must be CrowAmsaaParams")
-        _check_number(self.name, "crow_lambda_target", self.crow_lambda_target, low=0.0, low_open=True)
         if not isinstance(self.poisson, PoissonParams):
             raise ValidationError(f"scenario {self.name!r}: poisson must be PoissonParams")
-        _check_number(self.name, "annual_miles", self.annual_miles, low=0.0, low_open=True)
-        _check_number(self.name, "gamma_override", self.gamma_override, low=0.0, low_open=True)
-        _check_number(self.name, "base_delta", self.base_delta, low=0.0, low_open=True, high=1.0)
-        _check_number(self.name, "f", self.f, low=0.0, high=1.0)
         if not isinstance(self.prod_reg_years, StageMap):
             raise ValidationError(f"scenario {self.name!r}: prod_reg_years must be a StageMap")
-        _check_number(self.name, "prod_reg_years.stage2", self.prod_reg_years.stage2, low=0.0)
-        _check_number(self.name, "prod_reg_years.stage3", self.prod_reg_years.stage3, low=0.0)
-        if not isinstance(self.baseline_year, int) or isinstance(self.baseline_year, bool):
-            raise ValidationError(
-                f"scenario {self.name!r}: baseline_year must be an integer, "
-                f"got {self.baseline_year!r}"
-            )
-        if not MINYEAR <= self.baseline_year <= MAXYEAR:
-            raise ValidationError(
-                f"scenario {self.name!r}: baseline_year={self.baseline_year!r} outside "
-                f"permitted range [{MINYEAR}, {MAXYEAR}]"
-            )
+        _check_fields(self, "scenario")
 
 
-def _field_pairs(owner: type) -> tuple[tuple[str, type], ...]:
+def _field_triples(owner: type) -> tuple[tuple[str, type, tuple | None], ...]:
     hints = get_type_hints(owner)
-    return tuple((f.name, hints[f.name]) for f in fields(owner))
+    return tuple((f.name, hints[f.name], f.metadata.get("domain")) for f in fields(owner))
 
 
-# (field name, type) pairs of every scenario dataclass, in declaration
-# order.  Documents, the document schema and the sensitivity parameter
-# registry are all derived from this one table; a type found in it is a
-# nested object, any other type is a leaf.
-_FIELDS: dict[type, tuple[tuple[str, type], ...]] = {
-    owner: _field_pairs(owner)
+# (field name, type, declared domain or None) of every field of every
+# scenario dataclass, in declaration order.  Documents, the document
+# schema and the sensitivity parameter registry are all derived from this
+# one table; a type found in it is a nested object, any other type a leaf.
+_FIELDS: dict[type, tuple[tuple[str, type, tuple | None], ...]] = {
+    owner: _field_triples(owner)
     for owner in (CategoryScenario, StageMap, ComputeEnv, CrowAmsaaParams, PoissonParams)
 }
 
@@ -258,10 +205,10 @@ _SHARED_DEFAULTS: dict[str, Any] = {
 }
 
 
-def _deep_merge(base: Mapping[str, Any], override: Mapping[str, Any]) -> dict[str, Any]:
+def _deep_merge(base: dict[str, Any], override: dict[str, Any]) -> dict[str, Any]:
     merged = dict(base)
     for key, value in override.items():
-        if isinstance(value, Mapping) and isinstance(merged.get(key), Mapping):
+        if isinstance(value, dict) and isinstance(merged.get(key), dict):
             merged[key] = _deep_merge(merged[key], value)
         else:
             merged[key] = value
@@ -447,7 +394,7 @@ def _field_schemas(owner: type) -> dict[str, Any]:
         name: {"type": "object", "additionalProperties": False,
                "properties": _field_schemas(kind)}
         if kind in _FIELDS else _LEAF_SCHEMAS[kind]
-        for name, kind in _FIELDS[owner]
+        for name, kind, _ in _FIELDS[owner]
     }
 
 
@@ -496,7 +443,7 @@ def scenario_to_document(scenario: CategoryScenario) -> dict[str, Any]:
     """Plain-JSON form of a scenario (or of a dataclass nested in one),
     keys in field declaration order."""
     document = {}
-    for name, kind in _FIELDS[type(scenario)]:
+    for name, kind, _ in _FIELDS[type(scenario)]:
         value = getattr(scenario, name)
         if kind is Magnitude:
             value = value.value
@@ -514,7 +461,7 @@ def serialize_scenarios(scenarios: tuple[CategoryScenario, ...] | list[CategoryS
 
 def _resolve_chi_value(name: str, stage_key: str, value: Any) -> float:
     """Scalar chi, resolving the factor-product form if given."""
-    if isinstance(value, Mapping):
+    if isinstance(value, dict):
         factors = []
         for item in value["factors"]:
             rng = item.get("documented_range")
@@ -538,23 +485,26 @@ def _from_document(owner: type, document: Mapping[str, Any], where: str):
     dataclasses first, so every ``__post_init__`` check runs.
 
     ``where`` prefixes leaf errors ("scenario 'X': " at the top level);
-    a nested dataclass's errors are prefixed with ``where`` and its field.
+    a nested dataclass's errors are prefixed with ``where`` and its field
+    name and a dot, so every error spells the dotted parameter path.
     """
     args = []
-    for name, kind in _FIELDS[owner]:
+    for name, kind, interval in _FIELDS[owner]:
         value = document[name]
         if kind in _FIELDS:
             try:
                 value = _from_document(kind, value, "")
             except ValidationError as exc:
-                raise ValidationError(f"{where}{name}: {exc}") from None
+                raise ValidationError(f"{where}{name}.{exc}") from None
         elif kind is float or kind is Magnitude:
             # JSON allows integers of any size.
             if type(value) is int and not _is_finite_number(value):
                 raise ValidationError(
                     f"{where}{name} is an integer beyond float range ({value.bit_length()} bits)"
                 )
-            if kind is Magnitude:
+            if kind is Magnitude:  # checked on the linear value, as given
+                if not _in_interval(value, interval):
+                    raise ValidationError(_outside(f"{where}{name}", value, interval))
                 value = Magnitude.from_value(value)
         args.append(value)
     return owner(*args)
@@ -564,13 +514,13 @@ def _scenario_from_document(entry: Mapping[str, Any]) -> CategoryScenario:
     """Scenario from a fully merged document entry."""
     name = entry["name"]
     # Only the fields without a shared default can be missing after the merge.
-    missing = [key for key, _ in _FIELDS[CategoryScenario] if key not in entry]
+    missing = [key for key, *_ in _FIELDS[CategoryScenario] if key not in entry]
     if missing:
         raise ValidationError(
             f"scenario {name!r}: missing required field(s) {missing}; new "
             "categories must state them (catalog categories inherit theirs by name)"
         )
-    stage_keys = [stage_key for stage_key, _ in _FIELDS[StageMap]]
+    stage_keys = [stage_key for stage_key, *_ in _FIELDS[StageMap]]
     for key in ("chi", "prod_reg_years"):
         for stage_key in stage_keys:
             if stage_key not in entry[key]:

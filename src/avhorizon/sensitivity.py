@@ -41,13 +41,8 @@ import numpy as np
 
 from .complexity import LOG10_2, Magnitude
 from .errors import UnknownParameterError, ValidationError
-from .scenario import (
-    _FIELDS,
-    CategoryScenario,
-    ProjectionResult,
-    _is_finite_number,
-    project,
-)
+from .errors import _in_interval, _is_finite_number, _outside
+from .scenario import _FIELDS, CategoryScenario, ProjectionResult, project
 from .timeline import STAGE_DELTA_MULTIPLIERS, Gating, Stage
 
 __all__ = [
@@ -87,7 +82,7 @@ def _field_setter(owner: type, name: str, set_child: Callable) -> Callable:
     The rebuild goes through the positional constructor, so the
     owner's own validation runs on every set.
     """
-    names = tuple(field_name for field_name, _ in _FIELDS[owner])
+    names = tuple(field_name for field_name, *_ in _FIELDS[owner])
     index = names.index(name)
     get_all = operator.attrgetter(*names)  # every scenario dataclass has 2+ fields
 
@@ -99,18 +94,20 @@ def _field_setter(owner: type, name: str, set_child: Callable) -> Callable:
     return setter
 
 
-def _numeric_leaves(owner: type):
-    """(path, setter, leaf type) for every int, float or Magnitude field
-    under ``owner``, nested dataclasses included, in declaration order."""
-    for name, kind in _FIELDS[owner]:
+def _numeric_leaves(owner: type, domain: tuple | None = None):
+    """(path, setter, leaf type, interval) for every int, float or Magnitude
+    field under ``owner``, nested dataclasses included, in declaration order;
+    a field without a domain of its own takes ``domain``, its holder's."""
+    for name, kind, declared in _FIELDS[owner]:
+        interval = declared or domain
         if kind is Magnitude:
             set_leaf = _field_setter(owner, name, lambda _, v: Magnitude.from_value(v))
-            yield (name,), set_leaf, kind
+            yield (name,), set_leaf, kind, interval
         elif kind in (int, float):
-            yield (name,), _field_setter(owner, name, lambda _, v: v), kind
+            yield (name,), _field_setter(owner, name, lambda _, v: v), kind, interval
         elif kind in _FIELDS:
-            for path, set_child, leaf in _numeric_leaves(kind):
-                yield (name, *path), _field_setter(owner, name, set_child), leaf
+            for path, set_child, leaf, leaf_interval in _numeric_leaves(kind, interval):
+                yield (name, *path), _field_setter(owner, name, set_child), leaf, leaf_interval
 
 
 def _getter(dotted: str, kind: type) -> _Getter:
@@ -120,11 +117,11 @@ def _getter(dotted: str, kind: type) -> _Getter:
     return (lambda s: float(get(s))) if kind is int else get
 
 
-# path -> (getter, setter, leaf type: int, float or Magnitude), one
-# entry per numeric scenario field, in dataclass field declaration order.
-_PARAMETERS: dict[str, tuple[_Getter, _Setter, type]] = {
-    ".".join(path): (_getter(".".join(path), kind), setter, kind)
-    for path, setter, kind in _numeric_leaves(CategoryScenario)
+# path -> (getter, setter, leaf type: int, float or Magnitude, interval),
+# one entry per numeric scenario field, in dataclass field declaration order.
+_PARAMETERS: dict[str, tuple[_Getter, _Setter, type, tuple]] = {
+    ".".join(path): (_getter(".".join(path), kind), setter, kind, interval)
+    for path, setter, kind, interval in _numeric_leaves(CategoryScenario)
 }
 
 
@@ -133,7 +130,7 @@ def valid_parameter_paths() -> tuple[str, ...]:
     return tuple(sorted(_PARAMETERS))
 
 
-def _lookup(path: str) -> tuple[_Getter, _Setter, type]:
+def _lookup(path: str) -> tuple[_Getter, _Setter, type, tuple]:
     if not isinstance(path, str) or path not in _PARAMETERS:
         raise UnknownParameterError(
             f"unknown parameter path {path!r}; valid paths: "
@@ -143,22 +140,26 @@ def _lookup(path: str) -> tuple[_Getter, _Setter, type]:
 
 
 def get_parameter(scenario: CategoryScenario, path: str) -> float:
-    getter, _, _ = _lookup(path)
-    return getter(scenario)
+    return _lookup(path)[0](scenario)
 
 
 def set_parameter(scenario: CategoryScenario, path: str, value: float) -> CategoryScenario:
-    """Modified copy with the path set; the field's own validation applies."""
-    _, setter, kind = _lookup(path)
+    """Modified copy with the path set; the field's own validation applies,
+    and a value outside the path's interval reads as in a scenario document."""
+    _, setter, kind, interval = _lookup(path)
     if kind is int:
         if not (_is_finite_number(value) and float(value).is_integer()):
             raise ValidationError(
                 f"parameter {path!r} takes integer values, got {value!r}"
             )
-        return setter(scenario, int(value))
-    if not _is_finite_number(value):
+        value = int(value)
+    elif _is_finite_number(value):
+        value = float(value)
+    else:
         raise ValidationError(f"parameter {path!r} requires a finite number, got {value!r}")
-    return setter(scenario, float(value))
+    if not _in_interval(value, interval):
+        raise ValidationError(_outside(f"scenario {scenario.name!r}: {path}", value, interval))
+    return setter(scenario, value)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +572,7 @@ def _evaluate(
     if unchecked is not None:
         fallback = fallback | unchecked
     if any(type(v) is int and float(v) != v  # a JSON integer float64 does not hold
-           for v in (_leaf(scenario, p) for p, (_, _, kind) in _PARAMETERS.items()
+           for v in (_leaf(scenario, p) for p, (_, _, kind, _) in _PARAMETERS.items()
                      if kind is float)):
         fallback = np.ones(rows, dtype=bool)
     totals = np.broadcast_to(t_total, rows).tolist()
@@ -734,9 +735,9 @@ def monte_carlo(
             set_parameter(scenario, dist.parameter_path, dist.mode)
 
     baseline = project(scenario, stage)
-    # Every field's domain is an interval, so a sample inside the
-    # validated [low, high] is valid; one outside is checked by the
-    # scalar path.
+    # Every field's domain is one interval (its dataclass field's metadata),
+    # so a sample inside the validated [low, high] is valid; one outside is
+    # checked by the scalar path.
     columns, inputs = {}, {}
     outside = np.zeros(sample_count, dtype=bool)
     for dist, u in zip(distributions, _uniforms(seed, sample_count, len(distributions))):

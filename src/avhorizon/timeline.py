@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import UnsupportedStageError, ValidationError
+from .errors import _NONNEGATIVE, UnsupportedStageError, ValidationError, _check_fields, _domain
 
 __all__ = [
     "Stage",
@@ -103,20 +103,13 @@ class StageSpec:
     """Stage plus the scenario-dependent knobs the timeline needs."""
 
     stage: Stage
-    delta_multiplier: float
-    prod_reg_years: float
+    delta_multiplier: float = field(metadata=_domain(0, 1, low_open=True))
+    prod_reg_years: float = field(metadata=_NONNEGATIVE)
 
     def __post_init__(self) -> None:
         if not isinstance(self.stage, Stage):
             raise ValidationError(f"stage must be a Stage, got {self.stage!r}")
-        if not (math.isfinite(self.delta_multiplier) and 0.0 < self.delta_multiplier <= 1.0):
-            raise ValidationError(
-                f"delta_multiplier must lie in (0, 1], got {self.delta_multiplier!r}"
-            )
-        if not (math.isfinite(self.prod_reg_years) and self.prod_reg_years >= 0.0):
-            raise ValidationError(
-                f"prod_reg_years must be >= 0, got {self.prod_reg_years!r}"
-            )
+        _check_fields(self)
 
     @classmethod
     def for_stage(cls, stage: Stage, prod_reg_years: float) -> "StageSpec":
@@ -166,25 +159,19 @@ class TimelineBreakdown:
     t_total equals the composition formula term for term).
     """
 
-    t_comp: float
-    t_crow_total: float
-    t_crow_partial: float
-    t_crow_final: float
-    t_poisson: float
-    t_prod_reg: float
-    f: float
-    t_total: float
+    t_comp: float = field(metadata=_NONNEGATIVE)
+    t_crow_total: float = field(metadata=_NONNEGATIVE)
+    t_crow_partial: float = field(metadata=_NONNEGATIVE)
+    t_crow_final: float = field(metadata=_NONNEGATIVE)
+    t_poisson: float = field(metadata=_NONNEGATIVE)
+    t_prod_reg: float = field(metadata=_NONNEGATIVE)
+    f: float = field(metadata=_domain(0, 1))
+    t_total: float = field(metadata=_NONNEGATIVE)
     gating: Gating
-    calendar_year: int
+    calendar_year: int = field(metadata=_domain(-math.inf, math.inf))  # any integer
 
     def __post_init__(self) -> None:
-        for name in ("t_comp", "t_crow_total", "t_crow_partial", "t_crow_final",
-                     "t_poisson", "t_prod_reg", "t_total"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0):
-                raise ValidationError(f"{name} must be a finite value >= 0, got {v!r}")
-        if not (math.isfinite(self.f) and 0.0 <= self.f <= 1.0):
-            raise ValidationError(f"f must lie in [0, 1], got {self.f!r}")
+        _check_fields(self)
         if self.t_crow_partial + self.t_crow_final != self.t_crow_total:
             raise ValidationError(
                 "t_crow_partial + t_crow_final must reconstruct t_crow_total "
@@ -205,10 +192,6 @@ class TimelineBreakdown:
             raise ValidationError(
                 f"gating must be {expected_gating.value!r} when t_comp={self.t_comp!r} "
                 f"and t_crow_partial={self.t_crow_partial!r}"
-            )
-        if not isinstance(self.calendar_year, int) or isinstance(self.calendar_year, bool):
-            raise ValidationError(
-                f"calendar_year must be an integer, got {self.calendar_year!r}"
             )
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -384,9 +385,9 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("document, where", [
         ({"scenarios": [{"name": "Robo-Taxis", "annual_miles": 10**400}]}, "annual_miles"),
-        ({"scenarios": [{"name": "Robo-Taxis", "crow": {"alpha": 10**400}}]}, "crow: alpha"),
+        ({"scenarios": [{"name": "Robo-Taxis", "crow": {"alpha": 10**400}}]}, "crow.alpha"),
         ({"scenarios": [{"name": "Robo-Taxis", "compute_env": {"current_capacity": 10**400}}]},
-         "compute_env: current_capacity"),
+         "compute_env.current_capacity"),
         ({"defaults": {"annual_miles": 10**400}, "scenarios": [{"name": "Robo-Taxis"}]},
          "annual_miles"),
     ])
@@ -405,7 +406,8 @@ class TestMalformedInput:
                      ("sweep", "--category", "Robo-Taxis", "--param", "baseline_year",
                       "--values", "10000")):
             err = assert_single_error_line(capsys, *args)
-            assert "baseline_year=10000 outside permitted range [1, 9999]" in err
+            assert err == ("error: scenario 'Robo-Taxis': baseline_year=10000 outside "
+                           "permitted range [1, 9999]\n")
 
     @pytest.mark.parametrize("entry, field", [
         ({"crow_lambda_target": 5e-324}, "crow_lambda_target=5e-324"),
@@ -453,6 +455,65 @@ class TestMalformedInput:
             assert "annual_miles" in err
 
 
+# One value outside each parameter path's permitted range, and the range
+# as its error prints it.
+OUT_OF_RANGE = {
+    "annual_miles": (0.0, "(0, inf)"),
+    "base_delta": (1.5, "(0, 1]"),
+    "baseline_year": (10000, "[1, 9999]"),
+    "chi.stage2": (0.0, "(0, 1]"),
+    "chi.stage3": (1.5, "(0, 1]"),
+    "compute_env.current_capacity": (-1.0, "(0, inf)"),
+    "compute_env.doubling_period_years": (0.0, "(0, inf)"),
+    "crow.alpha": (2.0, "(0, 1]"),
+    "crow.beta": (1.0, "(0, 1)"),
+    "crow.severity": (0.5, "[1, inf)"),
+    "crow_lambda_target": (-1e-08, "(0, inf)"),
+    "cycle_time_s": (0.0, "(0, inf)"),
+    "f": (1.25, "[0, 1]"),
+    "gamma_override": (-0.5, "(0, inf)"),
+    "n_objects": (0, "[1, inf)"),
+    "poisson.confidence": (1.0, "(0, 1)"),
+    "poisson.lambda_target": (0.0, "(0, inf)"),
+    "poisson.safety_factor": (0.99, "[1, inf)"),
+    "prod_reg_years.stage2": (-1.0, "[0, inf)"),
+    "prod_reg_years.stage3": (-0.5, "[0, inf)"),
+}
+
+
+def test_out_of_range_table_covers_every_path():
+    assert tuple(OUT_OF_RANGE) == valid_parameter_paths()
+
+
+class TestOutOfRangeValues:
+    """A value outside its field's range reads the same from a scenario
+    document and from ``sweep --param``."""
+
+    @pytest.mark.parametrize("path", valid_parameter_paths())
+    def test_document_and_sweep_print_the_same_line(self, tmp_path, capsys, path):
+        value, interval = OUT_OF_RANGE[path]
+        entry = {"name": "Robo-Taxis"}
+        *parents, leaf = path.split(".")
+        node = entry
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[leaf] = value
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"scenarios": [entry]}))
+        expected = (f"error: scenario 'Robo-Taxis': {path}={value!r} outside permitted "
+                    f"range {interval}\n")
+
+        swept = assert_single_error_line(capsys, "sweep", "--category", "Robo-Taxis",
+                                         "--param", path, f"--values={value!r}")
+        from_file = assert_single_error_line(capsys, "project", "--file", str(doc))
+        assert swept == expected
+        if path == "n_objects":  # the schema's minimum reports first
+            assert from_file == (f"error: {doc}: invalid scenario document at "
+                                 "scenarios/0/n_objects: 0 is less than the minimum of 1\n")
+        else:
+            assert from_file == expected
+
+
 # ---------------------------------------------------------------------------
 # Generated input: no document or flag combination may end in a traceback
 # ---------------------------------------------------------------------------
@@ -471,30 +532,61 @@ EXTREME_NUMBERS = st.one_of(
 PARAMETER_PATHS = st.sampled_from(valid_parameter_paths() + ("bogus",))
 
 
-def strategy_for(schema):
-    """Documents with the shape of a SCENARIO_SCHEMA node and extreme numbers."""
+def strategy_for(schema, path=""):
+    """Documents with the shape of a SCENARIO_SCHEMA node, ``path`` its
+    dotted property names, with extreme numbers and the edges of each
+    parameter path's range."""
     if "oneOf" in schema:
-        return st.one_of(*map(strategy_for, schema["oneOf"]))
+        return st.one_of(*(strategy_for(branch, path) for branch in schema["oneOf"]))
     kind = schema.get("type")
     if kind == "object":
         required = schema.get("required", [])
-        children = {k: strategy_for(v) for k, v in schema["properties"].items()}
+        children = {k: strategy_for(v, f"{path}.{k}" if path else k)
+                    for k, v in schema["properties"].items()}
         return st.fixed_dictionaries(
             {k: children[k] for k in required},
             optional={k: v for k, v in children.items() if k not in required},
         )
     if kind == "array":
         if "prefixItems" in schema:
-            return st.tuples(*map(strategy_for, schema["prefixItems"])).map(list)
-        return st.lists(strategy_for(schema["items"]), min_size=schema.get("minItems", 0),
+            items = (strategy_for(item, path) for item in schema["prefixItems"])
+            return st.tuples(*items).map(list)
+        return st.lists(strategy_for(schema["items"], path), min_size=schema.get("minItems", 0),
                         max_size=3)
     if kind == "string":  # every string is a scenario or factor name
         return st.sampled_from(CATEGORY_NAMES + ("New", "active_interaction", "mystery"))
-    return EXTREME_NUMBERS
+    return numbers_near(path.partition(".")[2])  # the path below "scenarios" or "defaults"
 
 
 def number_text(value):
     return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def edge_values(path):
+    """Each bound of the path's permitted range, the floats next to it on
+    either side and a value past it; none for an unknown path."""
+    if path not in valid_parameter_paths():
+        return []
+    low, high, _, _ = sensitivity._lookup(path)[3]
+    values = []
+    for bound, outward in ((low, -math.inf), (high, math.inf)):
+        values += [bound, math.nextafter(bound, -outward), math.nextafter(bound, outward),
+                   bound + math.copysign(max(1.0, abs(bound)), outward)]
+    return values
+
+
+def numbers_near(path):
+    """Extreme numbers, and the edges of the range of ``path`` if it is a
+    parameter path."""
+    edges = edge_values(path)
+    return st.one_of(st.sampled_from(edges), EXTREME_NUMBERS) if edges else EXTREME_NUMBERS
+
+
+def numbers_for(path):
+    """One number and a comma-separated list of numbers for a flag that
+    sets ``path``."""
+    number = numbers_near(path).map(number_text)
+    return number, st.lists(number, min_size=1, max_size=3).map(",".join)
 
 
 @st.composite
@@ -503,21 +595,23 @@ def cli_arguments(draw, category):
     args = [command, "--category", category,
             "--stage", draw(st.sampled_from(["1", "2", "3", "all"])),
             "--format", draw(st.sampled_from(["table", "csv", "json", "markdown", "xml"]))]
-    number = EXTREME_NUMBERS.map(number_text)
-    numbers = st.lists(number, min_size=1, max_size=3).map(",".join)
     if command == "sweep":
-        args += ["--param", draw(PARAMETER_PATHS)]
+        path = draw(PARAMETER_PATHS)
+        number, numbers = numbers_for(path)
+        args += ["--param", path]
         if draw(st.booleans()):
             args += ["--values", draw(numbers)]
         else:
             args += ["--grid", f"{draw(number)}:{draw(number)}:{draw(st.integers(-1, 50))}"]
     elif command == "tornado":
         for _ in range(draw(st.integers(1, 3))):
-            args += ["--bound", f"{draw(PARAMETER_PATHS)}={draw(numbers)}"]
+            path = draw(PARAMETER_PATHS)
+            args += ["--bound", f"{path}={draw(numbers_for(path)[1])}"]
     elif command == "mc":
         for _ in range(draw(st.integers(1, 3))):
             kind = draw(st.sampled_from(["uniform", "triangular"]))
-            args += ["--dist", f"{draw(PARAMETER_PATHS)}={kind}:{draw(numbers)}"]
+            path = draw(PARAMETER_PATHS)
+            args += ["--dist", f"{path}={kind}:{draw(numbers_for(path)[1])}"]
         args += ["--samples", str(draw(st.integers(-1, 20))),
                  "--seed", str(draw(st.sampled_from([0, 7, -1, 2**64 - 1, 2**64])))]
     return args

@@ -183,8 +183,9 @@ class TestHpcHorizon:
         )
 
     def test_env_validation(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             ComputeEnv(current_capacity=Magnitude(13.0), doubling_period_years=0.0)
+        assert str(err.value) == "doubling_period_years=0.0 outside permitted range (0, inf)"
 
     def test_horizon_beyond_float_range_names_doubling_period(self):
         env = ComputeEnv(current_capacity=Magnitude(13.0), doubling_period_years=1e308)

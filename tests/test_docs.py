@@ -1,10 +1,12 @@
-"""The README's library surface and the export lists name code that exists."""
+"""The README's library surface, export lists and range table match the code."""
 
 import importlib
 import re
 from pathlib import Path
 
 import avhorizon
+from avhorizon import sensitivity
+from avhorizon.errors import _interval_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,3 +46,10 @@ def test_every_exported_name_imports():
     for module in (avhorizon, *(importlib.import_module(f"avhorizon.{m}") for m in MODULES)):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], module.__name__
+
+
+def test_readme_range_table_matches_the_field_declarations():
+    section = README.read_text(encoding="utf-8").split("| Path | Permitted range |", 1)[1]
+    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|$", section.split("\n\n", 1)[0], re.M)
+    assert rows == [(path, _interval_text(sensitivity._lookup(path)[3]))
+                    for path in sensitivity.valid_parameter_paths()]

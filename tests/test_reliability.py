@@ -1,6 +1,7 @@
 """Tests for reliability-growth and zero-failure demonstration math."""
 
 import math
+import re
 
 import pytest
 
@@ -18,25 +19,46 @@ from avhorizon.reliability import (
 )
 
 
+def raises_exactly(message):
+    """pytest.raises for a ValidationError whose whole message is ``message``."""
+    return pytest.raises(ValidationError, match=f"^{re.escape(message)}$")
+
+
 class TestCrowParams:
     def test_alpha_bounds(self):
         CrowAmsaaParams(alpha=1.0, beta=0.4)
-        with pytest.raises(ValidationError, match="alpha"):
+        with raises_exactly("alpha=0.0 outside permitted range (0, 1]"):
             CrowAmsaaParams(alpha=0.0, beta=0.4)
-        with pytest.raises(ValidationError, match="alpha"):
+        with raises_exactly("alpha=1.5 outside permitted range (0, 1]"):
             CrowAmsaaParams(alpha=1.5, beta=0.4)
 
     def test_beta_strictly_open(self):
-        with pytest.raises(ValidationError, match="beta"):
+        with raises_exactly("beta=0.0 outside permitted range (0, 1)"):
             CrowAmsaaParams(alpha=1e-4, beta=0.0)
-        with pytest.raises(ValidationError, match="beta"):
+        with raises_exactly("beta=1.0 outside permitted range (0, 1)"):
             CrowAmsaaParams(alpha=1e-4, beta=1.0)
-        with pytest.raises(ValidationError, match=r"beta.*\(0, 1\)"):
+        with raises_exactly("beta=1.2 outside permitted range (0, 1)"):
             CrowAmsaaParams(alpha=1e-4, beta=1.2)
 
     def test_severity_at_least_one(self):
-        with pytest.raises(ValidationError, match="severity"):
+        with raises_exactly("severity=0.5 outside permitted range [1, inf)"):
             CrowAmsaaParams(alpha=1e-4, beta=0.4, severity=0.5)
+
+    def test_values_that_are_not_finite_numbers(self):
+        with raises_exactly("alpha must be a finite number, got True"):
+            CrowAmsaaParams(alpha=True, beta=0.4)
+        with raises_exactly("beta must be a finite number, got '0.4'"):
+            CrowAmsaaParams(alpha=1e-4, beta="0.4")
+        with raises_exactly(f"severity must be a finite number, got {10**400}"):
+            CrowAmsaaParams(alpha=1e-4, beta=0.4, severity=10**400)
+        assert CrowAmsaaParams(alpha=1, beta=0.5, severity=2).alpha == 1  # ints are numbers
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_values_are_outside_every_range(self, value):
+        with raises_exactly(f"beta={value!r} outside permitted range (0, 1)"):
+            CrowAmsaaParams(alpha=1e-4, beta=value)
+        with raises_exactly(f"severity={value!r} outside permitted range [1, inf)"):
+            CrowAmsaaParams(alpha=1e-4, beta=0.4, severity=value)
 
 
 class TestCrowMiles:
@@ -164,11 +186,11 @@ class TestPoissonMiles:
             poisson_required_miles(params)
 
     def test_param_validation(self):
-        with pytest.raises(ValidationError, match="confidence"):
+        with raises_exactly("confidence=1.0 outside permitted range (0, 1)"):
             PoissonParams(confidence=1.0, safety_factor=2.0, lambda_target=1e-8)
-        with pytest.raises(ValidationError, match="safety_factor"):
+        with raises_exactly("safety_factor=0.5 outside permitted range [1, inf)"):
             PoissonParams(confidence=0.95, safety_factor=0.5, lambda_target=1e-8)
-        with pytest.raises(ValidationError, match="lambda_target"):
+        with raises_exactly("lambda_target=0.0 outside permitted range (0, inf)"):
             PoissonParams(confidence=0.95, safety_factor=2.0, lambda_target=0.0)
 
 
@@ -202,10 +224,16 @@ class TestGamma:
     def test_delta_range(self):
         dims = (OddDimension("a", 1.0, 1.0),)
         OddProfile(dimensions=dims, delta=1.0)
-        with pytest.raises(ValidationError, match="delta"):
+        with raises_exactly("delta=0.0 outside permitted range (0, 1]"):
             OddProfile(dimensions=dims, delta=0.0)
-        with pytest.raises(ValidationError, match="delta"):
+        with raises_exactly("delta=1.5 outside permitted range (0, 1]"):
             OddProfile(dimensions=dims, delta=1.5)
+
+    def test_dimension_ranges_name_the_dimension(self):
+        with raises_exactly("dimension 'rain': weight=1.5 outside permitted range [0, 1]"):
+            OddDimension("rain", 1.5, 0.5)
+        with raises_exactly("dimension 'rain': score=-0.5 outside permitted range [0, 1]"):
+            OddDimension("rain", 0.5, -0.5)
 
 
 class TestDemonstrationYears:

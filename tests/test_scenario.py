@@ -251,8 +251,8 @@ class TestScenarioDocuments:
         doc = '{"scenarios": [{"name": "Consumer Automotive", "crow": {"beta": 1.2}}]}'
         with pytest.raises(ValidationError) as err:
             parse_scenarios(doc)
-        assert "beta" in str(err.value)
-        assert "(0, 1)" in str(err.value)
+        assert str(err.value) == ("scenario 'Consumer Automotive': crow.beta=1.2 outside "
+                                  "permitted range (0, 1)")
 
     def test_document_defaults_fill_new_categories(self):
         doc = json.dumps({
@@ -290,8 +290,24 @@ class TestScenarioDocuments:
         if ok:
             assert parse_scenarios(doc)[0].baseline_year == year
         else:
-            with pytest.raises(ValidationError, match="baseline_year=.* permitted range"):
+            with pytest.raises(ValidationError) as err:
                 parse_scenarios(doc)
+            assert str(err.value) == (f"scenario 'Robo-Taxis': baseline_year={year!r} outside "
+                                      "permitted range [1, 9999]")
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"n_objects": 55.0}, "n_objects must be an integer, got 55.0"),
+        ({"baseline_year": 2024.0}, "baseline_year must be an integer, got 2024.0"),
+        ({"f": math.nan}, "f=nan outside permitted range [0, 1]"),
+        ({"chi": {"stage3": -math.inf}}, "chi.stage3=-inf outside permitted range (0, 1]"),
+        ({"poisson": {"confidence": math.inf}},
+         "poisson.confidence=inf outside permitted range (0, 1)"),
+    ])
+    def test_field_type_and_range_errors_name_the_path(self, entry, message):
+        doc = json.dumps({"scenarios": [{"name": "Robo-Taxis", **entry}]})
+        with pytest.raises(ValidationError) as err:
+            parse_scenarios(doc)
+        assert str(err.value) == f"scenario 'Robo-Taxis': {message}"
 
     def test_new_category_must_state_core_fields(self):
         with pytest.raises(ValidationError, match="n_objects"):

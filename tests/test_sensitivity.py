@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 
 from avhorizon.complexity import LOG10_2
-from avhorizon.errors import UnknownParameterError, ValidationError
+from avhorizon import sensitivity
+from avhorizon.errors import UnknownParameterError, ValidationError, _in_interval
 from avhorizon.scenario import project
 from avhorizon.sensitivity import (
     AnalysisKind,
@@ -25,6 +27,12 @@ from avhorizon.sensitivity import (
 from avhorizon.timeline import Stage
 
 S3 = Stage.BROAD_COMMERCIAL
+
+
+def beta_1_2_error(category):
+    """Pattern of the whole error of setting crow.beta to 1.2 in ``category``."""
+    message = f"scenario {category!r}: crow.beta=1.2 outside permitted range (0, 1)"
+    return f"^{re.escape(message)}$"
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +69,15 @@ class TestParameterRegistry:
             "poisson.confidence", "poisson.lambda_target", "poisson.safety_factor",
             "prod_reg_years.stage2", "prod_reg_years.stage3",
         )
+
+    @pytest.mark.parametrize("path", valid_parameter_paths())
+    def test_every_path_declares_a_range_holding_the_catalog(self, catalog, path):
+        # monte_carlo takes a sample between two valid bounds as valid:
+        # that holds because every path's domain is one interval.
+        interval = sensitivity._lookup(path)[3]
+        assert interval is not None and interval[0] < interval[1]
+        for name, scenario in catalog.items():
+            assert _in_interval(get_parameter(scenario, path), interval), name
 
     def test_get_set_round_trip(self, catalog):
         s = catalog["Robo-Taxis"]
@@ -150,7 +167,7 @@ class TestOneAtATime:
         assert report.summary.minimum == report.summary.maximum == entry.t_total
 
     def test_all_values_validated_before_any_projection(self, catalog):
-        with pytest.raises(ValidationError, match="beta"):
+        with pytest.raises(ValidationError, match=beta_1_2_error("Robo-Taxis")):
             one_at_a_time(catalog["Robo-Taxis"], S3,
                           SweepSpec("crow.beta", (0.4, 1.2)))
 
@@ -232,7 +249,7 @@ class TestTornado:
             ])
 
     def test_bounds_validated_before_any_projection(self, catalog):
-        with pytest.raises(ValidationError, match="beta"):
+        with pytest.raises(ValidationError, match=beta_1_2_error("Industrial/Mining")):
             tornado(catalog["Industrial/Mining"], S3, [
                 ParameterBounds("crow.severity", 1.0, 2.0),
                 ParameterBounds("crow.beta", 0.4, 1.2),
@@ -303,7 +320,7 @@ class TestMonteCarlo:
     def test_invalid_bounds_rejected_before_sampling(self, catalog):
         dist = DistributionSpec("crow.beta", DistributionKind.UNIFORM,
                                 low=0.4, high=1.2)
-        with pytest.raises(ValidationError, match="beta"):
+        with pytest.raises(ValidationError, match=beta_1_2_error("Robo-Taxis")):
             monte_carlo(catalog["Robo-Taxis"], S3, [dist],
                         sample_count=16, seed=0)
 
