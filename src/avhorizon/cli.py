@@ -210,26 +210,32 @@ def _single_stage(selector: str) -> Stage:
     return Stage.from_key(selector)
 
 
-def _parse_float(text: str, context: str) -> float:
+def _parse_number(text: str, context: str) -> int | float:
+    """An integer token as an int, so it serializes back as given, like a
+    JSON integer in a spec file; any other number as a float."""
+    try:
+        return int(text)
+    except ValueError:  # not an integer, or past the int-to-str digit limit
+        pass
     try:
         return float(text)
     except ValueError:
         raise ValidationError(f"{context}: {text!r} is not a number") from None
 
 
-def _parse_values_flag(text: str) -> tuple[float, ...]:
+def _parse_values_flag(text: str) -> tuple[int | float, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValidationError(f"--values needs at least one number, got {text!r}")
-    return tuple(_parse_float(p, "--values") for p in parts)
+    return tuple(_parse_number(p, "--values") for p in parts)
 
 
-def _parse_grid_flag(text: str) -> tuple[float, float, int]:
+def _parse_grid_flag(text: str) -> tuple[int | float, int | float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"--grid must be low:high:steps, got {text!r}")
-    low = _parse_float(parts[0], "--grid low")
-    high = _parse_float(parts[1], "--grid high")
+    low = _parse_number(parts[0], "--grid low")
+    high = _parse_number(parts[1], "--grid high")
     try:
         steps = int(parts[2])
     except ValueError:
@@ -244,8 +250,8 @@ def _parse_bound_flag(text: str) -> ParameterBounds:
         raise ValidationError(f"--bound must be path=low,high, got {text!r}")
     return ParameterBounds(
         parameter_path=path.strip(),
-        low=_parse_float(parts[0], "--bound low"),
-        high=_parse_float(parts[1], "--bound high"),
+        low=_parse_number(parts[0], "--bound low"),
+        high=_parse_number(parts[1], "--bound high"),
     )
 
 
@@ -272,7 +278,7 @@ def _parse_dist_flag(text: str) -> DistributionSpec:
     return DistributionSpec(
         parameter_path=path.strip(),
         kind=DistributionKind(kind_text),
-        **{name: _parse_float(part, f"--dist {name}") for name, part in zip(names, parts)},
+        **{name: _parse_number(part, f"--dist {name}") for name, part in zip(names, parts)},
     )
 
 

@@ -568,8 +568,13 @@ def _validated_json(text: str, schema: dict, origin: str, what: str) -> Any:
         raise ScenarioFormatError(
             f"{origin}: not valid JSON: {str(exc).partition(';')[0]}"
         ) from None
+    except RecursionError:  # arrays or objects nested past the recursion limit
+        raise ScenarioFormatError(f"{origin}: not valid JSON: nested too deeply") from None
     validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
+    try:
+        errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
+    except RecursionError:  # parsed, but too deep to repr in the error message
+        raise ScenarioFormatError(f"{origin}: invalid {what}: nested too deeply") from None
     if errors:
         first = errors[0]
         where = "/".join(str(p) for p in first.absolute_path) or "top level"

@@ -16,6 +16,9 @@ pipeline runs term by term over numpy columns of the varying inputs,
 with results bit-identical to ``project`` on each row's modified
 scenario.  A row that fails any of ``project``'s checks is re-run
 through ``set_parameter`` and ``project``, which raise the exact error.
+numpy is imported by the functions that build columns, so only the
+``sweep``, ``tornado`` and ``mc`` commands load it; ``catalog``,
+``project`` and ``schema`` run on Python floats alone.
 
 Monte Carlo determinism contract: the generator is Philox4x64-10, keyed
 per sample as (seed, sample_index), with exactly one uniform draw per
@@ -35,15 +38,16 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .complexity import LOG10_2, Magnitude
 from .errors import UnknownParameterError, ValidationError
 from .errors import _in_interval, _is_finite_number, _outside
 from .scenario import _FIELDS, CategoryScenario, ProjectionResult, project
 from .timeline import STAGE_DELTA_MULTIPLIERS, Gating, Stage
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AnalysisKind",
@@ -271,6 +275,8 @@ def _sample(dist: DistributionSpec, u: np.ndarray) -> np.ndarray:
     above it; the differences of the bounds are taken in Python first,
     as the scalar form takes them.
     """
+    import numpy as np
+
     span = dist.high - dist.low
     if span == 0.0:
         return np.full(u.size, float(dist.low))
@@ -288,24 +294,27 @@ def _sample(dist: DistributionSpec, u: np.ndarray) -> np.ndarray:
 _PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_KEY_STEPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-_LOW_32 = np.uint64(0xFFFFFFFF)
-_SHIFT_32 = np.uint64(32)
 
 
 def _mulhilo(multiplier: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit words of the 128-bit products multiplier * x,
     assembled from 32-bit halves."""
+    import numpy as np
+
+    low_32, shift_32 = np.uint64(0xFFFFFFFF), np.uint64(32)
     m_low, m_high = np.uint64(multiplier & 0xFFFFFFFF), np.uint64(multiplier >> 32)
-    x_low, x_high = x & _LOW_32, x >> _SHIFT_32
-    middle = x_high * m_low + ((x_low * m_low) >> _SHIFT_32)
-    carry = x_low * m_high + (middle & _LOW_32)
-    high = x_high * m_high + (middle >> _SHIFT_32) + (carry >> _SHIFT_32)
+    x_low, x_high = x & low_32, x >> shift_32
+    middle = x_high * m_low + ((x_low * m_low) >> shift_32)
+    carry = x_low * m_high + (middle & low_32)
+    high = x_high * m_high + (middle >> shift_32) + (carry >> shift_32)
     return high, x * np.uint64(multiplier)
 
 
 def _philox_block(seed: int, index: np.ndarray, block: int) -> tuple[np.ndarray, ...]:
     """The four output words of Philox4x64-10 at counter (block, 0, 0, 0)
     under key (seed, index), for every index at once."""
+    import numpy as np
+
     key0, key1 = seed, index
     zeros = np.zeros(index.size, dtype=np.uint64)
     x0, x1, x2, x3 = np.full(index.size, block, dtype=np.uint64), zeros, zeros, zeros
@@ -327,6 +336,8 @@ def _uniforms(seed: int, sample_count: int, draws: int) -> list[np.ndarray]:
     draws 1-4 are the words of counter block 1, draws 5-8 of block 2,
     and ``random()`` keeps the top 53 bits of each word.
     """
+    import numpy as np
+
     index = np.arange(sample_count, dtype=np.uint64)
     words: list[np.ndarray] = []
     for block in range(1, (draws + 3) // 4 + 1):
@@ -479,6 +490,8 @@ def _per_row(fn: Callable[..., float], *args):
     """``fn`` on Python floats, once per row of the arguments that are
     columns, or once if none is.  libm's log and pow, which this runs,
     can differ from numpy's in the last bit."""
+    import numpy as np
+
     if all(np.ndim(a) == 0 for a in args):
         return fn(*map(float, args))
     columns = np.broadcast_arrays(*args)
@@ -489,6 +502,8 @@ def _per_row(fn: Callable[..., float], *args):
 def _leaf_column(path: str, values) -> np.ndarray:
     """The numbers ``project`` reads for ``path`` after
     ``set_parameter(path, v)``, one per value."""
+    import numpy as np
+
     if not isinstance(values, np.ndarray):
         values = np.array([float(v) for v in values], dtype=np.float64)
     return _per_row(math.log10, values) if _lookup(path)[2] is Magnitude else values
@@ -502,6 +517,8 @@ def _power(base: float, exponent: float) -> float:
 
 
 def _finite_nonnegative(*terms) -> np.ndarray:
+    import numpy as np
+
     ok = True
     for term in terms:
         ok = ok & np.isfinite(term) & (term >= 0.0)
@@ -530,6 +547,8 @@ def _evaluate(
     through ``set_parameter`` and ``project`` instead, in row order,
     so the first invalid row raises the scalar path's error.
     """
+    import numpy as np
+
     def leaf(path):
         return columns[path] if path in columns else float(_leaf(scenario, path))
 
@@ -651,6 +670,8 @@ def tornado(
     of each parameter in ranked order.  An empty bounds list yields an
     empty report.
     """
+    import numpy as np
+
     seen: set[str] = set()
     for b in bounds:
         if b.parameter_path in seen:
@@ -708,6 +729,8 @@ def monte_carlo(
     Deterministic for a given (seed, distributions, sample_count); see
     the module docstring for the exact generator contract.
     """
+    import numpy as np
+
     if not distributions:
         raise ValidationError("monte_carlo requires at least one distribution")
     if not isinstance(sample_count, int) or isinstance(sample_count, bool) or sample_count < 1:

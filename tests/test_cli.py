@@ -25,6 +25,14 @@ def run_cli(*args, **kwargs):
     )
 
 
+def _stack_depth() -> int:
+    """Frames on the caller's stack."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
 def assert_single_error_line(capsys, *args):
     """cli.main exits 1 with one "error:" line; a traceback escapes as an exception."""
     assert cli.main(list(args)) == 1
@@ -135,6 +143,18 @@ class TestSweepCommand:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    def test_non_integer_values_stay_floats(self, capsys):
+        assert cli.main(["sweep", "--category", "Robo-Taxis", "--param", "crow.severity",
+                         "--values", "2,2.5,3e0", "--format", "json"]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert [e["inputs"]["crow.severity"] for e in entries] == [2, 2.5, 3.0]
+        assert [type(e["inputs"]["crow.severity"]) for e in entries] == [int, float, float]
+
+    def test_integer_token_past_the_digit_limit_reads_as_a_float(self, capsys):
+        err = assert_single_error_line(capsys, "sweep", "--category", "Robo-Taxis",
+                                       "--param", "crow.beta", "--values", "1" + "0" * 5000)
+        assert err == "error: sweep over 'crow.beta': value inf is not a finite number\n"
+
     def test_values_and_grid_conflict_is_usage_error(self):
         proc = run_cli("sweep", "--category", "Consumer Automotive",
                        "--param", "crow.beta", "--values", "0.3",
@@ -229,6 +249,43 @@ class TestMonteCarloCommand:
                        "--dist", "crow.beta=gaussian:0.3,0.5")
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
+
+
+# Per flag: the command, a spec file with JSON integers, the same numbers as
+# flags, and a line of the JSON report that shows an integer kept as given.
+INTEGER_FLAG_CASES = {
+    "values": (["sweep"], '{"parameter_path": "n_objects", "values": [30, 9007199254740993]}',
+               ["--param", "n_objects", "--values", "30,9007199254740993"],
+               '"n_objects": 9007199254740993\n'),
+    "grid": (["sweep"], '{"parameter_path": "n_objects", '
+                        '"grid": {"low": 20, "high": 60, "steps": 3}}',
+             ["--param", "n_objects", "--grid", "20:60:3"], '"n_objects": 60\n'),
+    "bound": (["tornado"], '{"bounds": [{"parameter_path": "n_objects", "low": 20, "high": 60},'
+                           ' {"parameter_path": "crow.severity", "low": 1, "high": 4.5}]}',
+              ["--bound", "n_objects=20,60", "--bound", "crow.severity=1,4.5"],
+              '"low": 20,\n'),
+    "dist": (["mc", "--samples", "8"],
+             '{"distributions": [{"parameter_path": "f", "kind": "uniform", "low": 1, "high": 1},'
+             ' {"parameter_path": "crow.severity", "kind": "triangular",'
+             ' "low": 1, "mode": 2, "high": 4}]}',
+             ["--dist", "f=uniform:1,1", "--dist", "crow.severity=triangular:1,2,4"],
+             '"f": 1,\n'),
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json", "markdown"])
+@pytest.mark.parametrize("case", sorted(INTEGER_FLAG_CASES))
+def test_integer_flag_tokens_serialize_as_in_a_spec_file(tmp_path, capsys, case, fmt):
+    command, spec_text, flags, json_line = INTEGER_FLAG_CASES[case]
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
+    args = [*command, "--category", "Robo-Taxis", "--format", fmt]
+    assert cli.main(args + ["--spec-file", str(spec)]) == 0
+    from_file = capsys.readouterr().out
+    assert cli.main(args + flags) == 0
+    assert capsys.readouterr().out == from_file
+    if fmt == "json":
+        assert json_line in from_file
 
 
 class TestSchemaCommand:
@@ -375,6 +432,26 @@ class TestMalformedInput:
                        + "9" * 5000 + "}]}")
         err = assert_single_error_line(capsys, "project", "--file", str(doc))
         assert f"{doc}: not valid JSON" in err
+
+    @pytest.mark.parametrize("kind", ["document", "spec file"])
+    def test_deeply_nested_json(self, tmp_path, capsys, kind):
+        # json.loads, or the repr of the value in a schema error, overruns
+        # the recursion limit at a depth that depends on the caller's
+        # stack: about 985 in a fresh CLI process, the band below here.
+        room = sys.getrecursionlimit() - _stack_depth()
+        depths = sorted({900, *range(980, 1001), 100_000, *range(room - 60, room + 5)})
+        path = tmp_path / "nested.json"
+        for depth in depths:
+            nested = "[" * depth + "]" * depth
+            if kind == "document":
+                path.write_text('{"scenarios": [{"name": "Robo-Taxis", "chi": ' + nested + "}]}")
+                args = ("project", "--file", str(path))
+            else:
+                path.write_text('{"bounds": ' + nested + "}")
+                args = ("tornado", "--category", "Robo-Taxis", "--spec-file", str(path))
+            err = assert_single_error_line(capsys, *args)
+            assert err.startswith(f"error: {path}: "), depth
+        assert err == f"error: {path}: not valid JSON: nested too deeply\n"
 
     def test_n_objects_whose_demand_overflows(self, tmp_path, capsys):
         doc = tmp_path / "doc.json"

@@ -229,22 +229,31 @@ def test_targeted_faults_match_jsonschema(schema, document):
 
 
 # ---------------------------------------------------------------------------
-# jsonschema stays out of the program
+# jsonschema and numpy stay out of the program
 # ---------------------------------------------------------------------------
 
 
-def test_cli_runs_without_importing_jsonschema(tmp_path):
+def test_cli_runs_without_importing_jsonschema_or_numpy(tmp_path):
+    """jsonschema never loads; numpy loads only for sweep, tornado and mc."""
     valid = tmp_path / "valid.json"
     valid.write_text(json.dumps({"scenarios": [{"name": "Robo-Taxis"}]}))
     malformed = tmp_path / "malformed.json"
     malformed.write_text(json.dumps({"scenarios": [{"name": "Robo-Taxis", "f": "x"}]}))
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "from avhorizon import cli\n"
-        "assert 'jsonschema' not in sys.modules, 'import'\n"
-        "codes = [cli.main(['project', '--file', path]) for path in sys.argv[1:]]\n"
-        "assert codes == [0, 1], codes\n"
-        "assert 'jsonschema' not in sys.modules, 'main'\n"
+        "def run(args, code):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(args) == code, args\n"
+        "    assert 'jsonschema' not in sys.modules, args\n"
+        "valid, malformed = sys.argv[1:]\n"
+        "assert not {'jsonschema', 'numpy'} & sys.modules.keys(), 'import'\n"
+        "for args, code in ((['catalog'], 0), (['project', '--file', valid], 0),\n"
+        "                   (['project', '--file', malformed], 1), (['schema'], 0)):\n"
+        "    run(args, code)\n"
+        "    assert 'numpy' not in sys.modules, args\n"
+        "run(['sweep', '--category', 'Robo-Taxis', '--param', 'f', '--values', '0.6'], 0)\n"
+        "assert 'numpy' in sys.modules, 'sweep'\n"
     )
     src = str(Path(avhorizon.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
