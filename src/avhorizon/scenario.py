@@ -289,7 +289,8 @@ CHI_PROVENANCE: dict[str, str] = {
 
 def builtin_catalog() -> tuple[CategoryScenario, ...]:
     """The eight reference categories, in canonical order."""
-    return tuple(_scenario_from_document(doc) for doc in _CATALOG_DOCUMENTS.values())
+    built: dict = {}
+    return tuple(_scenario_from_document(doc, built) for doc in _CATALOG_DOCUMENTS.values())
 
 
 # ---------------------------------------------------------------------------
@@ -480,53 +481,79 @@ def _resolve_chi_value(name: str, stage_key: str, value: Any) -> float:
     return value
 
 
-def _from_document(owner: type, document: Mapping[str, Any], where: str):
+# Per scenario dataclass, how each field is read from a merged document:
+# (name, nested dataclass or None, whether the value is a float or a
+# Magnitude, the Magnitude's interval or None), in declaration order.
+_PLANS: dict[type, tuple[tuple[str, type | None, bool, tuple | None], ...]] = {
+    owner: tuple((name, kind if kind in _FIELDS else None, kind is float or kind is Magnitude,
+                  interval if kind is Magnitude else None)
+                 for name, kind, interval in triples)
+    for owner, triples in _FIELDS.items()
+}
+_SCENARIO_KEYS = frozenset(name for name, _, _ in _FIELDS[CategoryScenario])
+_STAGE_KEYS = tuple(name for name, _, _ in _FIELDS[StageMap])
+
+
+def _from_document(owner: type, document: Mapping[str, Any], where: str, built: dict):
     """``owner`` built through its positional constructor, nested
     dataclasses first, so every ``__post_init__`` check runs.
 
     ``where`` prefixes leaf errors ("scenario 'X': " at the top level);
     a nested dataclass's errors are prefixed with ``where`` and its field
     name and a dot, so every error spells the dotted parameter path.
+
+    ``built`` maps ``id(d)`` to ``(d, what d was built into)`` for the
+    nested dicts of one parse: merged entries share the dicts they
+    inherit, and each is built once.  Holding ``d`` keeps its id from
+    being reused by another dict, and each dict sits under one field.
     """
     args = []
-    for name, kind, interval in _FIELDS[owner]:
+    for name, nested, number, magnitude in _PLANS[owner]:
         value = document[name]
-        if kind in _FIELDS:
-            try:
-                value = _from_document(kind, value, "")
-            except ValidationError as exc:
-                raise ValidationError(f"{where}{name}.{exc}") from None
-        elif kind is float or kind is Magnitude:
+        if nested is not None:
+            cached = built.get(id(value))
+            if cached is None:
+                try:
+                    cached = built[id(value)] = (value, _from_document(nested, value, "", built))
+                except ValidationError as exc:
+                    raise ValidationError(f"{where}{name}.{exc}") from None
+            value = cached[1]
+        elif number:
             # JSON allows integers of any size.
             if type(value) is int and not _is_finite_number(value):
                 raise ValidationError(
                     f"{where}{name} is an integer beyond float range ({value.bit_length()} bits)"
                 )
-            if kind is Magnitude:  # checked on the linear value, as given
-                if not _in_interval(value, interval):
-                    raise ValidationError(_outside(f"{where}{name}", value, interval))
+            if magnitude is not None:  # checked on the linear value, as given
+                if not _in_interval(value, magnitude):
+                    raise ValidationError(_outside(f"{where}{name}", value, magnitude))
                 value = Magnitude.from_value(value)
         args.append(value)
     return owner(*args)
 
 
-def _scenario_from_document(entry: Mapping[str, Any]) -> CategoryScenario:
-    """Scenario from a fully merged document entry."""
+def _scenario_from_document(entry: Mapping[str, Any], built: dict) -> CategoryScenario:
+    """Scenario from a fully merged document entry; ``built`` is the
+    parse's cache of ``_from_document``."""
     name = entry["name"]
     # Only the fields without a shared default can be missing after the merge.
-    missing = [key for key, *_ in _FIELDS[CategoryScenario] if key not in entry]
-    if missing:
+    if not _SCENARIO_KEYS <= entry.keys():
+        missing = [key for key, _, _ in _FIELDS[CategoryScenario] if key not in entry]
         raise ValidationError(
             f"scenario {name!r}: missing required field(s) {missing}; new "
             "categories must state them (catalog categories inherit theirs by name)"
         )
-    stage_keys = [stage_key for stage_key, *_ in _FIELDS[StageMap]]
     for key in ("chi", "prod_reg_years"):
-        for stage_key in stage_keys:
+        for stage_key in _STAGE_KEYS:
             if stage_key not in entry[key]:
                 raise ValidationError(f"scenario {name!r}: {key}.{stage_key} is required")
-    chi = {key: _resolve_chi_value(name, key, entry["chi"][key]) for key in stage_keys}
-    return _from_document(CategoryScenario, {**entry, "chi": chi}, f"scenario {name!r}: ")
+    chi = entry["chi"]  # resolved once per dict too, so its StageMap is shared as well
+    resolved = built.get(id(chi))
+    if resolved is None:
+        resolved = built[id(chi)] = (
+            chi, {key: _resolve_chi_value(name, key, chi[key]) for key in _STAGE_KEYS})
+    return _from_document(CategoryScenario, {**entry, "chi": resolved[1]},
+                          f"scenario {name!r}: ", built)
 
 
 def parse_scenarios(text: str, origin: str = "<string>") -> tuple[CategoryScenario, ...]:
@@ -538,9 +565,11 @@ def parse_scenarios(text: str, origin: str = "<string>") -> tuple[CategoryScenar
     """
     document = _validated_json(text, SCENARIO_SCHEMA, origin, "scenario document")
     doc_defaults = document.get("defaults", {})
+    shared = _deep_merge(_SHARED_DEFAULTS, doc_defaults)
 
     scenarios: list[CategoryScenario] = []
     seen: set[str] = set()
+    built: dict = {}
     for entry in document["scenarios"]:
         name = entry["name"]
         if name in seen:
@@ -548,16 +577,23 @@ def parse_scenarios(text: str, origin: str = "<string>") -> tuple[CategoryScenar
                 f"{origin}: duplicate scenario name {name!r}; names must be unique"
             )
         seen.add(name)
-        base = _CATALOG_DOCUMENTS.get(name, _SHARED_DEFAULTS)
-        merged = _deep_merge(_deep_merge(base, doc_defaults), entry)
-        scenarios.append(_scenario_from_document(merged))
+        # A catalog name occurs once per document, so its base is merged once.
+        base = (_deep_merge(_CATALOG_DOCUMENTS[name], doc_defaults)
+                if name in _CATALOG_DOCUMENTS else shared)
+        scenarios.append(_scenario_from_document(_deep_merge(base, entry), built))
     return tuple(scenarios)
+
+
+# The most characters of a schema violation's message an error shows; the
+# message reprs the offending value, which can be a document's whole array.
+_MESSAGE_LIMIT = 300
 
 
 def _validated_json(text: str, schema: dict, origin: str, what: str) -> Any:
     """JSON text parsed and checked against ``schema``; a syntax error or
     the first schema violation in document order is a ScenarioFormatError
-    naming ``origin``, ``what`` and the JSON path."""
+    naming ``origin``, ``what`` and the JSON path.  A message longer than
+    ``_MESSAGE_LIMIT`` is cut there and ends with its full length."""
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -578,7 +614,10 @@ def _validated_json(text: str, schema: dict, origin: str, what: str) -> Any:
     if errors:
         first = errors[0]
         where = "/".join(str(p) for p in first.absolute_path) or "top level"
-        raise ScenarioFormatError(f"{origin}: invalid {what} at {where}: {first.message}")
+        message = first.message
+        if len(message) > _MESSAGE_LIMIT:
+            message = f"{message[:_MESSAGE_LIMIT]}… ({len(message)} characters)"
+        raise ScenarioFormatError(f"{origin}: invalid {what} at {where}: {message}")
     return document
 
 

@@ -11,14 +11,15 @@ before any projection runs.
   all others at baseline, ranked by descending output spread.
 * monte_carlo: draw all distribution parameters jointly per sample.
 
-All three evaluate their rows together (``_evaluate``): the projection
-pipeline runs term by term over numpy columns of the varying inputs,
-with results bit-identical to ``project`` on each row's modified
-scenario.  A row that fails any of ``project``'s checks is re-run
-through ``set_parameter`` and ``project``, which raise the exact error.
-numpy is imported by the functions that build columns, so only the
-``sweep``, ``tornado`` and ``mc`` commands load it; ``catalog``,
-``project`` and ``schema`` run on Python floats alone.
+Sweeps and Monte Carlo evaluate their rows together (``_evaluate``):
+the projection pipeline runs term by term over numpy columns of the
+varying inputs, with results bit-identical to ``project`` on each row's
+modified scenario.  A row that fails any of ``project``'s checks is
+re-run through ``set_parameter`` and ``project`` (``_project_row``),
+which raise the exact error.  A tornado has at most two rows per
+parameter path, so it runs every row that way and never pays for
+importing numpy.  numpy is imported by the functions that build
+columns, so only the ``sweep`` and ``mc`` commands load it.
 
 Monte Carlo determinism contract: the generator is Philox4x64-10, keyed
 per sample as (seed, sample_index), with exactly one uniform draw per
@@ -36,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -44,7 +45,7 @@ from .complexity import LOG10_2, Magnitude
 from .errors import UnknownParameterError, ValidationError
 from .errors import _in_interval, _is_finite_number, _outside
 from .scenario import _FIELDS, CategoryScenario, ProjectionResult, project
-from .timeline import STAGE_DELTA_MULTIPLIERS, Gating, Stage
+from .timeline import STAGE_DELTA_MULTIPLIERS, Gating, Stage, TimelineBreakdown
 
 if TYPE_CHECKING:
     import numpy as np
@@ -525,6 +526,15 @@ def _finite_nonnegative(*terms) -> np.ndarray:
     return ok
 
 
+def _project_row(scenario: CategoryScenario, stage: Stage,
+                 settings: Iterable[tuple[str, float]]) -> TimelineBreakdown:
+    """``project``'s breakdown of ``scenario`` with each (path, value) of
+    ``settings`` set in turn by ``set_parameter``."""
+    for path, value in settings:
+        scenario = set_parameter(scenario, path, value)
+    return project(scenario, stage).breakdown
+
+
 def _evaluate(
     scenario: CategoryScenario,
     stage: Stage,
@@ -536,16 +546,15 @@ def _evaluate(
     ``inputs``: each row equal to ``project`` on the scenario with the
     row's inputs applied by ``set_parameter``.
 
-    ``inputs`` maps each varying path to its values as given, None in
-    a row that keeps the scenario's value; ``columns`` maps the same
-    paths to the numbers ``project`` reads in each row
-    (``_leaf_column``).  Every other path keeps the scenario's value,
-    and a term none of whose inputs vary is computed once.  Arithmetic
-    is numpy's correctly rounded + - * / and sqrt in the scalar path's
-    order; log10, log and ** run per row in Python.  A row that fails
-    one of ``project``'s checks, or that ``unchecked`` marks, runs
-    through ``set_parameter`` and ``project`` instead, in row order,
-    so the first invalid row raises the scalar path's error.
+    ``inputs`` maps each varying path to its values as given;
+    ``columns`` maps the same paths to the numbers ``project`` reads in
+    each row (``_leaf_column``).  Every other path keeps the scenario's
+    value, and a term none of whose inputs vary is computed once.
+    Arithmetic is numpy's correctly rounded + - * / and sqrt in the
+    scalar path's order; log10, log and ** run per row in Python.  A row
+    that fails one of ``project``'s checks, or that ``unchecked`` marks,
+    runs through ``_project_row`` instead, in row order, so the first
+    invalid row raises the scalar path's error.
     """
     import numpy as np
 
@@ -597,11 +606,8 @@ def _evaluate(
     totals = np.broadcast_to(t_total, rows).tolist()
     gating = list(map(_GATING.__getitem__, np.broadcast_to(compute_gated, rows).tolist()))
     for row in np.flatnonzero(fallback).tolist():
-        modified = scenario
-        for path, values in inputs.items():
-            if values[row] is not None:
-                modified = set_parameter(modified, path, values[row])
-        breakdown = project(modified, stage).breakdown
+        breakdown = _project_row(scenario, stage,
+                                 ((path, values[row]) for path, values in inputs.items()))
         totals[row], gating[row] = breakdown.t_total, breakdown.gating
 
     baseline_year = columns.get("baseline_year")
@@ -670,8 +676,6 @@ def tornado(
     of each parameter in ranked order.  An empty bounds list yields an
     empty report.
     """
-    import numpy as np
-
     seen: set[str] = set()
     for b in bounds:
         if b.parameter_path in seen:
@@ -684,31 +688,27 @@ def tornado(
         set_parameter(scenario, b.parameter_path, b.low)
         set_parameter(scenario, b.parameter_path, b.high)
     baseline = project(scenario, stage)
-    # One batch: rows 2i and 2i + 1 set bound i's low and high, and
-    # every other row keeps that parameter at baseline.
-    rows = 2 * len(bounds)
-    columns, given = {}, {}
-    for i, b in enumerate(bounds):
-        column = np.full(rows, float(_leaf(scenario, b.parameter_path)))
-        column[2 * i:2 * i + 2] = _leaf_column(b.parameter_path, (b.low, b.high))
-        columns[b.parameter_path] = column
-        given[b.parameter_path] = [None] * rows
-        given[b.parameter_path][2 * i:2 * i + 2] = b.low, b.high
-    t_total, calendar_year, gating = _evaluate(scenario, stage, columns, given)
-    spread = [abs(t_total[2 * i + 1] - t_total[2 * i]) for i in range(len(bounds))]
+    # Each bound's (low, high) rows.
+    pairs = [tuple(_project_row(scenario, stage, ((b.parameter_path, value),))
+                   for value in (b.low, b.high)) for b in bounds]
+    spread = [abs(high.t_total - low.t_total) for low, high in pairs]
     ranked = sorted(range(len(bounds)), key=spread.__getitem__, reverse=True)  # stable
-    # The report lists each bound's low and high row in ranked order.
-    order = [row for i in ranked for row in (2 * i, 2 * i + 1)]
-    inputs = {bounds[i].parameter_path: [given[bounds[i].parameter_path][row] for row in order]
-              for i in ranked}
-    outputs = tuple([column[row] for row in order] for column in (t_total, calendar_year, gating))
+    # The report lists each bound's low and high row in ranked order; a
+    # row holds None under every other bound's path.
+    inputs = {}
+    for position, i in enumerate(ranked):
+        inputs[bounds[i].parameter_path] = column = [None] * (2 * len(bounds))
+        column[2 * position:2 * position + 2] = bounds[i].low, bounds[i].high
+    rows = [row for i in ranked for row in pairs[i]]
+    outputs = ([r.t_total for r in rows], [r.calendar_year for r in rows],
+               [r.gating for r in rows])
     spreads = tuple(
         TornadoSpread(
             parameter_path=bounds[i].parameter_path,
             low=bounds[i].low,
             high=bounds[i].high,
-            t_total_low=t_total[2 * i],
-            t_total_high=t_total[2 * i + 1],
+            t_total_low=pairs[i][0].t_total,
+            t_total_high=pairs[i][1].t_total,
             spread=spread[i],
         )
         for i in ranked

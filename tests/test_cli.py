@@ -453,6 +453,27 @@ class TestMalformedInput:
             assert err.startswith(f"error: {path}: "), depth
         assert err == f"error: {path}: not valid JSON: nested too deeply\n"
 
+    @pytest.mark.parametrize("kind", ["document", "spec file"])
+    def test_long_violation_message_is_cut(self, tmp_path, capsys, kind):
+        # The message reprs the offending value: here a 200,000-element array.
+        values = [0] * 200_000
+        path = tmp_path / "long.json"
+        if kind == "document":
+            path.write_text(json.dumps({"scenarios": [{"name": "Robo-Taxis",
+                                                       "chi": {"stage2": values}}]}))
+            args = ("project", "--file", str(path))
+            where = "invalid scenario document at scenarios/0/chi/stage2"
+            tail = "is not valid under any of the given schemas"
+        else:
+            path.write_text(json.dumps({"parameter_path": values, "values": [0.6]}))
+            args = ("sweep", "--category", "Robo-Taxis", "--spec-file", str(path))
+            where = "invalid sweep spec at parameter_path"
+            tail = "is not of type 'string'"
+        message = f"{values!r} {tail}"
+        err = assert_single_error_line(capsys, *args)
+        assert err == (f"error: {path}: {where}: {message[:300]}… "
+                       f"({len(message)} characters)\n")
+
     def test_n_objects_whose_demand_overflows(self, tmp_path, capsys):
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps({"scenarios": [{"name": "Robo-Taxis",

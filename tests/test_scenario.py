@@ -379,3 +379,29 @@ class TestScenarioDocuments:
         path = tmp_path / "cat.json"
         path.write_text(serialize_scenarios(builtin_catalog()))
         assert load_scenarios(path) == builtin_catalog()
+
+    def test_shared_nested_objects_parse_as_each_entry_alone(self):
+        # Entries alternate between overriding and inheriting crow, poisson
+        # and prod_reg_years, so a parse both shares the nested dicts merged
+        # from its defaults and builds, then frees, one merged dict per
+        # override.  Each scenario must equal the one its entry parses to alone.
+        defaults = {"n_objects": 30, "gamma_override": 0.7,
+                    "chi": {"stage2": 0.5, "stage3": 0.25},
+                    "crow": {"beta": 0.45}, "poisson": {"confidence": 0.9},
+                    "prod_reg_years": {"stage2": 2.0, "stage3": 4.0}}
+        entries = []
+        for i in range(200):
+            name = CANONICAL_ORDER[i // 25] if i % 25 == 0 else f"New {i:03d}"
+            entry = {"name": name}
+            if i % 2:
+                entry["crow"] = {"severity": 1.0 + i / 100}
+            if i // 2 % 2:
+                entry["poisson"] = {"safety_factor": 1.0 + i / 100}
+            if i // 4 % 2:
+                entry["prod_reg_years"] = {"stage3": 3.0 + i / 100}
+            entries.append(entry)
+        scenarios = parse_scenarios(json.dumps({"defaults": defaults, "scenarios": entries}))
+        assert len(scenarios) == len(entries)
+        for entry, scenario in zip(entries, scenarios):
+            alone = parse_scenarios(json.dumps({"defaults": defaults, "scenarios": [entry]}))
+            assert scenario == alone[0], entry["name"]

@@ -123,12 +123,35 @@ def test_unknown_keyword_does_not_compile():
 FACTORS = {"factors": [{"name": "active_interaction", "value": 0.4},
                        {"name": "mystery", "value": 0.5, "documented_range": [0.25, 1.0]}]}
 CATALOG = [scenario_to_document(s) for s in builtin_catalog()]
+# Shaped like perfbench's doc-batch document: catalog overrides, new
+# categories with factor-product chi, and a defaults block.
+DOC_BATCH = {
+    "defaults": {"crow": {"beta": 0.42}, "annual_miles": 1.2e9, "f": 0.75},
+    "scenarios": [
+        {"name": "Highway Trucking", "crow": {"severity": 3.5}},
+        {"name": "Generated 00000", "n_objects": 42,
+         "chi": {"stage2": 0.05, "stage3": {"factors": [
+             {"name": "learned_heuristics", "value": 0.2},
+             {"name": "site_specific_pruning", "value": 0.5, "documented_range": [0.25, 1.0]}]}},
+         "gamma_override": 0.8, "prod_reg_years": {"stage2": 2.5, "stage3": 4.0},
+         "poisson": {"confidence": 0.93}},
+        {"name": "Robo-Taxis", "prod_reg_years": {"stage3": 6.0}},
+        {"name": "Generated 00001", "n_objects": 30,
+         "chi": {"stage2": {"factors": [
+             {"name": "active_interaction", "value": 0.3},
+             {"name": "site_specific_pruning", "value": 0.5, "documented_range": [0.25, 1.0]}]},
+             "stage3": 0.2},
+         "gamma_override": 1.1, "prod_reg_years": {"stage2": 1.5, "stage3": 3.0},
+         "crow": {"severity": 2.0}},
+    ],
+}
 SCENARIO_DOCUMENTS = [
     {"scenarios": CATALOG[:2]},
     {"scenarios": [{"name": "Robo-Taxis"}]},
     {"defaults": {"annual_miles": 2e9, "crow": {"beta": 0.5}, "chi": {"stage3": 0.5}},
      "scenarios": [{"name": "Delivery Vans", "n_objects": 40},
                    {**CATALOG[0], "name": "New", "chi": {"stage2": FACTORS, "stage3": 0.3}}]},
+    DOC_BATCH,
 ]
 SPEC_DOCUMENTS = [
     ("sweep", {"parameter_path": "f", "values": [0.6, 0.7]}),
@@ -234,7 +257,7 @@ def test_targeted_faults_match_jsonschema(schema, document):
 
 
 def test_cli_runs_without_importing_jsonschema_or_numpy(tmp_path):
-    """jsonschema never loads; numpy loads only for sweep, tornado and mc."""
+    """jsonschema never loads; numpy loads only for sweep and mc."""
     valid = tmp_path / "valid.json"
     valid.write_text(json.dumps({"scenarios": [{"name": "Robo-Taxis"}]}))
     malformed = tmp_path / "malformed.json"
@@ -249,7 +272,9 @@ def test_cli_runs_without_importing_jsonschema_or_numpy(tmp_path):
         "valid, malformed = sys.argv[1:]\n"
         "assert not {'jsonschema', 'numpy'} & sys.modules.keys(), 'import'\n"
         "for args, code in ((['catalog'], 0), (['project', '--file', valid], 0),\n"
-        "                   (['project', '--file', malformed], 1), (['schema'], 0)):\n"
+        "                   (['project', '--file', malformed], 1), (['schema'], 0),\n"
+        "                   (['tornado', '--category', 'Robo-Taxis', '--bound', 'f=0.6,0.8',\n"
+        "                     '--bound', 'crow.beta=0.3,0.5'], 0)):\n"
         "    run(args, code)\n"
         "    assert 'numpy' not in sys.modules, args\n"
         "run(['sweep', '--category', 'Robo-Taxis', '--param', 'f', '--values', '0.6'], 0)\n"
