@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import _POSITIVE, ValidationError, _check_fields
+from .errors import _FLOAT_OPS, _POSITIVE, ValidationError, _check_fields
 
 __all__ = [
     "Magnitude",
@@ -164,6 +164,17 @@ DEFAULT_FACTOR_RANGES: dict[str, tuple[float, float]] = {
 }
 
 
+def _per_cycle_log10(n_objects: int) -> float:
+    """log10(2**n_objects), of an int or of a float64 column."""
+    try:
+        return n_objects * LOG10_2
+    except OverflowError:  # an int beyond float range
+        raise ValidationError(
+            f"n_objects is too large ({n_objects.bit_length()} bits): "
+            "the exponent of 2**n_objects exceeds float range"
+        ) from None
+
+
 def naive_mapf_ops_per_cycle(n_objects: int) -> Magnitude:
     """Operations per planning cycle for exhaustive joint planning, 2**n.
 
@@ -171,13 +182,11 @@ def naive_mapf_ops_per_cycle(n_objects: int) -> Magnitude:
     """
     if not isinstance(n_objects, int) or isinstance(n_objects, bool) or n_objects < 0:
         raise ValidationError(f"n_objects must be an integer >= 0, got {n_objects!r}")
-    try:
-        return Magnitude(n_objects * LOG10_2)
-    except OverflowError:
-        raise ValidationError(
-            f"n_objects is too large ({n_objects.bit_length()} bits): the exponent "
-            "of 2**n_objects exceeds float range"
-        ) from None
+    return Magnitude(_per_cycle_log10(n_objects))
+
+
+def _demand_log10(per_cycle_log10: float, cycle_time_s: float, ops) -> float:
+    return per_cycle_log10 - ops.log10(cycle_time_s)
 
 
 def compute_demand(n_objects: int, cycle_time_s: float) -> Magnitude:
@@ -189,7 +198,7 @@ def compute_demand(n_objects: int, cycle_time_s: float) -> Magnitude:
     if not (math.isfinite(cycle_time_s) and cycle_time_s > 0):
         raise ValidationError(f"cycle_time_s must be positive, got {cycle_time_s!r}")
     per_cycle = naive_mapf_ops_per_cycle(n_objects)
-    return Magnitude(per_cycle.log10_value - math.log10(cycle_time_s))
+    return Magnitude(_demand_log10(per_cycle.log10_value, cycle_time_s, _FLOAT_OPS))
 
 
 def chi_eff(factors: ReductionFactors) -> float:
@@ -210,13 +219,31 @@ def chi_eff(factors: ReductionFactors) -> float:
     return chi
 
 
+def _effective_log10(naive_log10: float, chi: float, ops) -> float:
+    return naive_log10 + ops.log10(chi)
+
+
 def effective_demand(naive: Magnitude, chi: float) -> Magnitude:
     """Demand after algorithmic savings: naive * chi, in the log domain."""
     if not isinstance(naive, Magnitude):
         raise ValidationError(f"naive demand must be a Magnitude, got {naive!r}")
     if not (math.isfinite(chi) and 0.0 < chi <= 1.0):
         raise ValidationError(f"chi must lie in (0, 1], got {chi!r}")
-    return Magnitude(naive.log10_value + math.log10(chi))
+    return Magnitude(_effective_log10(naive.log10_value, chi, _FLOAT_OPS))
+
+
+def _horizon_years(effective_log10: float, doubling_period_years: float,
+                   capacity_log10: float, ops) -> float:
+    years = doubling_period_years * (effective_log10 - capacity_log10) / LOG10_2
+    years = ops.where(years > 0.0, years, 0.0)  # max(0.0, years)
+    ops.check(years < math.inf, lambda: (
+        f"the compute horizon compute_env.doubling_period_years="
+        f"{doubling_period_years!r} * log2(effective demand / "
+        "compute_env.current_capacity) exceeds float range: demand is "
+        f"10**{effective_log10!r} from n_objects, cycle_time_s and chi, "
+        f"capacity 10**{capacity_log10!r}"
+    ))
+    return years
 
 
 def hpc_horizon_years(effective: Magnitude, env: ComputeEnv) -> float:
@@ -228,14 +255,5 @@ def hpc_horizon_years(effective: Magnitude, env: ComputeEnv) -> float:
     """
     if not isinstance(effective, Magnitude):
         raise ValidationError(f"effective demand must be a Magnitude, got {effective!r}")
-    gap_log10 = effective.ratio_log10(env.current_capacity)
-    years = max(0.0, env.doubling_period_years * gap_log10 / LOG10_2)
-    if math.isinf(years):
-        raise ValidationError(
-            f"the compute horizon compute_env.doubling_period_years="
-            f"{env.doubling_period_years!r} * log2(effective demand / "
-            "compute_env.current_capacity) exceeds float range: demand is "
-            f"10**{effective.log10_value!r} from n_objects, cycle_time_s and chi, "
-            f"capacity 10**{env.current_capacity.log10_value!r}"
-        )
-    return years
+    return _horizon_years(effective.log10_value, env.doubling_period_years,
+                          env.current_capacity.log10_value, _FLOAT_OPS)

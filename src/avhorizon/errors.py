@@ -1,4 +1,5 @@
-"""Exception types and field-domain checks shared across the package.
+"""Exception types, field-domain checks and the float operations of the
+model's term functions, shared across the package.
 
 Everything user-facing derives from ValidationError so callers (and the
 CLI) can catch one type for anything that should map to a clean
@@ -8,7 +9,8 @@ CLI) can catch one type for anything that should map to a clean
 import math
 from dataclasses import fields, is_dataclass
 from operator import attrgetter
-from typing import Any, get_type_hints
+from types import SimpleNamespace
+from typing import Any, Callable, get_type_hints
 
 
 class ValidationError(ValueError):
@@ -121,3 +123,24 @@ def _check_fields(obj: Any, what: str = "") -> None:
         else:
             message = _outside(path, value, interval)
         raise ValidationError(f"{what} {obj.name!r}: {message}" if what else message)
+
+
+def _float_power(base: float, exponent: float) -> float:
+    """``base ** exponent``, inf where it overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
+def _raise_unless(ok: bool, message: Callable[[], str]) -> None:
+    if not ok:
+        raise ValidationError(message())
+
+
+# The operations of the model's term functions (complexity, reliability,
+# timeline) beyond + - * / and comparisons, on Python floats, where a failed
+# check raises at once; sensitivity._column_ops is their form over columns.
+_FLOAT_OPS = SimpleNamespace(log10=math.log10, log=math.log, power=_float_power,
+                             where=lambda condition, a, b: a if condition else b,
+                             check=_raise_unless)

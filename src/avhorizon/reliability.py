@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import _POSITIVE, ValidationError, _check_fields, _domain
+from .errors import _FLOAT_OPS, _POSITIVE, ValidationError, _check_fields, _domain
 
 __all__ = [
     "CrowAmsaaParams",
@@ -117,30 +117,30 @@ class OddProfile:
         _check_fields(self)
 
 
+def _growth_miles(alpha: float, severity: float, lambda_target: float, beta: float,
+                  ops) -> float:
+    start_rate = alpha * severity
+    ratio = start_rate / lambda_target
+    ops.check(ratio < math.inf, lambda: (
+        f"the rate ratio crow.alpha={alpha!r} * crow.severity="
+        f"{severity!r} / crow_lambda_target={lambda_target!r} exceeds float range"
+    ))
+    # A subnormal beta makes 1 / beta inf without raising.
+    miles = ops.power(ratio, 1.0 / beta)
+    ops.check(miles < math.inf, lambda: (
+        f"the growth mileage (crow.alpha={alpha!r} * crow.severity="
+        f"{severity!r} / crow_lambda_target={lambda_target!r}) ** "
+        f"(1 / crow.beta={beta!r}) exceeds float range"
+    ))
+    # A target already met has ratio <= 1, which passes both checks.
+    return ops.where(lambda_target >= start_rate, 0.0, miles)
+
+
 def crow_required_miles(params: CrowAmsaaParams, lambda_target: float) -> float:
     """Miles of growth testing to reach lambda_target, zero if already met."""
     if not (math.isfinite(lambda_target) and lambda_target > 0.0):
         raise ValidationError(f"lambda_target must be positive, got {lambda_target!r}")
-    start_rate = params.alpha * params.severity
-    if lambda_target >= start_rate:
-        return 0.0
-    ratio = start_rate / lambda_target
-    if math.isinf(ratio):
-        raise ValidationError(
-            f"the rate ratio crow.alpha={params.alpha!r} * crow.severity="
-            f"{params.severity!r} / crow_lambda_target={lambda_target!r} exceeds float range"
-        )
-    try:
-        miles = ratio ** (1.0 / params.beta)
-    except OverflowError:
-        miles = math.inf
-    if math.isinf(miles):  # a subnormal beta makes 1 / beta inf without raising
-        raise ValidationError(
-            f"the growth mileage (crow.alpha={params.alpha!r} * crow.severity="
-            f"{params.severity!r} / crow_lambda_target={lambda_target!r}) ** "
-            f"(1 / crow.beta={params.beta!r}) exceeds float range"
-        )
-    return miles
+    return _growth_miles(params.alpha, params.severity, lambda_target, params.beta, _FLOAT_OPS)
 
 
 def crow_failure_rate(params: CrowAmsaaParams, miles: float) -> float:
@@ -150,16 +150,20 @@ def crow_failure_rate(params: CrowAmsaaParams, miles: float) -> float:
     return params.alpha * miles ** (-params.beta) * params.severity
 
 
+def _poisson_miles(confidence: float, safety_factor: float, lambda_target: float,
+                   ops) -> float:
+    miles = -ops.log(1.0 - confidence) * safety_factor / lambda_target
+    ops.check(miles < math.inf, lambda: (
+        f"poisson.safety_factor={safety_factor!r} over poisson.lambda_target="
+        f"{lambda_target!r}: the demonstration mileage exceeds float range"
+    ))
+    return miles
+
+
 def poisson_required_miles(params: PoissonParams) -> float:
     """Zero-failure miles demonstrating lambda_target at the set confidence."""
-    miles = -math.log(1.0 - params.confidence) * params.safety_factor / params.lambda_target
-    if math.isinf(miles):
-        raise ValidationError(
-            f"poisson.safety_factor={params.safety_factor!r} over "
-            f"poisson.lambda_target={params.lambda_target!r}: the demonstration "
-            "mileage exceeds float range"
-        )
-    return miles
+    return _poisson_miles(params.confidence, params.safety_factor, params.lambda_target,
+                          _FLOAT_OPS)
 
 
 def gamma(profile: OddProfile) -> float:
@@ -169,6 +173,17 @@ def gamma(profile: OddProfile) -> float:
     weights sum to one and scores are bounded by one.
     """
     return math.fsum(d.weight * d.score for d in profile.dimensions)
+
+
+def _demonstration_years(required_miles: float, gamma_value: float, delta: float,
+                         annual_miles: float, ops) -> float:
+    years = required_miles * gamma_value * delta / annual_miles
+    ops.check(years < math.inf, lambda: (
+        f"the demonstration years {required_miles!r} miles * gamma_override="
+        f"{gamma_value!r} * stage delta={delta!r} / annual_miles={annual_miles!r} "
+        "exceed float range"
+    ))
+    return years
 
 
 def demonstration_years(
@@ -193,11 +208,4 @@ def demonstration_years(
         raise ValidationError(f"delta must lie in (0, 1], got {delta!r}")
     if not (math.isfinite(annual_miles) and annual_miles > 0.0):
         raise ValidationError(f"annual_miles must be positive, got {annual_miles!r}")
-    years = required_miles * gamma_value * delta / annual_miles
-    if not math.isfinite(years):
-        raise ValidationError(
-            f"the demonstration years {required_miles!r} miles * gamma_override="
-            f"{gamma_value!r} * stage delta={delta!r} / annual_miles={annual_miles!r} "
-            "exceed float range"
-        )
-    return years
+    return _demonstration_years(required_miles, gamma_value, delta, annual_miles, _FLOAT_OPS)

@@ -18,14 +18,16 @@ import csv
 import enum
 import io
 import json
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
-from operator import itemgetter
-from typing import Container, Iterable, Iterator, NamedTuple, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence, get_type_hints
 
+from .complexity import Magnitude
 from .errors import EmptyResultsError, ValidationError
-from .scenario import ProjectionResult
+from .scenario import Intermediates, ProjectionResult
 from .sensitivity import AnalysisKind, SensitivityReport
-from .timeline import Gating, Stage
+from .timeline import Gating, Stage, TimelineBreakdown
 
 __all__ = [
     "ReportFormat",
@@ -36,29 +38,45 @@ __all__ = [
 
 _STAGE_ORDER = (Stage.REVENUE_SERVICE, Stage.BROAD_COMMERCIAL)
 
-_BREAKDOWN_FIELDS = (
-    "t_comp",
-    "t_crow_total",
-    "t_crow_partial",
-    "t_crow_final",
-    "t_poisson",
-    "t_prod_reg",
-    "f",
-    "t_total",
-    "gating",
-    "calendar_year",
-)
+# The JSON schema and JSON value of each type a result field holds.
+_JSON_NUMBER = {"type": "number"}
+_JSON_TYPES: dict[type, tuple[dict, Callable | None]] = {
+    float: (_JSON_NUMBER, None),
+    int: ({"type": "integer"}, None),
+    Gating: ({"enum": [g.value for g in Gating]}, attrgetter("value")),
+    Magnitude: ({"type": "object", "additionalProperties": False, "required": ["log10"],
+                 "properties": {"log10": _JSON_NUMBER}},
+                lambda m: {"log10": m.log10_value}),
+}
+
+
+def _json_fields(owner: type) -> tuple[tuple[str, dict, Callable | None], ...]:
+    """(name, JSON schema, JSON value or None for the value itself) of
+    each field of ``owner``, in declaration order."""
+    hints = get_type_hints(owner)
+    return tuple((f.name, *_JSON_TYPES[hints[f.name]]) for f in fields(owner))
+
+
+_BREAKDOWN_JSON = _json_fields(TimelineBreakdown)
+_INTERMEDIATE_JSON = _json_fields(Intermediates)
+
+
+def _object_schema(json_fields: tuple) -> dict:
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "required": [name for name, _, _ in json_fields],
+        "properties": {name: schema for name, schema, _ in json_fields},
+    }
+
+
+def _json_object(obj, json_fields: tuple) -> dict:
+    return {name: getattr(obj, name) if to_json is None else to_json(getattr(obj, name))
+            for name, _, to_json in json_fields}
 
 
 # Formal shape of the JSON render of projection results.  Shipped under
 # docs/ and asserted in tests; render output always validates.
-_JSON_NUMBER = {"type": "number"}
-_MAGNITUDE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["log10"],
-    "properties": {"log10": _JSON_NUMBER},
-}
 REPORT_SCHEMA: dict = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "Projection report document",
@@ -78,39 +96,8 @@ REPORT_SCHEMA: dict = {
                 "properties": {
                     "category": {"type": "string", "minLength": 1},
                     "stage": {"enum": ["stage2", "stage3"]},
-                    "breakdown": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": list(_BREAKDOWN_FIELDS),
-                        "properties": {
-                            "t_comp": _JSON_NUMBER,
-                            "t_crow_total": _JSON_NUMBER,
-                            "t_crow_partial": _JSON_NUMBER,
-                            "t_crow_final": _JSON_NUMBER,
-                            "t_poisson": _JSON_NUMBER,
-                            "t_prod_reg": _JSON_NUMBER,
-                            "f": _JSON_NUMBER,
-                            "t_total": _JSON_NUMBER,
-                            "gating": {"enum": ["compute-gated", "reliability-gated"]},
-                            "calendar_year": {"type": "integer"},
-                        },
-                    },
-                    "intermediate": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": [
-                            "naive_demand", "effective_demand", "crow_miles",
-                            "poisson_miles", "gamma", "delta_effective",
-                        ],
-                        "properties": {
-                            "naive_demand": _MAGNITUDE_SCHEMA,
-                            "effective_demand": _MAGNITUDE_SCHEMA,
-                            "crow_miles": _JSON_NUMBER,
-                            "poisson_miles": _JSON_NUMBER,
-                            "gamma": _JSON_NUMBER,
-                            "delta_effective": _JSON_NUMBER,
-                        },
-                    },
+                    "breakdown": _object_schema(_BREAKDOWN_JSON),
+                    "intermediate": _object_schema(_INTERMEDIATE_JSON),
                 },
             },
         },
@@ -335,30 +322,11 @@ def _breakdown_sections(results: Sequence[ProjectionResult]) -> Iterator[str]:
 
 
 def _result_to_json_object(r: ProjectionResult) -> dict:
-    b, m = r.breakdown, r.intermediate
     return {
         "category": r.category,
         "stage": r.stage.value,
-        "breakdown": {
-            "t_comp": b.t_comp,
-            "t_crow_total": b.t_crow_total,
-            "t_crow_partial": b.t_crow_partial,
-            "t_crow_final": b.t_crow_final,
-            "t_poisson": b.t_poisson,
-            "t_prod_reg": b.t_prod_reg,
-            "f": b.f,
-            "t_total": b.t_total,
-            "gating": b.gating.value,
-            "calendar_year": b.calendar_year,
-        },
-        "intermediate": {
-            "naive_demand": {"log10": m.naive_demand.log10_value},
-            "effective_demand": {"log10": m.effective_demand.log10_value},
-            "crow_miles": m.crow_miles,
-            "poisson_miles": m.poisson_miles,
-            "gamma": m.gamma,
-            "delta_effective": m.delta_effective,
-        },
+        "breakdown": _json_object(r.breakdown, _BREAKDOWN_JSON),
+        "intermediate": _json_object(r.intermediate, _INTERMEDIATE_JSON),
     }
 
 
@@ -511,11 +479,7 @@ def _render_sensitivity_json(report: SensitivityReport, title: str,
         "category": report.category,
         "stage": report.stage.value,
         "baseline_t_total": report.baseline_t_total,
-        "summary": {
-            "minimum": report.summary.minimum,
-            "maximum": report.summary.maximum,
-            "mean": report.summary.mean,
-        },
+        "summary": asdict(report.summary),
     })
     if report.seed is not None:
         payload["seed"] = report.seed
@@ -524,17 +488,7 @@ def _render_sensitivity_json(report: SensitivityReport, title: str,
     if report.percentiles is not None:
         payload["percentiles"] = {f"p{p}": v for p, v in report.percentiles}
     if report.tornado_spreads is not None:
-        payload["tornado_spreads"] = [
-            {
-                "parameter_path": s.parameter_path,
-                "low": s.low,
-                "high": s.high,
-                "t_total_low": s.t_total_low,
-                "t_total_high": s.t_total_high,
-                "spread": s.spread,
-            }
-            for s in report.tornado_spreads
-        ]
+        payload["tornado_spreads"] = list(map(asdict, report.tornado_spreads))
     # The entries list is the last member: the rest of the document as
     # json.dumps writes it, without its closing brace, then the entries.
     head = json.dumps(payload, indent=2)

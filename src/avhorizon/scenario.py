@@ -5,11 +5,15 @@ needs for one autonomous-vehicle category: scene complexity, the
 algorithmic-savings factor per stage, the compute environment,
 reliability-growth and final-demonstration parameters, the operating
 domain weighting and the productization spans.  ``project`` runs the
-full pipeline for one scenario and stage:
+full pipeline for one scenario and stage through ``_terms``, which
+composes the term functions behind the public functions of complexity,
+reliability and timeline:
 
-    compute_demand -> effective_demand -> hpc_horizon_years
-    crow_required_miles / poisson_required_miles -> demonstration_years
-    compose_total -> calendar year
+    demand -> effective demand -> compute horizon
+    growth / Poisson mileage -> stage delta -> demonstration years
+    split by f -> total -> calendar year
+
+Sweeps and Monte Carlo run the same ``_terms`` over numpy columns.
 
 The builtin catalog holds eight reference categories spanning the
 spectrum from constrained industrial sites to unrestricted consumer
@@ -33,10 +37,15 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from datetime import MAXYEAR, MINYEAR
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Mapping, get_type_hints
 
 from . import _jsonschema as jsonschema
+# project runs the term functions (_demand_log10 ...), not the public
+# functions that own them.  The benchmark's tracer (perfbench/) wraps seven
+# of those in this module (compute_demand ... compose_total), so they stay
+# imported.
 from .complexity import (
     LOG10_2,
     ComputeEnv,
@@ -44,26 +53,37 @@ from .complexity import (
     Magnitude,
     ReductionFactor,
     ReductionFactors,
+    _demand_log10,
+    _effective_log10,
+    _horizon_years,
+    _per_cycle_log10,
     chi_eff,
     compute_demand,
     effective_demand,
     hpc_horizon_years,
 )
-from .errors import ScenarioFormatError, UnsupportedStageError, ValidationError
+from .errors import _FLOAT_OPS, ScenarioFormatError, UnsupportedStageError, ValidationError
 from .errors import _NONNEGATIVE, _POSITIVE, _check_fields, _domain, _in_interval
 from .errors import _is_finite_number, _outside
 from .reliability import (
     CrowAmsaaParams,
     PoissonParams,
+    _demonstration_years,
+    _growth_miles,
+    _poisson_miles,
     crow_required_miles,
     demonstration_years,
     poisson_required_miles,
 )
 from .timeline import (
+    _GATING,
     PROJECTABLE_STAGES,
+    STAGE_DELTA_MULTIPLIERS,
     Stage,
-    StageSpec,
     TimelineBreakdown,
+    _calendar_year,
+    _split_crow,
+    _total_years,
     compose_total,
 )
 
@@ -298,6 +318,48 @@ def builtin_catalog() -> tuple[CategoryScenario, ...]:
 # ---------------------------------------------------------------------------
 
 
+# The scenario fields _terms reads after its first two arguments, in its
+# parameter order, for each stage; the capacity Magnitude as its log10.
+_TERM_PATHS: dict[Stage, tuple[str, ...]] = {
+    stage: ("n_objects", "cycle_time_s", f"chi.{stage.value}",
+            "compute_env.doubling_period_years", "compute_env.current_capacity.log10_value",
+            "crow.alpha", "crow.severity", "crow_lambda_target", "crow.beta",
+            "poisson.confidence", "poisson.safety_factor", "poisson.lambda_target",
+            "gamma_override", "annual_miles", "base_delta", "f", f"prod_reg_years.{stage.value}")
+    for stage in PROJECTABLE_STAGES
+}
+_TERM_LEAVES = {stage: attrgetter(*paths) for stage, paths in _TERM_PATHS.items()}
+
+
+def _terms(stage: Stage, ops, n_objects, cycle_time_s, chi, doubling_period_years,
+           capacity_log10, alpha, severity, crow_lambda_target, beta, confidence,
+           safety_factor, poisson_lambda_target, gamma_value, annual_miles, base_delta, f,
+           prod_reg_years):
+    """The terms at ``stage`` of the leaves ``_TERM_PATHS`` names, on floats
+    or float64 columns as ``ops`` (``errors._FLOAT_OPS``) takes them, checked
+    in project's order: the TimelineBreakdown fields up to t_total, whether
+    it is compute-gated, and the Intermediates fields (demands as log10)."""
+    naive = _demand_log10(_per_cycle_log10(n_objects), cycle_time_s, ops)
+    effective = _effective_log10(naive, chi, ops)
+    t_comp = _horizon_years(effective, doubling_period_years, capacity_log10, ops)
+    crow_miles = _growth_miles(alpha, severity, crow_lambda_target, beta, ops)
+    multiplier = STAGE_DELTA_MULTIPLIERS[stage]
+    delta = base_delta * multiplier
+    ops.check(delta > 0.0, lambda: (
+        f"the stage delta base_delta={base_delta!r} * stage multiplier {multiplier!r} "
+        "underflows to 0.0"
+    ))
+    t_crow_total = _demonstration_years(crow_miles, gamma_value, delta, annual_miles, ops)
+    poisson_miles = _poisson_miles(confidence, safety_factor, poisson_lambda_target, ops)
+    t_poisson = _demonstration_years(poisson_miles, gamma_value, delta, annual_miles, ops)
+    partial, final = _split_crow(t_crow_total, f, ops)
+    t_total, compute_gated = _total_years(t_comp, t_crow_total, f, partial, final, t_poisson,
+                                          prod_reg_years, ops)
+    return ((t_comp, t_crow_total, partial, final, t_poisson, prod_reg_years, f, t_total),
+            compute_gated,
+            (naive, effective, crow_miles, poisson_miles, gamma_value, delta))
+
+
 def project(scenario: CategoryScenario, stage: Stage) -> ProjectionResult:
     """Run the full pipeline for one scenario at one stage."""
     if stage not in PROJECTABLE_STAGES:
@@ -307,45 +369,12 @@ def project(scenario: CategoryScenario, stage: Stage) -> ProjectionResult:
             "commercialization only (pilots are assumed achievable with "
             "current technology; stage thresholds are reporting metadata)"
         )
-    naive = compute_demand(scenario.n_objects, scenario.cycle_time_s)
-    chi = scenario.chi.for_stage(stage)
-    effective = effective_demand(naive, chi)
-    t_comp = hpc_horizon_years(effective, scenario.compute_env)
-
-    stage_spec = StageSpec.for_stage(stage, scenario.prod_reg_years.for_stage(stage))
-    delta_effective = scenario.base_delta * stage_spec.delta_multiplier
-    gamma_value = scenario.gamma_override
-
-    crow_miles = crow_required_miles(scenario.crow, scenario.crow_lambda_target)
-    t_crow_total = demonstration_years(
-        crow_miles, gamma_value, delta_effective, scenario.annual_miles
-    )
-    poisson_miles = poisson_required_miles(scenario.poisson)
-    t_poisson = demonstration_years(
-        poisson_miles, gamma_value, delta_effective, scenario.annual_miles
-    )
-
-    breakdown = compose_total(
-        t_comp,
-        t_crow_total,
-        scenario.f,
-        t_poisson,
-        stage_spec.prod_reg_years,
-        baseline_year=scenario.baseline_year,
-    )
-    return ProjectionResult(
-        category=scenario.name,
-        stage=stage,
-        breakdown=breakdown,
-        intermediate=Intermediates(
-            naive_demand=naive,
-            effective_demand=effective,
-            crow_miles=crow_miles,
-            poisson_miles=poisson_miles,
-            gamma=gamma_value,
-            delta_effective=delta_effective,
-        ),
-    )
+    spans, compute_gated, (naive, effective, *intermediate) = _terms(
+        stage, _FLOAT_OPS, *_TERM_LEAVES[stage](scenario))
+    breakdown = TimelineBreakdown(*spans, _GATING[compute_gated],
+                                  _calendar_year(scenario.baseline_year, spans[-1]))
+    return ProjectionResult(scenario.name, stage, breakdown,
+                            Intermediates(Magnitude(naive), Magnitude(effective), *intermediate))
 
 
 # ---------------------------------------------------------------------------
@@ -461,24 +490,27 @@ def serialize_scenarios(scenarios: tuple[CategoryScenario, ...] | list[CategoryS
 
 
 def _resolve_chi_value(name: str, stage_key: str, value: Any) -> float:
-    """Scalar chi, resolving the factor-product form if given."""
-    if isinstance(value, dict):
-        factors = []
-        for item in value["factors"]:
-            rng = item.get("documented_range")
-            if rng is None:
-                if item["name"] not in DEFAULT_FACTOR_RANGES:
-                    raise ValidationError(
-                        f"scenario {name!r}: chi.{stage_key} factor {item['name']!r} "
-                        "has no documented_range and no default range is known "
-                        f"for that name (known: {sorted(DEFAULT_FACTOR_RANGES)})"
-                    )
-                rng = DEFAULT_FACTOR_RANGES[item["name"]]
-            factors.append(
-                ReductionFactor(item["name"], item["value"], (rng[0], rng[1]))
+    """Scalar chi, resolving the factor-product form if given; an error
+    in that form names the scenario and ``chi.<stage_key>``."""
+    if not isinstance(value, dict):
+        return value
+    where = f"scenario {name!r}: chi.{stage_key}"
+    factors = []
+    for item in value["factors"]:
+        rng = item.get("documented_range", DEFAULT_FACTOR_RANGES.get(item["name"]))
+        if rng is None:
+            raise ValidationError(
+                f"{where} factor {item['name']!r} has no documented_range and no default "
+                f"range is known for that name (known: {sorted(DEFAULT_FACTOR_RANGES)})"
             )
+        try:
+            factors.append(ReductionFactor(item["name"], item["value"], (rng[0], rng[1])))
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
+    try:
         return chi_eff(ReductionFactors(tuple(factors)))
-    return value
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 # Per scenario dataclass, how each field is read from a merged document:

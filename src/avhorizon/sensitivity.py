@@ -12,14 +12,15 @@ before any projection runs.
 * monte_carlo: draw all distribution parameters jointly per sample.
 
 Sweeps and Monte Carlo evaluate their rows together (``_evaluate``):
-the projection pipeline runs term by term over numpy columns of the
-varying inputs, with results bit-identical to ``project`` on each row's
-modified scenario.  A row that fails any of ``project``'s checks is
-re-run through ``set_parameter`` and ``project`` (``_project_row``),
-which raise the exact error.  A tornado has at most two rows per
-parameter path, so it runs every row that way and never pays for
-importing numpy.  numpy is imported by the functions that build
-columns, so only the ``sweep`` and ``mc`` commands load it.
+the term functions ``project`` runs on floats (``scenario._terms``) run
+over numpy columns of the varying inputs (``_column_ops``), with results
+bit-identical to ``project`` on each row's modified scenario.  A row
+that fails any of the terms' checks is re-run through ``set_parameter``
+and ``project`` (``_project_row``), which raise the exact error.  A
+tornado has at most two rows per parameter path, so it runs every row
+that way and never pays for importing numpy.  numpy is imported by the
+functions that build columns, so only the ``sweep`` and ``mc`` commands
+load it.
 
 Monte Carlo determinism contract: the generator is Philox4x64-10, keyed
 per sample as (seed, sample_index), with exactly one uniform draw per
@@ -39,13 +40,16 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import partial, reduce
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
-from .complexity import LOG10_2, Magnitude
+from .complexity import Magnitude
 from .errors import UnknownParameterError, ValidationError
-from .errors import _in_interval, _is_finite_number, _outside
-from .scenario import _FIELDS, CategoryScenario, ProjectionResult, project
-from .timeline import STAGE_DELTA_MULTIPLIERS, Gating, Stage, TimelineBreakdown
+from .errors import _float_power, _in_interval, _is_finite_number, _outside
+from .scenario import _FIELDS, _TERM_LEAVES, _TERM_PATHS, CategoryScenario, ProjectionResult
+from .scenario import _terms, project
+from .timeline import _GATING, Gating, Stage, TimelineBreakdown, _calendar_year
 
 if TYPE_CHECKING:
     import numpy as np
@@ -477,16 +481,6 @@ def _summarize(t_totals: Sequence[float]) -> SensitivitySummary:
     return SensitivitySummary(minimum=min(t_totals), maximum=max(t_totals), mean=mean)
 
 
-_GATING = {True: Gating.COMPUTE, False: Gating.RELIABILITY}
-
-
-def _leaf(scenario: CategoryScenario, path: str):
-    """The number ``project`` reads for a path: the field's value, or a
-    Magnitude's log10."""
-    value = operator.attrgetter(path)(scenario)
-    return value.log10_value if isinstance(value, Magnitude) else value
-
-
 def _per_row(fn: Callable[..., float], *args):
     """``fn`` on Python floats, once per row of the arguments that are
     columns, or once if none is.  libm's log and pow, which this runs,
@@ -510,20 +504,14 @@ def _leaf_column(path: str, values) -> np.ndarray:
     return _per_row(math.log10, values) if _lookup(path)[2] is Magnitude else values
 
 
-def _power(base: float, exponent: float) -> float:
-    try:
-        return base ** exponent
-    except OverflowError:
-        return math.inf
-
-
-def _finite_nonnegative(*terms) -> np.ndarray:
+def _column_ops(masks: list):
+    """``errors._FLOAT_OPS`` over float64 columns: libm runs per row
+    (``_per_row``), and each check's mask is appended to ``masks``."""
     import numpy as np
 
-    ok = True
-    for term in terms:
-        ok = ok & np.isfinite(term) & (term >= 0.0)
-    return ok
+    return SimpleNamespace(log10=partial(_per_row, math.log10), log=partial(_per_row, math.log),
+                           power=partial(_per_row, _float_power), where=np.where,
+                           check=lambda ok, _message: masks.append(ok))
 
 
 def _project_row(scenario: CategoryScenario, stage: Stage,
@@ -549,59 +537,28 @@ def _evaluate(
     ``inputs`` maps each varying path to its values as given;
     ``columns`` maps the same paths to the numbers ``project`` reads in
     each row (``_leaf_column``).  Every other path keeps the scenario's
-    value, and a term none of whose inputs vary is computed once.
-    Arithmetic is numpy's correctly rounded + - * / and sqrt in the
-    scalar path's order; log10, log and ** run per row in Python.  A row
-    that fails one of ``project``'s checks, or that ``unchecked`` marks,
-    runs through ``_project_row`` instead, in row order, so the first
-    invalid row raises the scalar path's error.
+    value.  ``project``'s own ``_terms`` runs on the columns with
+    ``_column_ops``, so a term none of whose inputs vary is computed
+    once.  A row that fails one of its checks, or that ``unchecked``
+    marks, runs through ``_project_row`` instead, in row order, so the
+    first invalid row raises the scalar path's error.
     """
     import numpy as np
 
-    def leaf(path):
-        return columns[path] if path in columns else float(_leaf(scenario, path))
-
-    stage_key = stage.value
+    masks: list = []
+    held = _TERM_LEAVES[stage](scenario)  # the leaves as the scenario holds them
+    leaves = [columns[path] if path in columns else float(value) for path, value in zip(
+        (p.removesuffix(".log10_value") for p in _TERM_PATHS[stage]), held)]
     with np.errstate(all="ignore"):
-        naive = leaf("n_objects") * LOG10_2 - _per_row(math.log10, leaf("cycle_time_s"))
-        effective = naive + _per_row(math.log10, leaf(f"chi.{stage_key}"))
-        horizon = (leaf("compute_env.doubling_period_years")
-                   * (effective - leaf("compute_env.current_capacity")) / LOG10_2)
-        t_comp = np.where(horizon > 0.0, horizon, 0.0)  # max(0.0, horizon)
-
-        start_rate = leaf("crow.alpha") * leaf("crow.severity")
-        target = leaf("crow_lambda_target")
-        growth = _per_row(_power, start_rate / target, 1.0 / leaf("crow.beta"))
-        crow_miles = np.where(target >= start_rate, 0.0, growth)
-        poisson_miles = (-_per_row(math.log, 1.0 - leaf("poisson.confidence"))
-                         * leaf("poisson.safety_factor") / leaf("poisson.lambda_target"))
-        gamma_value, annual_miles = leaf("gamma_override"), leaf("annual_miles")
-        delta = leaf("base_delta") * STAGE_DELTA_MULTIPLIERS[stage]
-        t_crow_total = crow_miles * gamma_value * delta / annual_miles
-        t_poisson = poisson_miles * gamma_value * delta / annual_miles
-
-        f = leaf("f")  # split_crow: the larger share by product, the smaller by difference
-        final_below = (1.0 - f) * t_crow_total
-        partial = np.where(f >= 0.5, f * t_crow_total, t_crow_total - final_below)
-        final = np.where(f >= 0.5, t_crow_total - partial, final_below)
-        # Python's max(partial, t_comp); np.maximum can differ on signed zeros.
-        t_total = (np.where(t_comp > partial, t_comp, partial) + final + t_poisson
-                   + leaf(f"prod_reg_years.{stage_key}"))
-        compute_gated = t_comp > partial
-        # The checks of project that a row can fail.  The composition and
-        # gating identities hold by construction, as in compose_total.
-        valid = (np.isfinite(naive) & np.isfinite(effective) & (delta > 0.0)
-                 & _finite_nonnegative(t_comp, crow_miles, t_crow_total, poisson_miles,
-                                       t_poisson, partial, final, t_total)
-                 & (partial + final == t_crow_total))
+        spans, compute_gated, _ = _terms(stage, _column_ops(masks), *leaves)
+    t_total = spans[-1]
+    valid = reduce(operator.and_, masks)
 
     rows = (len(next(iter(inputs.values()), ())),)
     fallback = ~np.broadcast_to(valid, rows)
     if unchecked is not None:
         fallback = fallback | unchecked
-    if any(type(v) is int and float(v) != v  # a JSON integer float64 does not hold
-           for v in (_leaf(scenario, p) for p, (_, _, kind, _) in _PARAMETERS.items()
-                     if kind is float)):
+    if any(type(v) is int and float(v) != v for v in held):  # an int float64 does not hold
         fallback = np.ones(rows, dtype=bool)
     totals = np.broadcast_to(t_total, rows).tolist()
     gating = list(map(_GATING.__getitem__, np.broadcast_to(compute_gated, rows).tolist()))
@@ -615,8 +572,7 @@ def _evaluate(
         baseline_years = [scenario.baseline_year] * len(totals)
     else:
         baseline_years = [int(b) for b in baseline_year.tolist()]
-    years = [b + math.floor(t + 0.5) for b, t in zip(baseline_years, totals)]
-    return totals, years, gating
+    return totals, list(map(_calendar_year, baseline_years, totals)), gating
 
 
 def _report(

@@ -7,7 +7,7 @@ A category's time to a given deployment stage combines four spans:
 * t_poisson   years of final zero-failure demonstration mileage
 * t_prod_reg  years of productization and regulatory clearance
 
-A fraction f of the growth mileage can be accumulated on test fleets
+A fraction f of growth mileage can be accumulated on test fleets
 while waiting for compute, so the total overlaps that part with the
 compute horizon:
 
@@ -31,7 +31,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .errors import _NONNEGATIVE, UnsupportedStageError, ValidationError, _check_fields, _domain
+from .errors import _FLOAT_OPS, _NONNEGATIVE, UnsupportedStageError, ValidationError
+from .errors import _check_fields, _domain
 
 __all__ = [
     "Stage",
@@ -98,6 +99,9 @@ class Gating(enum.Enum):
     RELIABILITY = "reliability-gated"
 
 
+_GATING = {True: Gating.COMPUTE, False: Gating.RELIABILITY}  # by t_comp > t_crow_partial
+
+
 @dataclass(frozen=True, slots=True)
 class StageSpec:
     """Stage plus the scenario-dependent knobs the timeline needs."""
@@ -126,6 +130,16 @@ class StageSpec:
         )
 
 
+def _split_crow(t_crow_total: float, f: float, ops) -> tuple[float, float]:
+    # Compute the larger share by multiplication and the smaller by
+    # subtraction: the product then lies in [t/2, t], where Sterbenz's
+    # lemma makes the subtraction exact, so the parts always sum back
+    # to t_crow_total bit for bit (a plain t - f*t does not).
+    final_below = (1.0 - f) * t_crow_total
+    partial = ops.where(f >= 0.5, f * t_crow_total, t_crow_total - final_below)
+    return partial, ops.where(f >= 0.5, t_crow_total - partial, final_below)
+
+
 def split_crow(t_crow_total: float, f: float) -> tuple[float, float]:
     """Split growth years into an overlappable part and a serial tail.
 
@@ -137,26 +151,16 @@ def split_crow(t_crow_total: float, f: float) -> tuple[float, float]:
         raise ValidationError(f"t_crow_total must be >= 0, got {t_crow_total!r}")
     if not (math.isfinite(f) and 0.0 <= f <= 1.0):
         raise ValidationError(f"f must lie in [0, 1], got {f!r}")
-    # Compute the larger share by multiplication and the smaller by
-    # subtraction: the product then lies in [t/2, t], where Sterbenz's
-    # lemma makes the subtraction exact, so the parts always sum back
-    # to t_crow_total bit for bit (a plain t - f*t does not).
-    if f >= 0.5:
-        partial = f * t_crow_total
-        final = t_crow_total - partial
-    else:
-        final = (1.0 - f) * t_crow_total
-        partial = t_crow_total - final
-    return partial, final
+    return _split_crow(t_crow_total, f, _FLOAT_OPS)
 
 
 @dataclass(frozen=True, slots=True)
 class TimelineBreakdown:
     """All spans of one projected timeline, plus the composed result.
 
-    Constructed by compose_total; direct construction must satisfy the
-    same identities (the split reconstructs t_crow_total exactly and
-    t_total equals the composition formula term for term).
+    Built by compose_total and scenario.project; direct construction must
+    satisfy the same identities (the split reconstructs t_crow_total
+    exactly and t_total equals the composition formula term for term).
     """
 
     t_comp: float = field(metadata=_NONNEGATIVE)
@@ -195,6 +199,20 @@ class TimelineBreakdown:
             )
 
 
+def _total_years(t_comp: float, t_crow_total: float, f: float, partial: float, final: float,
+                 t_poisson: float, t_prod_reg: float, ops) -> tuple[float, bool]:
+    """t_total and whether the schedule is compute-gated."""
+    compute_gated = t_comp > partial
+    # Python's max(partial, t_comp); np.maximum can differ on signed zeros.
+    t_total = ops.where(compute_gated, t_comp, partial) + final + t_poisson + t_prod_reg
+    ops.check(t_total < math.inf, lambda: (
+        f"the total of the spans t_comp={t_comp!r}, t_crow_total={t_crow_total!r} "
+        f"(f={f!r}), t_poisson={t_poisson!r} and t_prod_reg={t_prod_reg!r} "
+        "exceeds float range"
+    ))
+    return t_total, compute_gated
+
+
 def compose_total(
     t_comp: float,
     t_crow_total: float,
@@ -222,26 +240,14 @@ def compose_total(
     if not (math.isfinite(t_prod_reg) and t_prod_reg >= 0.0):
         raise ValidationError(f"t_prod_reg must be >= 0, got {t_prod_reg!r}")
     partial, final = split_crow(t_crow_total, f)
-    t_total = max(partial, t_comp) + final + t_poisson + t_prod_reg
-    if math.isinf(t_total):
-        raise ValidationError(
-            f"the total of the spans t_comp={t_comp!r}, t_crow_total={t_crow_total!r} "
-            f"(f={f!r}), t_poisson={t_poisson!r} and t_prod_reg={t_prod_reg!r} "
-            "exceeds float range"
-        )
-    gating = Gating.COMPUTE if t_comp > partial else Gating.RELIABILITY
-    return TimelineBreakdown(
-        t_comp=t_comp,
-        t_crow_total=t_crow_total,
-        t_crow_partial=partial,
-        t_crow_final=final,
-        t_poisson=t_poisson,
-        t_prod_reg=t_prod_reg,
-        f=f,
-        t_total=t_total,
-        gating=gating,
-        calendar_year=calendar_date(baseline_year, t_total),
-    )
+    t_total, compute_gated = _total_years(t_comp, t_crow_total, f, partial, final, t_poisson,
+                                          t_prod_reg, _FLOAT_OPS)
+    return TimelineBreakdown(t_comp, t_crow_total, partial, final, t_poisson, t_prod_reg, f,
+                             t_total, _GATING[compute_gated], calendar_date(baseline_year, t_total))
+
+
+def _calendar_year(baseline_year: int, t_total_years: float) -> int:
+    return baseline_year + math.floor(t_total_years + 0.5)
 
 
 def calendar_date(baseline_year: int, t_total_years: float) -> int:
@@ -254,4 +260,4 @@ def calendar_date(baseline_year: int, t_total_years: float) -> int:
         raise ValidationError(f"baseline_year must be an integer, got {baseline_year!r}")
     if not (math.isfinite(t_total_years) and t_total_years >= 0.0):
         raise ValidationError(f"t_total_years must be >= 0, got {t_total_years!r}")
-    return baseline_year + math.floor(t_total_years + 0.5)
+    return _calendar_year(baseline_year, t_total_years)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from avhorizon import cli, sensitivity
 from avhorizon.scenario import SCENARIO_SCHEMA, builtin_catalog, serialize_scenarios
@@ -521,25 +522,30 @@ class TestMalformedInput:
         err = assert_single_error_line(capsys, "project", "--file", str(doc))
         assert field in err and "float range" in err
 
-    @pytest.mark.parametrize("entry, message", [
+    @pytest.mark.parametrize("entry, stage, message", [
         # The growth mileage stays finite; gamma_override overflows the years.
-        ({"gamma_override": 1e300},
+        ({"gamma_override": 1e300}, "3",
          "the demonstration years 56568542494.923805 miles * gamma_override=1e+300 * "
          "stage delta=1.0 / annual_miles=1000000000.0 exceed float range"),
         # The rate ratio stays finite; its power overflows.
-        ({"crow": {"severity": 1e300}},
+        ({"crow": {"severity": 1e300}}, "3",
          "the growth mileage (crow.alpha=0.0001 * crow.severity=1e+300 / "
          "crow_lambda_target=1e-08) ** (1 / crow.beta=0.4) exceeds float range"),
         # Every span is finite; their sum is not.
         ({"prod_reg_years": {"stage3": 1e308}, "compute_env": {"doubling_period_years": 1e307}},
+         "3",
          "the total of the spans t_comp=8.000000000000002e+307, "
          "t_crow_total=50.91168824543143 (f=0.7), t_poisson=0.7594814214643918 and "
          "t_prod_reg=1e+308 exceeds float range"),
+        # 5e-324 * 0.5 rounds to a zero stage delta.
+        ({"base_delta": 5e-324}, "2",
+         "the stage delta base_delta=5e-324 * stage multiplier 0.5 underflows to 0.0"),
     ])
-    def test_overflow_names_every_input_of_the_term(self, tmp_path, capsys, entry, message):
+    def test_overflow_names_every_input_of_the_term(self, tmp_path, capsys, entry, stage,
+                                                    message):
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps({"scenarios": [{"name": "Robo-Taxis", **entry}]}))
-        err = assert_single_error_line(capsys, "project", "--file", str(doc), "--stage", "3")
+        err = assert_single_error_line(capsys, "project", "--file", str(doc), "--stage", stage)
         assert err == f"error: {message}\n"
 
     def test_annual_miles_whose_years_overflow(self, tmp_path, capsys):
@@ -722,10 +728,65 @@ def documents_and_arguments(draw):
     return document, draw(cli_arguments(category))
 
 
+def set_paths(document, args):
+    """The parameter paths a case gives values, each drawn from that path's
+    extreme or edge values (``numbers_near``): in the document's defaults
+    or entries (a factor-product chi stage as one path), or by a flag."""
+    paths = set()
+
+    def walk(node, prefix):
+        for key, value in node.items():
+            path = prefix + key
+            if isinstance(value, dict) and path not in ("chi.stage2", "chi.stage3"):
+                walk(value, path + ".")
+            else:
+                paths.add(path)
+
+    for node in (document.get("defaults", {}), *document["scenarios"]):
+        walk(node, "")
+    for flag, value in zip(args, args[1:]):
+        if flag == "--param":
+            paths.add(value)
+        elif flag in ("--bound", "--dist"):
+            paths.add(value.partition("=")[0])
+    return paths
+
+
+def named_paths(message):
+    """The parameter paths an error message names; the total of the spans
+    names t_prod_reg, the stage's prod_reg_years."""
+    named = {path for path in valid_parameter_paths()
+             if re.search(rf"(?<![\w.]){re.escape(path)}(?![\w.])", message)}
+    if "t_prod_reg=" in message:
+        named |= {"prod_reg_years.stage2", "prod_reg_years.stage3"}
+    return named
+
+
+# Generated cases seldom reach a term check, so these cases pin one of each
+# kind of message: the years, the stage delta, the factor product, the total.
+TERM_CASES = (
+    ({"scenarios": [{"name": "Robo-Taxis", "gamma_override": 1e300}]},
+     ["project", "--category", "Robo-Taxis", "--stage", "3", "--format", "table"]),
+    ({"scenarios": [{"name": "Robo-Taxis"}]},
+     ["sweep", "--category", "Robo-Taxis", "--stage", "2", "--format", "csv",
+      "--param", "base_delta", "--values", "1,5e-324"]),
+    ({"scenarios": [{"name": "Robo-Taxis", "chi": {"stage2": {"factors": [
+        {"name": "mystery", "value": 1e-200, "documented_range": [1e-300, 1.0]}] * 2}}}]},
+     ["project", "--category", "Robo-Taxis", "--stage", "all", "--format", "json"]),
+    ({"scenarios": [{"name": "Robo-Taxis", "prod_reg_years": {"stage3": 1e308},
+                     "compute_env": {"doubling_period_years": 1e307}}]},
+     ["project", "--category", "Robo-Taxis", "--stage", "3", "--format", "markdown"]),
+)
+
+
 class TestGeneratedInput:
     @settings(max_examples=100, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(documents_and_arguments())
+    @example(TERM_CASES[0])
+    @example(TERM_CASES[1])
+    @example(TERM_CASES[2])
+    @example(TERM_CASES[3])
     def test_cli_never_prints_a_traceback(self, case):
         document, args = case
         with tempfile.TemporaryDirectory() as work:
@@ -739,6 +800,10 @@ class TestGeneratedInput:
                     code = cli.main(args)
                 except SystemExit as exc:  # argparse usage error
                     code = exc.code
-        assert code in (0, 1, 2), (args, err.getvalue())
+        message = err.getvalue()
+        assert code in (0, 1, 2), (args, message)
         if code == 1:
-            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+            assert message.startswith("error:") and message.count("\n") == 1
+            # An overflow or underflow blames a value the case set.
+            if "float range" in message or "underflow" in message:
+                assert named_paths(message) & set_paths(document, args), (args, message)

@@ -1,10 +1,22 @@
-"""The columnar evaluator against the scalar path it replaces.
+"""The shared model terms on floats and on columns, against references.
 
-Sweep, tornado and Monte Carlo evaluate all their rows at once in numpy.
-Every case here compares them with a copy of the per-row loops they
-replaced (set_parameter then project, one row at a time, one Philox
-generator per Monte Carlo sample): reports must be equal, renders in
-all four formats byte-identical, and errors the same text.
+``project`` runs the model's term functions on Python floats; sweeps
+and Monte Carlo run the same functions over numpy columns.  The cases
+here check:
+
+- ``project`` against the chain of public functions it once called
+  (``compute_demand`` ... ``compose_total``);
+- numpy against libm arithmetic on the shared terms: sweeps and Monte
+  Carlo against a copy of the per-row loops they replaced
+  (``set_parameter`` then ``project``, one row at a time, one Philox
+  generator per Monte Carlo sample);
+- the fallback rows: rows that fail a term check, lie outside their
+  distribution's bounds or hold a JSON integer float64 does not;
+- tornado, which projects each row on its own, against its reference
+  loop.
+
+Reports must be equal, renders in all four formats byte-identical, and
+errors the same text.
 """
 
 import dataclasses
@@ -15,10 +27,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from avhorizon import sensitivity
-from avhorizon.complexity import ComputeEnv, Magnitude
+from avhorizon.complexity import (
+    ComputeEnv,
+    Magnitude,
+    compute_demand,
+    effective_demand,
+    hpc_horizon_years,
+)
 from avhorizon.errors import ValidationError
+from avhorizon.reliability import crow_required_miles, demonstration_years, poisson_required_miles
 from avhorizon.report import ReportFormat, render_sensitivity
-from avhorizon.scenario import builtin_catalog, project
+from avhorizon.scenario import _TERM_LEAVES, _TERM_PATHS, Intermediates, builtin_catalog, project
 from avhorizon.sensitivity import (
     MC_PERCENTILES,
     AnalysisKind,
@@ -29,7 +48,6 @@ from avhorizon.sensitivity import (
     SensitivityReport,
     SweepSpec,
     TornadoSpread,
-    _leaf,
     _leaf_column,
     _summarize,
     _uniforms,
@@ -39,7 +57,7 @@ from avhorizon.sensitivity import (
     tornado,
     valid_parameter_paths,
 )
-from avhorizon.timeline import PROJECTABLE_STAGES, Stage
+from avhorizon.timeline import PROJECTABLE_STAGES, Stage, StageSpec, compose_total
 
 CATALOG = builtin_catalog()
 S2, S3 = Stage.REVENUE_SERVICE, Stage.BROAD_COMMERCIAL
@@ -179,6 +197,61 @@ def assert_same(columnar, scalar):
 
 
 # ---------------------------------------------------------------------------
+# project against the public functions
+# ---------------------------------------------------------------------------
+
+
+def public_chain(scenario, stage):
+    """project's breakdown and intermediates, composed from the public
+    functions of complexity, reliability and timeline."""
+    naive = compute_demand(scenario.n_objects, scenario.cycle_time_s)
+    effective = effective_demand(naive, scenario.chi.for_stage(stage))
+    t_comp = hpc_horizon_years(effective, scenario.compute_env)
+    spec = StageSpec.for_stage(stage, scenario.prod_reg_years.for_stage(stage))
+    delta = scenario.base_delta * spec.delta_multiplier
+    crow_miles = crow_required_miles(scenario.crow, scenario.crow_lambda_target)
+    t_crow_total = demonstration_years(crow_miles, scenario.gamma_override, delta,
+                                       scenario.annual_miles)
+    poisson_miles = poisson_required_miles(scenario.poisson)
+    t_poisson = demonstration_years(poisson_miles, scenario.gamma_override, delta,
+                                    scenario.annual_miles)
+    breakdown = compose_total(t_comp, t_crow_total, scenario.f, t_poisson, spec.prod_reg_years,
+                              scenario.baseline_year)
+    return breakdown, Intermediates(naive, effective, crow_miles, poisson_miles,
+                                    scenario.gamma_override, delta)
+
+
+@st.composite
+def scenarios(draw):
+    """A catalog scenario with up to six FLOAT_RANGES paths set, often to
+    an end of their range, and sometimes an n_objects beyond float range."""
+    scenario = draw(st.sampled_from(CATALOG))
+    paths = draw(st.lists(st.sampled_from(sorted(FLOAT_RANGES)), max_size=6, unique=True))
+    for path in paths:
+        low, high = FLOAT_RANGES[path]
+        value = draw(st.one_of(st.sampled_from([low, high]),
+                               st.floats(low, high, allow_nan=False)))
+        scenario = set_parameter(scenario, path, value)
+    n_objects = draw(st.sampled_from([None, 1, 2**70, 2**1100]))
+    if n_objects is not None:
+        scenario = dataclasses.replace(scenario, n_objects=n_objects)
+    return scenario
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scenario=scenarios(), stage=st.sampled_from(PROJECTABLE_STAGES))
+def test_project_equals_the_public_function_chain(scenario, stage):
+    def projected(scenario, stage):
+        result = project(scenario, stage)
+        return result.breakdown, result.intermediate
+
+    expected = outcome(public_chain, scenario, stage)
+    actual = outcome(projected, scenario, stage)
+    # repr tells -0.0 from 0.0 and an int from a float.
+    assert actual == expected and repr(actual) == repr(expected)
+
+
+# ---------------------------------------------------------------------------
 # Draws
 # ---------------------------------------------------------------------------
 
@@ -256,9 +329,12 @@ def test_monte_carlo_each_path(path):
 
 @pytest.mark.parametrize("path", sorted(FLOAT_RANGES))
 def test_leaf_columns_equal_what_set_parameter_sets(path):
+    # What project reads for the path, a Magnitude as its log10.
+    stage = S3 if path.endswith("stage3") else S2
+    index = [p.removesuffix(".log10_value") for p in _TERM_PATHS[stage]].index(path)
     low, high = FLOAT_RANGES[path]
     values = np.linspace(low, high, 2000).tolist()
-    expected = [_leaf(set_parameter(CATALOG[0], path, v), path) for v in values]
+    expected = [_TERM_LEAVES[stage](set_parameter(CATALOG[0], path, v))[index] for v in values]
     assert _leaf_column(path, values).tolist() == expected
 
 
@@ -422,7 +498,8 @@ def test_tornado_row_whose_growth_mileage_overflows(stage):
 
 @pytest.mark.parametrize("path, values, stage, message", [
     # 5e-324 * 0.5 rounds to a zero stage delta.
-    ("base_delta", (1.0, 5e-324), S2, "delta must lie in (0, 1], got 0.0"),
+    ("base_delta", (1.0, 5e-324), S2,
+     "the stage delta base_delta=5e-324 * stage multiplier 0.5 underflows to 0.0"),
     ("annual_miles", (1e9, 1e-300), S3,
      "the demonstration years 56568542494.923805 miles * gamma_override=0.9 * "
      "stage delta=1.0 / annual_miles=1e-300 exceed float range"),

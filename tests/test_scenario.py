@@ -354,6 +354,19 @@ class TestScenarioDocuments:
         with pytest.raises(ValidationError, match="range"):
             parse_scenarios(doc)
 
+    @pytest.mark.parametrize("factors, message", [
+        ([{"name": "x", "value": 0.5, "documented_range": [0.6, 0.4]}],
+         "factor 'x': documented_range must satisfy 0 < low <= high <= 1, got (0.6, 0.4)"),
+        ([{"name": "x", "value": 1e-200, "documented_range": [1e-300, 1.0]}] * 2,
+         "combined reduction factor underflowed to 0.0; fewer or larger factors required"),
+    ])
+    def test_factor_product_errors_name_the_scenario_and_stage(self, factors, message):
+        doc = json.dumps({"scenarios": [{"name": "Consumer Automotive",
+                                         "chi": {"stage2": {"factors": factors}}}]})
+        with pytest.raises(ValidationError) as raised:
+            parse_scenarios(doc)
+        assert str(raised.value) == f"scenario 'Consumer Automotive': chi.stage2: {message}"
+
     def test_unknown_factor_requires_explicit_range(self):
         doc = json.dumps({"scenarios": [{
             "name": "Consumer Automotive",
