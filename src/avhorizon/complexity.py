@@ -4,9 +4,11 @@ The quantities here get astronomically large: a scene with n objects,
 d degrees of freedom each and m discretization levels per degree has
 m**(d*n) joint states, and exhaustive multi-agent planning over n
 objects costs on the order of 2**n operations per planning cycle.
-Exponents in the thousands overflow any float, so all counts and rates
-are carried as :class:`Magnitude` values in the log10 domain and only
-converted to linear floats for display or when the exponent is small.
+Exponents in the thousands overflow any float, so demand counts and
+rates are carried as :class:`Magnitude` values in the log10 domain and
+only converted to linear floats for display.  Current capacity C_c,
+about 1e13 ops/s, is an input well inside float range and is held as
+the plain number given; the horizon takes its log10.
 
 The compute side of a deployment timeline follows from three steps:
 
@@ -53,12 +55,9 @@ class Magnitude:
     Products add exponents exactly (see effective_demand), so counts with
     exponents in the thousands never overflow.  The exponent may be
     negative (rates below one per second are legal); it must be finite.
-    ``given`` keeps the linear value passed to :meth:`from_value`, so a
-    user's input reads back exactly; it takes no part in equality.
     """
 
     log10_value: float
-    given: float | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.log10_value):
@@ -75,16 +74,11 @@ class Magnitude:
             raise ValidationError(
                 f"Magnitude value must be positive and finite, got {value!r}"
             )
-        magnitude = cls(math.log10(value))
-        object.__setattr__(magnitude, "given", float(value))
-        return magnitude
+        return cls(math.log10(value))
 
     @property
     def value(self) -> float:
-        """Linear value: as given to from_value, else derived from the
-        exponent (inf beyond about 10**308)."""
-        if self.given is not None:
-            return self.given
+        """Linear value, 10**log10_value (inf beyond about 10**308)."""
         try:
             return 10.0 ** self.log10_value
         except OverflowError:
@@ -99,14 +93,10 @@ class Magnitude:
 class ComputeEnv:
     """Fleet-scale compute environment the planner runs against."""
 
-    current_capacity: Magnitude = field(metadata=_POSITIVE)  # ops per second available today
+    current_capacity: float = field(metadata=_POSITIVE)  # ops per second available today
     doubling_period_years: float = field(metadata=_POSITIVE)  # historical capacity doubling period
 
     def __post_init__(self) -> None:
-        if not isinstance(self.current_capacity, Magnitude):
-            raise ValidationError(
-                f"current_capacity must be a Magnitude, got {self.current_capacity!r}"
-            )
         _check_fields(self)
 
 
@@ -233,7 +223,8 @@ def effective_demand(naive: Magnitude, chi: float) -> Magnitude:
 
 
 def _horizon_years(effective_log10: float, doubling_period_years: float,
-                   capacity_log10: float, ops) -> float:
+                   capacity: float, ops) -> float:
+    capacity_log10 = ops.log10(capacity)
     years = doubling_period_years * (effective_log10 - capacity_log10) / LOG10_2
     years = ops.where(years > 0.0, years, 0.0)  # max(0.0, years)
     ops.check(years < math.inf, lambda: (
@@ -256,4 +247,4 @@ def hpc_horizon_years(effective: Magnitude, env: ComputeEnv) -> float:
     if not isinstance(effective, Magnitude):
         raise ValidationError(f"effective demand must be a Magnitude, got {effective!r}")
     return _horizon_years(effective.log10_value, env.doubling_period_years,
-                          env.current_capacity.log10_value, _FLOAT_OPS)
+                          env.current_capacity, _FLOAT_OPS)

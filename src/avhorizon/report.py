@@ -27,7 +27,7 @@ from .complexity import Magnitude
 from .errors import EmptyResultsError, ValidationError
 from .scenario import Intermediates, ProjectionResult
 from .sensitivity import AnalysisKind, SensitivityReport
-from .timeline import Gating, Stage, TimelineBreakdown
+from .timeline import PROJECTABLE_STAGES, Gating, TimelineBreakdown
 
 __all__ = [
     "ReportFormat",
@@ -35,8 +35,6 @@ __all__ = [
     "render",
     "render_sensitivity",
 ]
-
-_STAGE_ORDER = (Stage.REVENUE_SERVICE, Stage.BROAD_COMMERCIAL)
 
 # The JSON schema and JSON value of each type a result field holds.
 _JSON_NUMBER = {"type": "number"}
@@ -294,11 +292,11 @@ def _stage_summary_table(results: Sequence[ProjectionResult]) -> _Table:
         [category] + [
             str(by_key[(category, stage)].breakdown.calendar_year)
             if (category, stage) in by_key else "n/a"
-            for stage in _STAGE_ORDER
+            for stage in PROJECTABLE_STAGES
         ]
         for category in categories
     )
-    return _Table(["Category"] + [s.display_name for s in _STAGE_ORDER], rows)
+    return _Table(["Category"] + [s.display_name for s in PROJECTABLE_STAGES], rows)
 
 
 def _breakdown_sections(results: Sequence[ProjectionResult]) -> Iterator[str]:

@@ -63,8 +63,7 @@ from .complexity import (
     hpc_horizon_years,
 )
 from .errors import _FLOAT_OPS, ScenarioFormatError, UnsupportedStageError, ValidationError
-from .errors import _NONNEGATIVE, _POSITIVE, _check_fields, _domain, _in_interval
-from .errors import _is_finite_number, _outside
+from .errors import _NONNEGATIVE, _POSITIVE, _check_fields, _domain, _is_finite_number
 from .reliability import (
     CrowAmsaaParams,
     PoissonParams,
@@ -319,10 +318,10 @@ def builtin_catalog() -> tuple[CategoryScenario, ...]:
 
 
 # The scenario fields _terms reads after its first two arguments, in its
-# parameter order, for each stage; the capacity Magnitude as its log10.
+# parameter order, for each stage.
 _TERM_PATHS: dict[Stage, tuple[str, ...]] = {
     stage: ("n_objects", "cycle_time_s", f"chi.{stage.value}",
-            "compute_env.doubling_period_years", "compute_env.current_capacity.log10_value",
+            "compute_env.doubling_period_years", "compute_env.current_capacity",
             "crow.alpha", "crow.severity", "crow_lambda_target", "crow.beta",
             "poisson.confidence", "poisson.safety_factor", "poisson.lambda_target",
             "gamma_override", "annual_miles", "base_delta", "f", f"prod_reg_years.{stage.value}")
@@ -332,7 +331,7 @@ _TERM_LEAVES = {stage: attrgetter(*paths) for stage, paths in _TERM_PATHS.items(
 
 
 def _terms(stage: Stage, ops, n_objects, cycle_time_s, chi, doubling_period_years,
-           capacity_log10, alpha, severity, crow_lambda_target, beta, confidence,
+           capacity, alpha, severity, crow_lambda_target, beta, confidence,
            safety_factor, poisson_lambda_target, gamma_value, annual_miles, base_delta, f,
            prod_reg_years):
     """The terms at ``stage`` of the leaves ``_TERM_PATHS`` names, on floats
@@ -341,7 +340,7 @@ def _terms(stage: Stage, ops, n_objects, cycle_time_s, chi, doubling_period_year
     it is compute-gated, and the Intermediates fields (demands as log10)."""
     naive = _demand_log10(_per_cycle_log10(n_objects), cycle_time_s, ops)
     effective = _effective_log10(naive, chi, ops)
-    t_comp = _horizon_years(effective, doubling_period_years, capacity_log10, ops)
+    t_comp = _horizon_years(effective, doubling_period_years, capacity, ops)
     crow_miles = _growth_miles(alpha, severity, crow_lambda_target, beta, ops)
     multiplier = STAGE_DELTA_MULTIPLIERS[stage]
     delta = base_delta * multiplier
@@ -414,7 +413,6 @@ _LEAF_SCHEMAS = {
     str: {"type": "string", "minLength": 1},
     int: {"type": "integer"},
     float: _NUMBER,
-    Magnitude: _NUMBER,
 }
 
 
@@ -475,9 +473,7 @@ def scenario_to_document(scenario: CategoryScenario) -> dict[str, Any]:
     document = {}
     for name, kind, _ in _FIELDS[type(scenario)]:
         value = getattr(scenario, name)
-        if kind is Magnitude:
-            value = value.value
-        elif kind in _FIELDS:
+        if kind in _FIELDS:
             value = scenario_to_document(value)
         document[name] = value
     return document
@@ -514,12 +510,11 @@ def _resolve_chi_value(name: str, stage_key: str, value: Any) -> float:
 
 
 # Per scenario dataclass, how each field is read from a merged document:
-# (name, nested dataclass or None, whether the value is a float or a
-# Magnitude, the Magnitude's interval or None), in declaration order.
-_PLANS: dict[type, tuple[tuple[str, type | None, bool, tuple | None], ...]] = {
-    owner: tuple((name, kind if kind in _FIELDS else None, kind is float or kind is Magnitude,
-                  interval if kind is Magnitude else None)
-                 for name, kind, interval in triples)
+# (name, nested dataclass or None, whether the value is a float), in
+# declaration order.
+_PLANS: dict[type, tuple[tuple[str, type | None, bool], ...]] = {
+    owner: tuple((name, kind if kind in _FIELDS else None, kind is float)
+                 for name, kind, _ in triples)
     for owner, triples in _FIELDS.items()
 }
 _SCENARIO_KEYS = frozenset(name for name, _, _ in _FIELDS[CategoryScenario])
@@ -540,7 +535,7 @@ def _from_document(owner: type, document: Mapping[str, Any], where: str, built: 
     being reused by another dict, and each dict sits under one field.
     """
     args = []
-    for name, nested, number, magnitude in _PLANS[owner]:
+    for name, nested, number in _PLANS[owner]:
         value = document[name]
         if nested is not None:
             cached = built.get(id(value))
@@ -550,16 +545,11 @@ def _from_document(owner: type, document: Mapping[str, Any], where: str, built: 
                 except ValidationError as exc:
                     raise ValidationError(f"{where}{name}.{exc}") from None
             value = cached[1]
-        elif number:
+        elif number and type(value) is int and not _is_finite_number(value):
             # JSON allows integers of any size.
-            if type(value) is int and not _is_finite_number(value):
-                raise ValidationError(
-                    f"{where}{name} is an integer beyond float range ({value.bit_length()} bits)"
-                )
-            if magnitude is not None:  # checked on the linear value, as given
-                if not _in_interval(value, magnitude):
-                    raise ValidationError(_outside(f"{where}{name}", value, magnitude))
-                value = Magnitude.from_value(value)
+            raise ValidationError(
+                f"{where}{name} is an integer beyond float range ({value.bit_length()} bits)"
+            )
         args.append(value)
     return owner(*args)
 

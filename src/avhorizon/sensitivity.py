@@ -44,7 +44,6 @@ from functools import partial, reduce
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
-from .complexity import Magnitude
 from .errors import UnknownParameterError, ValidationError
 from .errors import _float_power, _in_interval, _is_finite_number, _outside
 from .scenario import _FIELDS, _TERM_LEAVES, _TERM_PATHS, CategoryScenario, ProjectionResult
@@ -104,15 +103,12 @@ def _field_setter(owner: type, name: str, set_child: Callable) -> Callable:
 
 
 def _numeric_leaves(owner: type, domain: tuple | None = None):
-    """(path, setter, leaf type, interval) for every int, float or Magnitude
-    field under ``owner``, nested dataclasses included, in declaration order;
+    """(path, setter, leaf type, interval) for every int or float field
+    under ``owner``, nested dataclasses included, in declaration order;
     a field without a domain of its own takes ``domain``, its holder's."""
     for name, kind, declared in _FIELDS[owner]:
         interval = declared or domain
-        if kind is Magnitude:
-            set_leaf = _field_setter(owner, name, lambda _, v: Magnitude.from_value(v))
-            yield (name,), set_leaf, kind, interval
-        elif kind in (int, float):
+        if kind in (int, float):
             yield (name,), _field_setter(owner, name, lambda _, v: v), kind, interval
         elif kind in _FIELDS:
             for path, set_child, leaf, leaf_interval in _numeric_leaves(kind, interval):
@@ -120,13 +116,11 @@ def _numeric_leaves(owner: type, domain: tuple | None = None):
 
 
 def _getter(dotted: str, kind: type) -> _Getter:
-    if kind is Magnitude:  # swept and reported as the linear value
-        return operator.attrgetter(dotted + ".value")
     get = operator.attrgetter(dotted)
     return (lambda s: float(get(s))) if kind is int else get
 
 
-# path -> (getter, setter, leaf type: int, float or Magnitude, interval),
+# path -> (getter, setter, leaf type: int or float, interval),
 # one entry per numeric scenario field, in dataclass field declaration order.
 _PARAMETERS: dict[str, tuple[_Getter, _Setter, type, tuple]] = {
     ".".join(path): (_getter(".".join(path), kind), setter, kind, interval)
@@ -494,14 +488,12 @@ def _per_row(fn: Callable[..., float], *args):
                        count=columns[0].size)
 
 
-def _leaf_column(path: str, values) -> np.ndarray:
-    """The numbers ``project`` reads for ``path`` after
-    ``set_parameter(path, v)``, one per value."""
+def _leaf_column(values) -> np.ndarray:
+    """The numbers ``project`` reads after ``set_parameter(path, v)`` for
+    each of ``values``, as a float64 column."""
     import numpy as np
 
-    if not isinstance(values, np.ndarray):
-        values = np.array([float(v) for v in values], dtype=np.float64)
-    return _per_row(math.log10, values) if _lookup(path)[2] is Magnitude else values
+    return np.array([float(v) for v in values], dtype=np.float64)
 
 
 def _column_ops(masks: list):
@@ -547,8 +539,8 @@ def _evaluate(
 
     masks: list = []
     held = _TERM_LEAVES[stage](scenario)  # the leaves as the scenario holds them
-    leaves = [columns[path] if path in columns else float(value) for path, value in zip(
-        (p.removesuffix(".log10_value") for p in _TERM_PATHS[stage]), held)]
+    leaves = [columns[path] if path in columns else float(value)
+              for path, value in zip(_TERM_PATHS[stage], held)]
     with np.errstate(all="ignore"):
         spans, compute_gated, _ = _terms(stage, _column_ops(masks), *leaves)
     t_total = spans[-1]
@@ -616,7 +608,7 @@ def one_at_a_time(scenario: CategoryScenario, stage: Stage, sweep: SweepSpec) ->
         set_parameter(scenario, path, v)
     baseline = project(scenario, stage)
     inputs = {path: list(sweep.values)}
-    outputs = _evaluate(scenario, stage, {path: _leaf_column(path, sweep.values)}, inputs)
+    outputs = _evaluate(scenario, stage, {path: _leaf_column(sweep.values)}, inputs)
     return _report(AnalysisKind.SWEEP, scenario, stage, baseline, inputs, outputs)
 
 
@@ -725,7 +717,7 @@ def monte_carlo(
         # A zero-width distribution reports its bound as given.
         inputs[dist.parameter_path] = ([dist.low] * sample_count if dist.high - dist.low == 0.0
                                        else column.tolist())
-        columns[dist.parameter_path] = _leaf_column(dist.parameter_path, column)
+        columns[dist.parameter_path] = column
     outputs = _evaluate(scenario, stage, columns, inputs, outside)
     t_totals = np.array(outputs[0], dtype=np.float64)
     percentiles = tuple((p, float(np.percentile(t_totals, p))) for p in MC_PERCENTILES)

@@ -182,16 +182,15 @@ class TimelineBreakdown:
                 f"exactly, got {self.t_crow_partial!r} + {self.t_crow_final!r} "
                 f"!= {self.t_crow_total!r}"
             )
-        recomposed = (
-            max(self.t_crow_partial, self.t_comp)
-            + self.t_crow_final + self.t_poisson + self.t_prod_reg
-        )
+        recomposed, compute_gated = _total_years(
+            self.t_comp, self.t_crow_total, self.f, self.t_crow_partial, self.t_crow_final,
+            self.t_poisson, self.t_prod_reg, _FLOAT_OPS)
         if recomposed != self.t_total:
             raise ValidationError(
                 f"t_total must equal the composition formula, got {self.t_total!r} "
                 f"vs recomposed {recomposed!r}"
             )
-        expected_gating = Gating.COMPUTE if self.t_comp > self.t_crow_partial else Gating.RELIABILITY
+        expected_gating = _GATING[compute_gated]
         if self.gating is not expected_gating:
             raise ValidationError(
                 f"gating must be {expected_gating.value!r} when t_comp={self.t_comp!r} "

@@ -133,8 +133,7 @@ def test_criterion_04_crow_worked_examples(announce):
 
 def test_criterion_05_hpc_horizon_worked_example(announce):
     with announce(5, "compute horizon worked example at the closed form"):
-        env = ComputeEnv(current_capacity=Magnitude.from_value(1e13),
-                         doubling_period_years=2.5)
+        env = ComputeEnv(current_capacity=1e13, doubling_period_years=2.5)
         horizon = hpc_horizon_years(Magnitude.from_value(1e16), env)
         # The paper's 24.93 is 2.5 * 9.97, with log2(1000) rounded to 9.97 first.
         assert horizon == pytest.approx(2.5 * math.log2(1e16 / 1e13), rel=1e-12)

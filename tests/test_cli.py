@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from avhorizon import cli, sensitivity
+from avhorizon.errors import _in_interval
 from avhorizon.scenario import SCENARIO_SCHEMA, builtin_catalog, serialize_scenarios
 from avhorizon.sensitivity import valid_parameter_paths
 
@@ -585,6 +587,14 @@ OUT_OF_RANGE = {
 }
 
 
+def set_path(entry, path, value):
+    """Set the dotted parameter path in a document entry."""
+    *parents, leaf = path.split(".")
+    for parent in parents:
+        entry = entry.setdefault(parent, {})
+    entry[leaf] = value
+
+
 def test_out_of_range_table_covers_every_path():
     assert tuple(OUT_OF_RANGE) == valid_parameter_paths()
 
@@ -597,11 +607,7 @@ class TestOutOfRangeValues:
     def test_document_and_sweep_print_the_same_line(self, tmp_path, capsys, path):
         value, interval = OUT_OF_RANGE[path]
         entry = {"name": "Robo-Taxis"}
-        *parents, leaf = path.split(".")
-        node = entry
-        for parent in parents:
-            node = node.setdefault(parent, {})
-        node[leaf] = value
+        set_path(entry, path, value)
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps({"scenarios": [entry]}))
         expected = (f"error: scenario 'Robo-Taxis': {path}={value!r} outside permitted "
@@ -779,6 +785,59 @@ TERM_CASES = (
 )
 
 
+def in_domain_extremes(path):
+    """The values next to the bounds of the path's permitted range that lie
+    inside it (the subnormal 5e-324, the largest float, ...)."""
+    _, _, kind, interval = sensitivity._lookup(path)
+    return list(dict.fromkeys(int(v) if kind is int else v for v in edge_values(path)
+                              if _in_interval(v, interval)))
+
+
+@st.composite
+def catalog_entries_at_extremes(draw):
+    """A catalog entry with 1-3 parameter paths set to in-range extremes,
+    and the arguments that project it, so that most cases get past the
+    document checks to the model's term checks."""
+    name = draw(st.sampled_from(CATEGORY_NAMES))
+    entry = {"name": name}
+    paths = st.lists(st.sampled_from(valid_parameter_paths()), min_size=1, max_size=3,
+                     unique=True)
+    for path in draw(paths):
+        set_path(entry, path, draw(st.sampled_from(in_domain_extremes(path))))
+    args = ["project", "--category", name,
+            "--stage", draw(st.sampled_from(["2", "3", "all"])),
+            "--format", draw(st.sampled_from(["table", "csv", "json", "markdown"]))]
+    return {"scenarios": [entry]}, args
+
+
+def reaches_a_term_check(message):
+    return "float range" in message or "underflow" in message
+
+
+def run_generated_case(document, args):
+    """Run one generated case through ``cli.main`` and check its outcome: an
+    exit code of 0, 1 or 2, one ``error:`` line on failure, and an overflow
+    or underflow blaming a value the case set.  Returns the error text."""
+    with tempfile.TemporaryDirectory() as work:
+        doc = Path(work) / "doc.json"
+        doc.write_text(json.dumps(document), encoding="utf-8")
+        if args[0] != "catalog":
+            args = [args[0], "--file", str(doc), *args[1:]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:  # argparse usage error
+                code = exc.code
+    message = err.getvalue()
+    assert code in (0, 1, 2), (args, message)
+    if code == 1:
+        assert message.startswith("error:") and message.count("\n") == 1
+        if reaches_a_term_check(message):
+            assert named_paths(message) & set_paths(document, args), (args, message)
+    return message
+
+
 class TestGeneratedInput:
     @settings(max_examples=100, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -788,22 +847,37 @@ class TestGeneratedInput:
     @example(TERM_CASES[2])
     @example(TERM_CASES[3])
     def test_cli_never_prints_a_traceback(self, case):
-        document, args = case
-        with tempfile.TemporaryDirectory() as work:
-            doc = Path(work) / "doc.json"
-            doc.write_text(json.dumps(document), encoding="utf-8")
-            if args[0] != "catalog":
-                args = [args[0], "--file", str(doc), *args[1:]]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = cli.main(args)
-                except SystemExit as exc:  # argparse usage error
-                    code = exc.code
-        message = err.getvalue()
-        assert code in (0, 1, 2), (args, message)
-        if code == 1:
-            assert message.startswith("error:") and message.count("\n") == 1
-            # An overflow or underflow blames a value the case set.
-            if "float range" in message or "underflow" in message:
-                assert named_paths(message) & set_paths(document, args), (args, message)
+        run_generated_case(*case)
+
+    def test_extremes_inside_the_ranges_reach_the_term_checks(self):
+        messages = []
+
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(catalog_entries_at_extremes())
+        def check(case):
+            messages.append(run_generated_case(*case))
+
+        check()
+        reached = sum(map(reaches_a_term_check, messages))
+        # At least a fifth of the cases end in a float-range or underflow
+        # message, so the blame assertion above keeps being exercised.
+        assert reached >= 20, (reached, len(messages))
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/trace_driver.py replaces functions where the cli, scenario,
+    # sensitivity and timeline modules bind them; a refactor that drops
+    # one of those names fails here as well as in a traced benchmark run.
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from trace_driver import Recorder, install\n"
+        "sys.exit(install(Recorder())(['catalog', '--format', 'csv']))\n"
+    )
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli("catalog", "--format", "csv", env=env).stdout

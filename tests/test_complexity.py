@@ -40,16 +40,6 @@ class TestMagnitude:
             with pytest.raises(ValidationError):
                 Magnitude.from_value(bad)
 
-    def test_from_value_keeps_the_value_given(self):
-        m = Magnitude.from_value(3e13)
-        assert m.value == 3e13  # not 10 ** log10(3e13) = 30000000000000.01
-        assert 10.0 ** m.log10_value != 3e13
-        derived = Magnitude(m.log10_value)
-        assert m == derived and hash(m) == hash(derived)
-        assert repr(m) == repr(derived)
-        with pytest.raises(TypeError):  # only from_value sets it
-            Magnitude(13.0, 5.0)
-
     def test_linear_view_saturates(self):
         assert Magnitude(2000.0).value == math.inf  # exponent exact, linear view inf
 
@@ -156,7 +146,7 @@ class TestEffectiveDemand:
 
 
 class TestHpcHorizon:
-    ENV = ComputeEnv(current_capacity=Magnitude(13.0), doubling_period_years=2.5)
+    ENV = ComputeEnv(current_capacity=1e13, doubling_period_years=2.5)
 
     def test_three_decades_gap(self):
         # 2.5 * log2(10^3) years; just under 25.
@@ -177,18 +167,28 @@ class TestHpcHorizon:
             assert shifted - base == pytest.approx(k * 2.5, abs=1e-9)
 
     def test_monotone_in_doubling_period(self):
-        slow = ComputeEnv(current_capacity=Magnitude(13.0), doubling_period_years=5.0)
+        slow = ComputeEnv(current_capacity=1e13, doubling_period_years=5.0)
         assert hpc_horizon_years(Magnitude(16.0), slow) > hpc_horizon_years(
             Magnitude(16.0), self.ENV
         )
 
     def test_env_validation(self):
         with pytest.raises(ValidationError) as err:
-            ComputeEnv(current_capacity=Magnitude(13.0), doubling_period_years=0.0)
+            ComputeEnv(current_capacity=1e13, doubling_period_years=0.0)
         assert str(err.value) == "doubling_period_years=0.0 outside permitted range (0, inf)"
 
+    def test_capacity_is_a_number_in_ops_per_second(self):
+        with pytest.raises(ValidationError) as err:
+            ComputeEnv(Magnitude(13.0), 2.5)
+        assert str(err.value) == (
+            "current_capacity must be a finite number, got Magnitude(log10_value=13.0)")
+        for bad in (0, -1e13, math.inf, math.nan, True):
+            with pytest.raises(ValidationError, match="current_capacity"):
+                ComputeEnv(bad, 2.5)
+        assert ComputeEnv(10**13, 2.5).current_capacity == 10**13  # kept as given
+
     def test_horizon_beyond_float_range_names_doubling_period(self):
-        env = ComputeEnv(current_capacity=Magnitude(13.0), doubling_period_years=1e308)
+        env = ComputeEnv(current_capacity=1e13, doubling_period_years=1e308)
         with pytest.raises(ValidationError, match=r"compute_env\.doubling_period_years"):
             hpc_horizon_years(Magnitude(16.0), env)
         assert hpc_horizon_years(Magnitude(12.0), env) == 0.0  # no gap, no overflow

@@ -101,7 +101,7 @@ def test_poisson_linearity(confidence, safety_factor, lam, k):
 )
 def test_hpc_horizon_doubling_law(capacity, gap, doubling_period, k):
     """Each factor-of-2^k demand increase adds exactly k doubling periods."""
-    env = ComputeEnv(current_capacity=Magnitude(capacity),
+    env = ComputeEnv(current_capacity=10.0 ** capacity,
                      doubling_period_years=doubling_period)
     base = hpc_horizon_years(Magnitude(capacity + gap), env)
     shifted = hpc_horizon_years(Magnitude(capacity + gap + k * LOG10_2), env)

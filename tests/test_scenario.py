@@ -82,7 +82,7 @@ class TestCatalog:
     def test_shared_constants(self):
         for s in builtin_catalog():
             assert s.cycle_time_s == 0.1
-            assert s.compute_env.current_capacity.log10_value == pytest.approx(13.0, abs=1e-12)
+            assert s.compute_env.current_capacity == 1e13
             assert s.compute_env.doubling_period_years == 2.5
             assert s.crow.alpha == 1e-4
             assert s.crow.beta == 0.4
@@ -233,6 +233,16 @@ class TestSerialization:
             entry["compute_env"]["current_capacity"] = 3e13
         text = json.dumps(document, indent=2) + "\n"
         assert serialize_scenarios(parse_scenarios(text)) == text
+
+    @pytest.mark.parametrize("given, written", [
+        ("10000000000000", "10000000000000"),  # a JSON integer stays one
+        ("3e13", "30000000000000.0"),  # not 10 ** log10(3e13) = 30000000000000.01
+    ])
+    def test_capacity_serializes_back_as_given(self, given, written):
+        text = ('{"scenarios": [{"name": "Robo-Taxis", '
+                f'"compute_env": {{"current_capacity": {given}}}}}]}}')
+        out = serialize_scenarios(parse_scenarios(text))
+        assert f'"current_capacity": {written},' in out
 
 
 class TestScenarioDocuments:

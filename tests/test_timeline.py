@@ -137,21 +137,33 @@ class TestComposeTotal:
 
 
 class TestBreakdownInvariants:
+    GOOD = compose_total(15.0, 10.0, 0.7, 1.0, 4.0)  # partial 7, final 3, total 23
+
     def test_inconsistent_split_rejected(self):
-        good = compose_total(15.0, 10.0, 0.7, 1.0, 4.0)
-        with pytest.raises(ValidationError):
-            dataclasses.replace(good, t_crow_partial=6.0)
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(self.GOOD, t_crow_partial=6.0)
+        assert str(err.value) == ("t_crow_partial + t_crow_final must reconstruct "
+                                  "t_crow_total exactly, got 6.0 + 3.0 != 10.0")
 
     def test_inconsistent_total_rejected(self):
-        good = compose_total(15.0, 10.0, 0.7, 1.0, 4.0)
-        with pytest.raises(ValidationError):
-            dataclasses.replace(good, t_total=24.0)
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(self.GOOD, t_total=24.0)
+        assert str(err.value) == (
+            "t_total must equal the composition formula, got 24.0 vs recomposed 23.0")
 
     def test_inconsistent_gating_rejected(self):
-        good = compose_total(15.0, 10.0, 0.7, 1.0, 4.0)
-        assert good.gating is Gating.COMPUTE
-        with pytest.raises(ValidationError):
-            dataclasses.replace(good, gating=Gating.RELIABILITY)
+        assert self.GOOD.gating is Gating.COMPUTE
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(self.GOOD, gating=Gating.RELIABILITY)
+        assert str(err.value) == (
+            "gating must be 'compute-gated' when t_comp=15.0 and t_crow_partial=7.0")
+
+    def test_recomposition_beyond_float_range_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            TimelineBreakdown(1e308, 0.0, 0.0, 0.0, 0.0, 1e308, 0.5, 1e308, Gating.COMPUTE, 2024)
+        assert str(err.value) == (
+            "the total of the spans t_comp=1e+308, t_crow_total=0.0 (f=0.5), t_poisson=0.0 "
+            "and t_prod_reg=1e+308 exceeds float range")
 
 
 class TestCalendarDate:
