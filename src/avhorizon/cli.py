@@ -18,11 +18,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ValidationError
-from .report import ReportFormat, render, render_sensitivity
+from .report import (
+    _CHUNKED_FORMATS,
+    ReportFormat,
+    _sensitivity_chunks,
+    render,
+    render_sensitivity,
+)
 from .scenario import (
     CategoryScenario,
     _validated_json,
@@ -398,7 +403,7 @@ def _run_projection_command(args: argparse.Namespace) -> str:
     return render(results, ReportFormat.from_key(args.format))
 
 
-def _run_analysis(args: argparse.Namespace) -> str:
+def _run_analysis(args: argparse.Namespace) -> str | Iterable[str]:
     scenario = _select_single_scenario(args)
     stage = _single_stage(args.stage)
     if args.command == "sweep":
@@ -410,7 +415,10 @@ def _run_analysis(args: argparse.Namespace) -> str:
             scenario, stage, _distributions_from_args(args),
             sample_count=args.samples, seed=args.seed,
         )
-    return render_sensitivity(report, ReportFormat.from_key(args.format))
+    fmt = ReportFormat.from_key(args.format)
+    if fmt in _CHUNKED_FORMATS:
+        return _sensitivity_chunks(report, fmt)
+    return render_sensitivity(report, fmt)
 
 
 _COMMANDS = {
@@ -423,16 +431,23 @@ _COMMANDS = {
 }
 
 
+def _write(output: str | Iterable[str], path: str | None) -> None:
+    """Write a command's text, whole or as chunks, to ``path`` (created or
+    truncated only now, once every check has passed) or standard output."""
+    chunks = (output,) if isinstance(output, str) else output
+    if not path:
+        sys.stdout.writelines(chunks)
+        return
+    with open(path, "w", encoding="utf-8") as stream:
+        stream.writelines(chunks)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _reject_flag_conflicts(parser, args)
     try:
-        output = _COMMANDS[args.command](args)
-        if args.output:
-            Path(args.output).write_text(output, encoding="utf-8")
-        else:
-            sys.stdout.write(output)
+        _write(_COMMANDS[args.command](args), args.output)
     except ValidationError as exc:
         message = " ".join(str(exc).split())  # single line, collapsed whitespace
         print(f"error: {message}", file=sys.stderr)

@@ -20,6 +20,7 @@ import io
 import json
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
+from itertools import chain, islice
 from operator import attrgetter, itemgetter
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence, get_type_hints
 
@@ -35,6 +36,10 @@ __all__ = [
     "render",
     "render_sensitivity",
 ]
+
+# Rows per chunk of a CSV or JSON sensitivity render.  The bytes do not
+# depend on it; it bounds the text a render holds at once.
+_CHUNK_ROWS = 4096
 
 # The JSON schema and JSON value of each type a result field holds.
 _JSON_NUMBER = {"type": "number"}
@@ -192,15 +197,16 @@ def _markdown_lines(table: _Table) -> Iterator[str]:
         yield "| " + " | ".join(row) + " |"
 
 
-def _csv_text(table: _Table) -> str:
-    """The table as ``csv.writer`` writes it with minimal quoting.
+def _csv_text(table: _Table, with_headers: bool = True) -> str:
+    """The table as ``csv.writer`` writes it with minimal quoting; without
+    the header row when ``with_headers`` is false.
 
     Cells are joined directly when none needs quoting, that is when the
     joined text holds one comma fewer than cells in each row, one
     newline per row, and no quote or carriage return.  A row of one
     empty cell is written quoted, so one-column tables always go
     through the writer."""
-    rows = [table.headers, *table.rows]
+    rows = [table.headers, *table.rows] if with_headers else list(table.rows)
     text = "\n".join(map(",".join, rows)) + "\n"
     if (len(table.headers) > 1 and '"' not in text and "\r" not in text
             and text.count("\n") == len(rows)
@@ -209,6 +215,16 @@ def _csv_text(table: _Table) -> str:
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_MINIMAL).writerows(rows)
     return buffer.getvalue()
+
+
+def _csv_chunks(table: _Table) -> Iterator[str]:
+    """``_csv_text`` of the table in chunks: the header row with the first
+    ``_CHUNK_ROWS`` rows, then ``_CHUNK_ROWS`` rows at a time.  Quoting is
+    decided row by row, so the chunks join to the text of the whole table."""
+    rows = iter(table.rows)
+    yield _csv_text(table._replace(rows=islice(rows, _CHUNK_ROWS)))
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        yield _csv_text(table._replace(rows=chunk), with_headers=False)
 
 
 def _page(fmt: ReportFormat, title: str, timestamp: str | None, facts: list[str],
@@ -342,6 +358,11 @@ def _render_json(results: Sequence[ProjectionResult], title: str,
 # ---------------------------------------------------------------------------
 
 
+# The formats whose sensitivity render is made, and can be written, in
+# row chunks.  An aligned text or Markdown table needs every row first.
+_CHUNKED_FORMATS = (ReportFormat.CSV, ReportFormat.JSON)
+
+
 def render_sensitivity(
     report: SensitivityReport,
     fmt: ReportFormat,
@@ -350,16 +371,9 @@ def render_sensitivity(
     generated_at: datetime | str | None = None,
 ) -> str:
     """Render a sensitivity report; entry order follows the report."""
-    if not report.entries:
-        raise EmptyResultsError("cannot render a sensitivity report with no entries")
-    resolved_title = title or (
-        f"{report.kind.value} sensitivity: {report.category} ({report.stage.value})"
-    )
-    timestamp = _format_timestamp(generated_at)
-    if fmt is ReportFormat.CSV:
-        return _csv_text(_entries_table(report, for_csv=True))
-    if fmt is ReportFormat.JSON:
-        return _render_sensitivity_json(report, resolved_title, timestamp)
+    if fmt in _CHUNKED_FORMATS:
+        return "".join(_sensitivity_chunks(report, fmt, title=title, generated_at=generated_at))
+    resolved_title, timestamp = _sensitivity_heading(report, title, generated_at)
     if fmt not in (ReportFormat.TABLE, ReportFormat.MARKDOWN):
         raise ValidationError(f"unknown report format {fmt!r}")
     summary = report.summary
@@ -392,83 +406,157 @@ def render_sensitivity(
     return _page(fmt, resolved_title, timestamp, facts, tables)
 
 
-def _gating_texts(report: SensitivityReport, compute: str, reliability: str) -> list[str]:
-    return [compute if g is Gating.COMPUTE else reliability for g in report.gating]
+def _sensitivity_heading(report: SensitivityReport, title: str | None,
+                         generated_at: datetime | str | None) -> tuple[str, str | None]:
+    """The title and timestamp of a render, once the report is known to
+    have entries and the timestamp to be valid."""
+    if not report.entries:
+        raise EmptyResultsError("cannot render a sensitivity report with no entries")
+    resolved_title = title or (
+        f"{report.kind.value} sensitivity: {report.category} ({report.stage.value})"
+    )
+    return resolved_title, _format_timestamp(generated_at)
+
+
+def _sensitivity_chunks(
+    report: SensitivityReport,
+    fmt: ReportFormat,
+    *,
+    title: str | None = None,
+    generated_at: datetime | str | None = None,
+) -> Iterable[str]:
+    """The CSV or JSON render of a report as text chunks of at most
+    ``_CHUNK_ROWS`` entries each, which join to ``render_sensitivity``'s
+    text.  Every check runs before this returns, so reading the chunks
+    raises no validation error."""
+    resolved_title, timestamp = _sensitivity_heading(report, title, generated_at)
+    if fmt is ReportFormat.CSV:
+        return _csv_chunks(_entries_table(report, for_csv=True))
+    if fmt is ReportFormat.JSON:
+        return _sensitivity_json_chunks(report, resolved_title, timestamp)
+    raise ValidationError(f"the {fmt.value} format is not rendered in chunks")
+
+
+def _row_blocks(count: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``_CHUNK_ROWS`` of ``count`` rows."""
+    return (slice(start, start + _CHUNK_ROWS) for start in range(0, count, _CHUNK_ROWS))
+
+
+def _gating_texts(gating: Sequence[Gating], compute: str, reliability: str) -> list[str]:
+    # Bound once: looking the member up on the enum class in every row
+    # costs several times what the rest of the row does.
+    compute_gated = Gating.COMPUTE
+    return [compute if g is compute_gated else reliability for g in gating]
+
+
+def _cells(values: Sequence, text: Callable[..., str]) -> list[str]:
+    """``text`` of each value; a blank cell for None."""
+    if None in values:
+        return ["" if v is None else text(v) for v in values]
+    return list(map(text, values))
 
 
 def _entries_table(report: SensitivityReport, for_csv: bool = False) -> _Table:
     """One row per entry: a column per input path in first-seen order
     (blank where an entry does not set it), then t_total, year, gating.
-    CSV cells carry full precision; text and Markdown cells are rounded."""
+    CSV cells carry full precision; text and Markdown cells are rounded.
+    The cells are made a column at a time, ``_CHUNK_ROWS`` rows at a
+    time, as the rows are read."""
     paths = [path for path, _ in report.inputs]
     if for_csv:
         tail, value_text, total_text = ["t_total_years", "calendar_year"], repr, repr
     else:
         tail, value_text, total_text = ["t_total", "year"], "{:g}".format, "{:.4f}".format
-    cells = [["" if v is None else value_text(v) for v in column]
-             for _, column in report.inputs]
-    cells.append(list(map(total_text, report.t_total)))
-    cells.append(list(map(str, report.calendar_year)))
-    cells.append(_gating_texts(report, Gating.COMPUTE.value, Gating.RELIABILITY.value))
-    return _Table(paths + tail + ["gating"], zip(*cells), right_aligned=range(len(paths) + 2))
+
+    def block(rows: slice) -> Iterator[tuple[str, ...]]:
+        cells = [_cells(column[rows], value_text) for _, column in report.inputs]
+        cells.append(list(map(total_text, report.t_total[rows])))
+        cells.append(list(map(str, report.calendar_year[rows])))
+        cells.append(_gating_texts(report.gating[rows], Gating.COMPUTE.value,
+                                   Gating.RELIABILITY.value))
+        return zip(*cells)
+
+    rows = chain.from_iterable(map(block, _row_blocks(len(report.t_total))))
+    return _Table(paths + tail + ["gating"], rows, right_aligned=range(len(paths) + 2))
 
 
-_PLAIN_TYPES = {int, float, type(None)}
+_PLAIN_NUMBERS = {int, float}
 
 
-def _json_values(column: Sequence) -> Sequence:
-    """The column with every number as a value whose ``str`` is its
-    ``json.dumps`` text.
+def _json_texts(values: Sequence) -> list[str | None]:
+    """The ``json.dumps`` text of each number; None stays None.
 
-    ``str`` of an exact int, or of an exact finite float, is the text
+    ``repr`` of an exact int, or of an exact finite float, is the text
     the JSON encoder writes, and report values are finite, so a column
-    holding only those (and None) is returned as it is.  Any other
-    value, such as a float subclass with its own repr, is mapped
-    through ``json.dumps``.
+    holding only those is mapped through ``repr``.  Any other value,
+    such as a float subclass with its own repr, goes through
+    ``json.dumps``.
     """
-    if set(map(type, column)) <= _PLAIN_TYPES:
-        return column
-    return [None if v is None else json.dumps(v) for v in column]
+    if set(map(type, values)) <= _PLAIN_NUMBERS:
+        return list(map(repr, values))
+    return [None if v is None else json.dumps(v) for v in values]
 
 
-def _entry_template(paths: Sequence[str]) -> str:
-    """``%``-template of one entry as ``json.dumps(indent=2)`` writes it
-    inside the top-level ``entries`` list: a slot per input path, then
-    t_total, calendar_year and gating."""
-    slots = ",\n".join(f"        {json.dumps(path).replace('%', '%%')}: %s" for path in paths)
+def _entry_pieces(paths: Sequence[str]) -> list[str]:
+    """The text around the values of one entry as ``json.dumps(indent=2)``
+    writes it inside the top-level ``entries`` list: a value per input
+    path, then t_total, calendar_year and gating.  ``json.dumps`` escapes
+    every control character, so a NUL marks each value's place."""
+    slots = ",\n".join(f"        {json.dumps(path)}: \0" for path in paths)
     inputs = f"{{\n{slots}\n      }}" if paths else "{}"
     return ("    {\n"
             f'      "inputs": {inputs},\n'
-            '      "t_total": %s,\n'
-            '      "calendar_year": %s,\n'
-            '      "gating": %s\n'
-            "    }")
+            '      "t_total": \0,\n'
+            '      "calendar_year": \0,\n'
+            '      "gating": \0\n'
+            "    }").split("\0")
 
 
-def _json_entries(report: SensitivityReport) -> list[str]:
-    """The JSON text of every entry, from one template per distinct set
-    of input paths the rows set."""
+def _weave(pieces: Sequence[str], columns: Sequence[Sequence[str]], joiner: str) -> str:
+    """Rows joined by ``joiner``, row i being ``pieces[0] + columns[0][i] +
+    pieces[1] + ... + columns[-1][i] + pieces[-1]``: the parts are laid
+    out a column at a time, then joined once."""
+    count, step = len(columns[0]), 2 * len(columns)
+    parts = [pieces[-1] + joiner + pieces[0]] * (step * count + 1)
+    parts[0], parts[-1] = pieces[0], pieces[-1]
+    for i, column in enumerate(columns):
+        parts[2 * i + 1::step] = column
+    for i in range(1, len(columns)):
+        parts[2 * i::step] = [pieces[i]] * count
+    return "".join(parts)
+
+
+def _json_entries(report: SensitivityReport) -> Iterator[str]:
+    """The JSON text of the entries, joined by ``",\n"``, in chunks of
+    ``_CHUNK_ROWS``.  A chunk whose rows all set every input path is
+    woven from one set of pieces; otherwise each row is written from a
+    ``%``-template for the paths it sets."""
     paths = [path for path, _ in report.inputs]
-    columns = [_json_values(column) for _, column in report.inputs]
-    gating = _gating_texts(report, json.dumps(Gating.COMPUTE.value),
-                           json.dumps(Gating.RELIABILITY.value))
-    rows = zip(*columns, _json_values(report.t_total), _json_values(report.calendar_year),
-               gating)
-    if not any(None in column for column in columns):
-        return list(map(_entry_template(paths).__mod__, rows))
+    pieces = _entry_pieces(paths)
+    gating = json.dumps(Gating.COMPUTE.value), json.dumps(Gating.RELIABILITY.value)
     templates: dict[tuple[bool, ...], str] = {}
-    texts = []
-    for row in rows:
-        present = tuple(v is not None for v in row[:len(paths)])
-        if present not in templates:
-            templates[present] = _entry_template(
-                [path for path, here in zip(paths, present) if here])
-        texts.append(templates[present] % tuple(v for v in row if v is not None))
-    return texts
+    for rows in _row_blocks(len(report.t_total)):
+        inputs = [_json_texts(column[rows]) for _, column in report.inputs]
+        outputs = [_json_texts(report.t_total[rows]), _json_texts(report.calendar_year[rows]),
+                   _gating_texts(report.gating[rows], *gating)]
+        if rows.start:
+            yield ",\n"
+        if not any(None in column for column in inputs):
+            yield _weave(pieces, inputs + outputs, ",\n")
+            continue
+        texts = []
+        for row in zip(*inputs, *outputs):
+            present = tuple(v is not None for v in row[:len(paths)])
+            if present not in templates:
+                templates[present] = "%s".join(piece.replace("%", "%%") for piece in
+                                               _entry_pieces([path for path, here
+                                                              in zip(paths, present) if here]))
+            texts.append(templates[present] % tuple(v for v in row if v is not None))
+        yield ",\n".join(texts)
 
 
-def _render_sensitivity_json(report: SensitivityReport, title: str,
-                             timestamp: str | None) -> str:
+def _sensitivity_json_chunks(report: SensitivityReport, title: str,
+                             timestamp: str | None) -> Iterator[str]:
     payload: dict = {"title": title}
     if timestamp:
         payload["generated_at"] = timestamp
@@ -489,6 +577,6 @@ def _render_sensitivity_json(report: SensitivityReport, title: str,
         payload["tornado_spreads"] = list(map(asdict, report.tornado_spreads))
     # The entries list is the last member: the rest of the document as
     # json.dumps writes it, without its closing brace, then the entries.
-    head = json.dumps(payload, indent=2)
-    return (head[:-2] + ',\n  "entries": [\n' + ",\n".join(_json_entries(report))
-            + "\n  ]\n}\n")
+    yield json.dumps(payload, indent=2)[:-2] + ',\n  "entries": [\n'
+    yield from _json_entries(report)
+    yield "\n  ]\n}\n"

@@ -720,6 +720,6 @@ def monte_carlo(
         columns[dist.parameter_path] = column
     outputs = _evaluate(scenario, stage, columns, inputs, outside)
     t_totals = np.array(outputs[0], dtype=np.float64)
-    percentiles = tuple((p, float(np.percentile(t_totals, p))) for p in MC_PERCENTILES)
+    percentiles = tuple(zip(MC_PERCENTILES, np.percentile(t_totals, MC_PERCENTILES).tolist()))
     return _report(AnalysisKind.MONTE_CARLO, scenario, stage, baseline, inputs, outputs,
                    percentiles=percentiles, seed=seed, sample_count=sample_count)

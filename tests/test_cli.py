@@ -15,10 +15,17 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from avhorizon import cli, sensitivity
+from avhorizon import cli, report, sensitivity
 from avhorizon.errors import _in_interval
+from avhorizon.report import ReportFormat, render_sensitivity
 from avhorizon.scenario import SCENARIO_SCHEMA, builtin_catalog, serialize_scenarios
-from avhorizon.sensitivity import valid_parameter_paths
+from avhorizon.sensitivity import (
+    DistributionKind,
+    DistributionSpec,
+    monte_carlo,
+    valid_parameter_paths,
+)
+from avhorizon.timeline import Stage
 
 
 def run_cli(*args, **kwargs):
@@ -252,6 +259,76 @@ class TestMonteCarloCommand:
                        "--dist", "crow.beta=gaussian:0.3,0.5")
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
+
+
+class TestStreamedOutput:
+    """CSV and JSON analysis output is written chunk by chunk as it is made."""
+
+    SAMPLES = report._CHUNK_ROWS + 5  # two chunks of entries
+    MC = ("mc", "--category", "Robo-Taxis", "--dist", "crow.beta=uniform:0.35,0.55",
+          "--seed", "3")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_and_output_file_hold_the_render(self, tmp_path, fmt):
+        args = [sys.executable, "-m", "avhorizon", *self.MC, "--samples", str(self.SAMPLES),
+                "--format", fmt]
+        piped = subprocess.run(args, capture_output=True, check=True).stdout
+        path = tmp_path / f"mc.{fmt}"
+        subprocess.run([*args, "--output", str(path)], check=True)
+        analysis = monte_carlo(
+            builtin_catalog()[1], Stage.BROAD_COMMERCIAL,
+            [DistributionSpec("crow.beta", DistributionKind.UNIFORM, 0.35, 0.55)],
+            self.SAMPLES, 3)
+        expected = render_sensitivity(analysis, ReportFormat(fmt)).encode("utf-8")
+        assert piped == path.read_bytes() == expected
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json", "markdown"])
+    def test_empty_tornado_fails_before_creating_the_output(self, tmp_path, capsys, fmt):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"bounds": []}')
+        output = tmp_path / "out"
+        err = assert_single_error_line(capsys, "tornado", "--category", "Robo-Taxis",
+                                       "--spec-file", str(spec), "--format", fmt,
+                                       "--output", str(output))
+        assert err == "error: cannot render a sensitivity report with no entries\n"
+        assert not output.exists()
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_output_into_a_missing_directory(self, tmp_path, capsys, fmt):
+        err = assert_single_error_line(capsys, *self.MC, "--samples", "10", "--format", fmt,
+                                       "--output", str(tmp_path / "missing" / "out"))
+        assert "No such file or directory" in err
+
+
+# Starts the command given as arguments and prints its exit code and peak
+# resident size in KiB.
+PEAK_RSS_HELPER = """
+import os, sys
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads wait4's ru_maxrss in KiB")
+def test_large_json_report_is_written_in_bounded_memory(tmp_path):
+    # The command starts from a small helper process: a child that this
+    # (larger) process started with vfork would report this process's
+    # resident high-water mark as its own.
+    def peak_mib(samples):
+        command = [sys.executable, "-m", "avhorizon", "mc", "--category", "Robo-Taxis",
+                   "--dist", "crow.beta=uniform:0.35,0.55", "--dist", "f=uniform:0.6,0.8",
+                   "--samples", str(samples), "--format", "json",
+                   "--output", str(tmp_path / "mc.json")]
+        helper = subprocess.run([sys.executable, "-c", PEAK_RSS_HELPER, *command],
+                                capture_output=True, text=True, check=True)
+        code, kib = map(int, helper.stdout.split())
+        assert code == 0
+        return kib / 1024
+
+    # About 25 MiB, of which the report's columns are most; holding the
+    # whole 21 MB document as text and bytes made it over 70.
+    assert peak_mib(100_000) - peak_mib(1000) < 45
 
 
 # Per flag: the command, a spec file with JSON integers, the same numbers as

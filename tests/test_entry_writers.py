@@ -2,12 +2,15 @@
 they replaced.
 
 ``render_sensitivity`` writes a report's entries straight from its
-columns: JSON through one ``%``-template per set of input paths, and the
-CSV, text and Markdown tables from column-wise cells.  Every case here
-renders the same report a second time with test-local copies of the
-per-entry writers that came before (``json.dumps`` over entry dicts, one
-table row per ``SensitivityEntry``) patched in, and requires
-byte-identical output in all four formats.
+columns, in chunks of ``_CHUNK_ROWS`` entries: JSON woven a column at a
+time around the text of one entry (rows that leave a path unset through
+a ``%``-template per set of input paths), and the CSV, text and Markdown
+tables from column-wise cells.  Every case here renders the same report
+a second time with test-local copies of the per-entry writers that came
+before (``json.dumps`` over entry dicts, one table row per
+``SensitivityEntry``) patched in, and requires byte-identical output in
+all four formats.  The generated reports (1-12 entries) are rendered
+with chunks of 3 entries, so that they cross chunk boundaries.
 """
 
 import datetime
@@ -101,11 +104,15 @@ def row_render_json(report, title, timestamp):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def assert_renders_match(report, **kwargs):
+def assert_renders_match(report, chunk_rows=3, **kwargs):
+    """Render with chunks of ``chunk_rows`` entries, then through the row
+    writers; the JSON one returns the whole text, which as a str is also
+    an iterable of chunks."""
     for fmt in ReportFormat:
-        text = render_sensitivity(report, fmt, **kwargs)
+        with mock.patch.object(report_module, "_CHUNK_ROWS", chunk_rows):
+            text = render_sensitivity(report, fmt, **kwargs)
         with mock.patch.object(report_module, "_entries_table", row_entries_table), \
-                mock.patch.object(report_module, "_render_sensitivity_json", row_render_json):
+                mock.patch.object(report_module, "_sensitivity_json_chunks", row_render_json):
             assert text == render_sensitivity(report, fmt, **kwargs), fmt
 
 
@@ -141,6 +148,18 @@ ANALYSES = {
     2026, 8, 19, 12, 30, tzinfo=datetime.timezone.utc)])
 def test_analysis_reports_render_as_before(name, stamp):
     assert_renders_match(ANALYSES[name](), generated_at=stamp)
+
+
+CHUNK = report_module._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_monte_carlo_renders_as_before_across_chunk_boundaries(samples):
+    report = monte_carlo(CATALOG[1], S3, [
+        DistributionSpec("crow.beta", DistributionKind.UNIFORM, 0.35, 0.55),
+        DistributionSpec("gamma_override", DistributionKind.UNIFORM, 1, 1),
+        DistributionSpec("f", DistributionKind.TRIANGULAR, 0.6, 0.8, 0.7)], samples, 11)
+    assert_renders_match(report, chunk_rows=CHUNK)
 
 
 # ---------------------------------------------------------------------------
