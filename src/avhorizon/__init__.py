@@ -29,13 +29,10 @@ from .errors import (
 )
 from .reliability import (
     CrowAmsaaParams,
-    OddDimension,
-    OddProfile,
     PoissonParams,
     crow_failure_rate,
     crow_required_miles,
     demonstration_years,
-    gamma,
     poisson_required_miles,
 )
 from .report import ReportFormat, render, render_sensitivity
@@ -97,8 +94,6 @@ __all__ = [
     "Intermediates",
     "MC_PERCENTILES",
     "Magnitude",
-    "OddDimension",
-    "OddProfile",
     "PROJECTABLE_STAGES",
     "ParameterBounds",
     "PoissonParams",
@@ -129,7 +124,6 @@ __all__ = [
     "crow_required_miles",
     "demonstration_years",
     "effective_demand",
-    "gamma",
     "get_parameter",
     "hpc_horizon_years",
     "load_scenarios",

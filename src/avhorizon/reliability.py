@@ -20,11 +20,11 @@ Two demonstration regimes feed the timeline model:
 
       R = -ln(1 - C) * safety_factor / lambda_target
 
-Both regimes yield miles; calendar conversion applies the operational
-design domain (ODD) weighting gamma, the stage exposure fraction delta
-and the fleet's annual mileage M:
+Both regimes yield miles; calendar conversion applies the scenario's
+operational-design-domain weighting gamma_override, the stage exposure
+fraction delta and the fleet's annual mileage M:
 
-      years = R * gamma * delta / M
+      years = R * gamma_override * delta / M
 
 Miles are the canonical demonstration unit throughout; years are
 always derived, never stored upstream.
@@ -40,16 +40,12 @@ from .errors import _FLOAT_OPS, _POSITIVE, ValidationError, _check_fields, _doma
 __all__ = [
     "CrowAmsaaParams",
     "PoissonParams",
-    "OddDimension",
-    "OddProfile",
     "crow_required_miles",
     "crow_failure_rate",
     "poisson_required_miles",
-    "gamma",
     "demonstration_years",
 ]
 
-_WEIGHT_SUM_TOL = 1e-9
 _AT_LEAST_ONE = _domain(1, math.inf, high_open=True)
 
 
@@ -74,46 +70,6 @@ class PoissonParams:
     lambda_target: float = field(metadata=_POSITIVE)  # target failure rate per mile
 
     def __post_init__(self) -> None:
-        _check_fields(self)
-
-
-@dataclass(frozen=True, slots=True)
-class OddDimension:
-    """One operational condition with its mix weight and difficulty score."""
-
-    name: str
-    weight: float = field(metadata=_domain(0, 1))
-    score: float = field(metadata=_domain(0, 1))
-
-    def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ValidationError(f"dimension name must be a non-empty string, got {self.name!r}")
-        _check_fields(self, "dimension")
-
-
-@dataclass(frozen=True, slots=True)
-class OddProfile:
-    """Operational design domain: weighted condition mix plus exposure.
-
-    delta is the fraction of full-domain demonstration mileage the
-    profile actually requires (restricted domains need less).
-    """
-
-    dimensions: tuple[OddDimension, ...]
-    delta: float = field(default=1.0, metadata=_domain(0, 1, low_open=True))
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dimensions", tuple(self.dimensions))
-        if not self.dimensions:
-            raise ValidationError("OddProfile requires at least one dimension")
-        for d in self.dimensions:
-            if not isinstance(d, OddDimension):
-                raise ValidationError(f"dimensions must be OddDimension items, got {d!r}")
-        total = math.fsum(d.weight for d in self.dimensions)
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValidationError(
-                f"dimension weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {total!r}"
-            )
         _check_fields(self)
 
 
@@ -166,15 +122,6 @@ def poisson_required_miles(params: PoissonParams) -> float:
                           _FLOAT_OPS)
 
 
-def gamma(profile: OddProfile) -> float:
-    """Domain difficulty factor: the weight-averaged condition score.
-
-    Permutation invariant in the dimensions; lies in [0, 1] because
-    weights sum to one and scores are bounded by one.
-    """
-    return math.fsum(d.weight * d.score for d in profile.dimensions)
-
-
 def _demonstration_years(required_miles: float, gamma_value: float, delta: float,
                          annual_miles: float, ops) -> float:
     years = required_miles * gamma_value * delta / annual_miles
@@ -194,9 +141,9 @@ def demonstration_years(
 ) -> float:
     """Calendar years to accumulate the demonstration mileage.
 
-    years = required_miles * gamma_value * delta / annual_miles.  The
-    gamma factor may exceed 1 for domains harder than the reference mix
-    (scenario overrides allow that); delta cannot exceed 1.
+    years = required_miles * gamma_value * delta / annual_miles, with
+    gamma_value a scenario's gamma_override, any positive number; delta
+    cannot exceed 1.
     """
     if not (math.isfinite(required_miles) and required_miles >= 0.0):
         raise ValidationError(

@@ -17,7 +17,7 @@ def library_surface_bullets() -> dict[str, list[str]]:
     """Module name -> names listed in its "## Library surface" bullet.
 
     A listed name is the leading identifier of each backticked span, so
-    a call such as `gamma(OddProfile(...))` lists gamma.
+    a call such as `ComputeEnv(current_capacity, ...)` lists ComputeEnv.
     """
     section = README.read_text(encoding="utf-8").split("## Library surface", 1)[1]
     section = section.split("\n## ", 1)[0]

@@ -2,10 +2,9 @@
 
 Each suite runs at least 200 generated cases. Settings are
 derandomized so a run is reproducible without a stored example
-database.
+database.  The eighth suite, the whole model against a 50-digit
+oracle, lives in ``test_oracle``.
 """
-
-import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,16 +17,15 @@ from avhorizon.complexity import (
 )
 from avhorizon.reliability import (
     CrowAmsaaParams,
-    OddDimension,
-    OddProfile,
     PoissonParams,
     crow_failure_rate,
     crow_required_miles,
     demonstration_years,
-    gamma,
     poisson_required_miles,
 )
 from avhorizon.timeline import Gating, compose_total
+
+import test_oracle
 
 SUITE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -156,34 +154,6 @@ def test_gating_perturbation_invariance(t_comp, t_crow, t_poisson, t_prod, f):
 
 @SUITE_SETTINGS
 @given(
-    raw=st.lists(st.tuples(st.floats(0.01, 10.0, **finite),
-                           st.floats(0.0, 1.0, **finite)),
-                 min_size=2, max_size=6),
-    seed=st.integers(0, 2 ** 16),
-    constant=st.floats(0.0, 1.0, **finite),
-)
-def test_gamma_permutation_invariance(raw, seed, constant):
-    """Dimension order is irrelevant; constant scores return the constant."""
-    import random
-
-    total = math.fsum(w for w, _ in raw)
-    dims = tuple(
-        OddDimension(name=f"d{i}", weight=w / total, score=c)
-        for i, (w, c) in enumerate(raw)
-    )
-    assume(abs(math.fsum(d.weight for d in dims) - 1.0) <= 1e-9)
-    shuffled = list(dims)
-    random.Random(seed).shuffle(shuffled)
-    assert gamma(OddProfile(tuple(shuffled))) == gamma(OddProfile(dims))
-
-    const_dims = tuple(
-        OddDimension(name=d.name, weight=d.weight, score=constant) for d in dims
-    )
-    assert gamma(OddProfile(const_dims)) == pytest.approx(constant, rel=1e-12, abs=1e-12)
-
-
-@SUITE_SETTINGS
-@given(
     miles=st.floats(0.0, 1e15, **finite),
     gamma_value=st.floats(0.01, 3.0, **finite),
     delta=st.floats(0.01, 1.0, **finite),
@@ -204,6 +174,6 @@ PROPERTY_SUITES = (
     test_hpc_horizon_doubling_law,
     test_compose_total_monotonicity_and_f_identities,
     test_gating_perturbation_invariance,
-    test_gamma_permutation_invariance,
+    test_oracle.test_project_matches_the_oracle,
     test_tenfold_fleet_scaling,
 )

@@ -8,13 +8,10 @@ import pytest
 from avhorizon.errors import ValidationError
 from avhorizon.reliability import (
     CrowAmsaaParams,
-    OddDimension,
-    OddProfile,
     PoissonParams,
     crow_failure_rate,
     crow_required_miles,
     demonstration_years,
-    gamma,
     poisson_required_miles,
 )
 
@@ -192,48 +189,6 @@ class TestPoissonMiles:
             PoissonParams(confidence=0.95, safety_factor=0.5, lambda_target=1e-8)
         with raises_exactly("lambda_target=0.0 outside permitted range (0, inf)"):
             PoissonParams(confidence=0.95, safety_factor=2.0, lambda_target=0.0)
-
-
-class TestGamma:
-    WEIGHTS = (0.3, 0.25, 0.25, 0.2)
-
-    def _profile(self, scores):
-        dims = tuple(
-            OddDimension(name=f"dim{i}", weight=w, score=c)
-            for i, (w, c) in enumerate(zip(self.WEIGHTS, scores))
-        )
-        return OddProfile(dimensions=dims)
-
-    def test_all_hard_scores_give_ceiling(self):
-        assert gamma(self._profile((1.0, 1.0, 1.0, 1.0))) == pytest.approx(1.0, rel=1e-12)
-
-    def test_all_zero_scores(self):
-        assert gamma(self._profile((0.0, 0.0, 0.0, 0.0))) == 0.0
-
-    def test_constant_scores_return_the_constant(self):
-        assert gamma(self._profile((0.2, 0.2, 0.2, 0.2))) == pytest.approx(0.2, rel=1e-12)
-
-    def test_weight_sum_enforced_with_residual(self):
-        dims = (
-            OddDimension("a", 0.5, 1.0),
-            OddDimension("b", 0.4, 1.0),
-        )
-        with pytest.raises(ValidationError, match="sum"):
-            OddProfile(dimensions=dims)
-
-    def test_delta_range(self):
-        dims = (OddDimension("a", 1.0, 1.0),)
-        OddProfile(dimensions=dims, delta=1.0)
-        with raises_exactly("delta=0.0 outside permitted range (0, 1]"):
-            OddProfile(dimensions=dims, delta=0.0)
-        with raises_exactly("delta=1.5 outside permitted range (0, 1]"):
-            OddProfile(dimensions=dims, delta=1.5)
-
-    def test_dimension_ranges_name_the_dimension(self):
-        with raises_exactly("dimension 'rain': weight=1.5 outside permitted range [0, 1]"):
-            OddDimension("rain", 1.5, 0.5)
-        with raises_exactly("dimension 'rain': score=-0.5 outside permitted range [0, 1]"):
-            OddDimension("rain", 0.5, -0.5)
 
 
 class TestDemonstrationYears:
