@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import _FLOAT_OPS, _POSITIVE, ValidationError, _check_fields
+from .errors import _FINITE, _FLOAT_OPS, _NONNEGATIVE, _POSITIVE, ValidationError, _check_fields
+from .errors import _check_number, _domain
 
 __all__ = [
     "Magnitude",
@@ -57,23 +58,15 @@ class Magnitude:
     negative (rates below one per second are legal); it must be finite.
     """
 
-    log10_value: float
+    log10_value: float = field(metadata=_FINITE)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.log10_value):
-            raise ValidationError(
-                f"Magnitude.log10_value must be finite, got {self.log10_value!r}"
-            )
+        _check_fields(self)
 
     @classmethod
     def from_value(cls, value: float) -> "Magnitude":
         """Build from a linear value, which must be positive and finite."""
-        if not (isinstance(value, (int, float)) and not isinstance(value, bool)):
-            raise ValidationError(f"Magnitude value must be numeric, got {value!r}")
-        if not math.isfinite(value) or value <= 0:
-            raise ValidationError(
-                f"Magnitude value must be positive and finite, got {value!r}"
-            )
+        _check_number("value", value, _POSITIVE)
         return cls(math.log10(value))
 
     @property
@@ -117,15 +110,23 @@ class ReductionFactor:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValidationError(f"factor name must be a non-empty string, got {self.name!r}")
-        low, high = self.documented_range
+        where = f"factor {self.name!r}: "
+        try:
+            low, high = self.documented_range
+        except (TypeError, ValueError):
+            raise ValidationError(f"{where}documented_range must be a (low, high) pair, "
+                                  f"got {self.documented_range!r}") from None
+        for name, number in (("documented_range low", low), ("documented_range high", high),
+                             ("value", self.value)):
+            _check_number(where + name, number, _FINITE)
         if not (0.0 < low <= high <= 1.0):
             raise ValidationError(
-                f"factor {self.name!r}: documented_range must satisfy "
+                f"{where}documented_range must satisfy "
                 f"0 < low <= high <= 1, got ({low!r}, {high!r})"
             )
         if not (low <= self.value <= high):
             raise ValidationError(
-                f"factor {self.name!r}: value {self.value!r} outside "
+                f"{where}value {self.value!r} outside "
                 f"documented_range [{low}, {high}]"
             )
 
@@ -170,8 +171,7 @@ def naive_mapf_ops_per_cycle(n_objects: int) -> Magnitude:
 
     n_objects may be zero (an empty scene costs one operation).
     """
-    if not isinstance(n_objects, int) or isinstance(n_objects, bool) or n_objects < 0:
-        raise ValidationError(f"n_objects must be an integer >= 0, got {n_objects!r}")
+    _check_number("n_objects", n_objects, _NONNEGATIVE, int)
     return Magnitude(_per_cycle_log10(n_objects))
 
 
@@ -185,8 +185,7 @@ def compute_demand(n_objects: int, cycle_time_s: float) -> Magnitude:
     Doubling the cycle time halves the linear demand exactly (the
     exponent drops by log10(2)).
     """
-    if not (math.isfinite(cycle_time_s) and cycle_time_s > 0):
-        raise ValidationError(f"cycle_time_s must be positive, got {cycle_time_s!r}")
+    _check_number("cycle_time_s", cycle_time_s, _POSITIVE)
     per_cycle = naive_mapf_ops_per_cycle(n_objects)
     return Magnitude(_demand_log10(per_cycle.log10_value, cycle_time_s, _FLOAT_OPS))
 
@@ -217,8 +216,7 @@ def effective_demand(naive: Magnitude, chi: float) -> Magnitude:
     """Demand after algorithmic savings: naive * chi, in the log domain."""
     if not isinstance(naive, Magnitude):
         raise ValidationError(f"naive demand must be a Magnitude, got {naive!r}")
-    if not (math.isfinite(chi) and 0.0 < chi <= 1.0):
-        raise ValidationError(f"chi must lie in (0, 1], got {chi!r}")
+    _check_number("chi", chi, _domain(0, 1, low_open=True))
     return Magnitude(_effective_log10(naive.log10_value, chi, _FLOAT_OPS))
 
 

@@ -46,6 +46,7 @@ def _domain(low: float, high: float, *, low_open: bool = False,
 
 _POSITIVE = _domain(0, math.inf, low_open=True, high_open=True)
 _NONNEGATIVE = _domain(0, math.inf, high_open=True)
+_FINITE = _domain(-math.inf, math.inf, low_open=True, high_open=True)
 
 
 def _in_interval(value: Any, interval: tuple) -> bool:
@@ -76,7 +77,7 @@ def _is_finite_number(value: object) -> bool:
 
 
 def _checks_of(owner: type) -> tuple[tuple, ...]:
-    """(path, getter, leaf type, low, high, interval) of each int or float
+    """(path, getter, leaf type, low, high, metadata) of each int or float
     field of ``owner`` with a declared domain; one on a field holding a
     dataclass of numbers (a StageMap) holds for each of its fields.
     ``low <= value <= high`` is a fast test, never looser than the interval
@@ -91,10 +92,10 @@ def _checks_of(owner: type) -> tuple[tuple, ...]:
             nested = get_type_hints(hints[spec.name])
             if all(leaf in (int, float) for leaf in nested.values()):
                 leaves = {f"{spec.name}.{name}": leaf for name, leaf in nested.items()}
-        low, high, low_open, high_open = interval = spec.metadata["domain"]
+        low, high, low_open, high_open = spec.metadata["domain"]
         low = math.nextafter(low, math.inf) if low_open else float(low)
         high = math.nextafter(high, -math.inf) if high_open else float(high)
-        checks += [(path, attrgetter(path), leaf, low, high, interval)
+        checks += [(path, attrgetter(path), leaf, low, high, spec.metadata)
                    for path, leaf in leaves.items() if leaf in (int, float)]
     return tuple(checks)
 
@@ -109,20 +110,28 @@ def _check_fields(obj: Any, what: str = "") -> None:
     checks = _CHECKS.get(obj.__class__)
     if checks is None:
         checks = _CHECKS[obj.__class__] = _checks_of(obj.__class__)
-    for path, get, kind, low, high, interval in checks:
+    for path, get, kind, low, high, domain in checks:
         value = get(obj)
         if value.__class__ is kind and low <= value <= high:
             continue
-        # A float field also takes an int within float range; no field takes a bool.
-        if not (value.__class__ is kind or kind is float and (
-                isinstance(value, float) or _is_finite_number(value))):
-            message = (f"{path} must be {'an integer' if kind is int else 'a finite number'}, "
-                       f"got {value!r}")
-        elif _in_interval(value, interval):
-            continue
-        else:
-            message = _outside(path, value, interval)
-        raise ValidationError(f"{what} {obj.name!r}: {message}" if what else message)
+        _check_number(path, value, domain, kind, f"{what} {obj.name!r}: " if what else "")
+
+
+def _check_number(name: str, value: Any, domain: dict, kind: type = float,
+                  prefix: str = "") -> None:
+    """Raise a ValidationError, ``prefix`` then a message naming ``name``,
+    unless ``value`` is a number of ``kind`` (int or float) inside the
+    interval that the field metadata ``domain`` declares.  A float also
+    takes an int within float range; neither takes a bool."""
+    if not (value.__class__ is kind or kind is float and (
+            isinstance(value, float) or _is_finite_number(value))):
+        message = (f"{name} must be {'an integer' if kind is int else 'a finite number'}, "
+                   f"got {value!r}")
+    elif _in_interval(value, domain["domain"]):
+        return
+    else:
+        message = _outside(name, value, domain["domain"])
+    raise ValidationError(prefix + message)
 
 
 def _float_power(base: float, exponent: float) -> float:

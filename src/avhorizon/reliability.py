@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import _FLOAT_OPS, _POSITIVE, ValidationError, _check_fields, _domain
+from .errors import _FLOAT_OPS, _NONNEGATIVE, _POSITIVE, _check_fields, _check_number, _domain
 
 __all__ = [
     "CrowAmsaaParams",
@@ -94,16 +94,17 @@ def _growth_miles(alpha: float, severity: float, lambda_target: float, beta: flo
 
 def crow_required_miles(params: CrowAmsaaParams, lambda_target: float) -> float:
     """Miles of growth testing to reach lambda_target, zero if already met."""
-    if not (math.isfinite(lambda_target) and lambda_target > 0.0):
-        raise ValidationError(f"lambda_target must be positive, got {lambda_target!r}")
+    _check_number("lambda_target", lambda_target, _POSITIVE)
     return _growth_miles(params.alpha, params.severity, lambda_target, params.beta, _FLOAT_OPS)
 
 
 def crow_failure_rate(params: CrowAmsaaParams, miles: float) -> float:
     """Instantaneous failure rate per mile after the given growth miles."""
-    if not (math.isfinite(miles) and miles > 0.0):
-        raise ValidationError(f"miles must be positive, got {miles!r}")
-    return params.alpha * miles ** (-params.beta) * params.severity
+    _check_number("miles", miles, _POSITIVE)
+    rate = params.alpha * _FLOAT_OPS.power(miles, -params.beta) * params.severity
+    _FLOAT_OPS.check(rate < math.inf, lambda: (
+        f"the failure rate after miles={miles!r} exceeds float range"))
+    return rate
 
 
 def _poisson_miles(confidence: float, safety_factor: float, lambda_target: float,
@@ -145,14 +146,8 @@ def demonstration_years(
     gamma_value a scenario's gamma_override, any positive number; delta
     cannot exceed 1.
     """
-    if not (math.isfinite(required_miles) and required_miles >= 0.0):
-        raise ValidationError(
-            f"required_miles must be >= 0, got {required_miles!r}"
-        )
-    if not (math.isfinite(gamma_value) and gamma_value > 0.0):
-        raise ValidationError(f"gamma must be positive, got {gamma_value!r}")
-    if not (math.isfinite(delta) and 0.0 < delta <= 1.0):
-        raise ValidationError(f"delta must lie in (0, 1], got {delta!r}")
-    if not (math.isfinite(annual_miles) and annual_miles > 0.0):
-        raise ValidationError(f"annual_miles must be positive, got {annual_miles!r}")
+    _check_number("required_miles", required_miles, _NONNEGATIVE)
+    _check_number("gamma_value", gamma_value, _POSITIVE)
+    _check_number("delta", delta, _domain(0, 1, low_open=True))
+    _check_number("annual_miles", annual_miles, _POSITIVE)
     return _demonstration_years(required_miles, gamma_value, delta, annual_miles, _FLOAT_OPS)

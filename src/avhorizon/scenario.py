@@ -126,8 +126,8 @@ class CategoryScenario:
     chi is carried as data per stage rather than derived from factor
     lists at projection time; document loading accepts a factor-product
     form and resolves it to the scalar before construction.
-    gamma_override is the domain weighting applied directly (values
-    above 1 are legal for domains harder than the reference mix).
+    gamma_override is the domain weighting of the demonstration miles,
+    any positive number.
     """
 
     name: str

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import _FLOAT_OPS, _NONNEGATIVE, UnsupportedStageError, ValidationError
-from .errors import _check_fields, _domain
+from .errors import _check_fields, _check_number, _domain
 
 __all__ = [
     "Stage",
@@ -147,10 +147,8 @@ def split_crow(t_crow_total: float, f: float) -> tuple[float, float]:
     the exact floating-point remainder, so partial + final always
     reconstructs t_crow_total bit for bit.
     """
-    if not (math.isfinite(t_crow_total) and t_crow_total >= 0.0):
-        raise ValidationError(f"t_crow_total must be >= 0, got {t_crow_total!r}")
-    if not (math.isfinite(f) and 0.0 <= f <= 1.0):
-        raise ValidationError(f"f must lie in [0, 1], got {f!r}")
+    _check_number("t_crow_total", t_crow_total, _DOMAIN["t_crow_total"])
+    _check_number("f", f, _DOMAIN["f"])
     return _split_crow(t_crow_total, f, _FLOAT_OPS)
 
 
@@ -198,6 +196,9 @@ class TimelineBreakdown:
             )
 
 
+_DOMAIN = {spec.name: spec.metadata for spec in fields(TimelineBreakdown)}  # each field's interval
+
+
 def _total_years(t_comp: float, t_crow_total: float, f: float, partial: float, final: float,
                  t_poisson: float, t_prod_reg: float, ops) -> tuple[float, bool]:
     """t_total and whether the schedule is compute-gated."""
@@ -232,12 +233,8 @@ def compose_total(
     Setting f = 0 degenerates to the fully serial sum; f = 1 overlaps
     all growth mileage with the compute wait.
     """
-    if not (math.isfinite(t_comp) and t_comp >= 0.0):
-        raise ValidationError(f"t_comp must be >= 0, got {t_comp!r}")
-    if not (math.isfinite(t_poisson) and t_poisson >= 0.0):
-        raise ValidationError(f"t_poisson must be >= 0, got {t_poisson!r}")
-    if not (math.isfinite(t_prod_reg) and t_prod_reg >= 0.0):
-        raise ValidationError(f"t_prod_reg must be >= 0, got {t_prod_reg!r}")
+    for name, span in (("t_comp", t_comp), ("t_poisson", t_poisson), ("t_prod_reg", t_prod_reg)):
+        _check_number(name, span, _DOMAIN[name])
     partial, final = split_crow(t_crow_total, f)
     t_total, compute_gated = _total_years(t_comp, t_crow_total, f, partial, final, t_poisson,
                                           t_prod_reg, _FLOAT_OPS)
@@ -246,7 +243,9 @@ def compose_total(
 
 
 def _calendar_year(baseline_year: int, t_total_years: float) -> int:
-    return baseline_year + math.floor(t_total_years + 0.5)
+    # Half up without rounding the sum t + 0.5: t - floor(t) is exact.
+    whole = math.floor(t_total_years)
+    return baseline_year + whole + (t_total_years - whole >= 0.5)
 
 
 def calendar_date(baseline_year: int, t_total_years: float) -> int:
@@ -255,8 +254,6 @@ def calendar_date(baseline_year: int, t_total_years: float) -> int:
     Half-up is deliberate: 0.5 always rounds forward, unlike bankers'
     rounding, so projected dates never round toward optimism on ties.
     """
-    if not isinstance(baseline_year, int) or isinstance(baseline_year, bool):
-        raise ValidationError(f"baseline_year must be an integer, got {baseline_year!r}")
-    if not (math.isfinite(t_total_years) and t_total_years >= 0.0):
-        raise ValidationError(f"t_total_years must be >= 0, got {t_total_years!r}")
+    _check_number("baseline_year", baseline_year, _DOMAIN["calendar_year"], int)
+    _check_number("t_total_years", t_total_years, _DOMAIN["t_total"])
     return _calendar_year(baseline_year, t_total_years)

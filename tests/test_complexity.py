@@ -122,6 +122,21 @@ class TestChiEff:
             ReductionFactor("x", 0.0, (0.0, 1.0))
 
 
+class TestReductionFactor:
+    @pytest.mark.parametrize("value, documented_range, message", [
+        (True, (0.1, 1.0), "value must be a finite number, got True"),
+        ("0.5", (0.1, 1.0), "value must be a finite number, got '0.5'"),
+        (0.5, ("0.1", 1.0), "documented_range low must be a finite number, got '0.1'"),
+        (0.5, (0.1, 10**400), f"documented_range high must be a finite number, got {10**400}"),
+        (0.5, (0.1,), "documented_range must be a (low, high) pair, got (0.1,)"),
+        (0.5, None, "documented_range must be a (low, high) pair, got None"),
+    ])
+    def test_non_numbers_are_rejected(self, value, documented_range, message):
+        with pytest.raises(ValidationError) as err:
+            ReductionFactor("x", value, documented_range)
+        assert str(err.value) == f"factor 'x': {message}"
+
+
 class TestEffectiveDemand:
     def test_thousandfold_reduction(self):
         out = effective_demand(Magnitude(19.0), 0.001)

@@ -53,3 +53,9 @@ def test_readme_range_table_matches_the_field_declarations():
     rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|$", section.split("\n\n", 1)[0], re.M)
     assert rows == [(path, _interval_text(sensitivity._lookup(path)[3]))
                     for path in sensitivity.valid_parameter_paths()]
+
+
+def test_package_version_matches_pyproject():
+    pyproject = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = pyproject.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^version = "([^"]*)"$', project, re.M).group(1) == avhorizon.__version__

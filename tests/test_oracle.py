@@ -62,11 +62,10 @@ The bounds are first order; every comparison allows twice the bound
   difference (Sterbenz), so each share errs by at most twice the
   error of t_crow_total plus 2u t_crow_total.
 * t_total adds the errors of its four addends (max is 1-Lipschitz)
-  and u t_total per addition.  The calendar year rounds t_total + 1/2
-  once more and takes the floor: it must equal the exact year unless
-  the exact t_total + 1/2 lies within that error of an integer, and it
-  must always be the floor of the reported t_total + 1/2, that sum
-  rounded to a float once.
+  and u t_total per addition.  The calendar year is the floor of the
+  reported t_total + 1/2, that sum taken exactly: it must equal the
+  exact year unless the exact t_total + 1/2 lies within the error of
+  t_total of an integer.
 * Gating must be exact unless |t_comp - f t_crow_total| is within the
   sum of the two errors.
 
@@ -332,12 +331,11 @@ def assert_outputs(expected, t_total, calendar_year, gating):
     # of an integer ...
     total, error = expected["t_total"]
     half_up = total + MP.mpf(0.5)
-    window = SAFETY * (error + U * half_up)
+    window = SAFETY * error
     years_after = calendar_year - int(expected["baseline_year"][0])
     assert int(MP.floor(half_up - window)) <= years_after <= int(MP.floor(half_up + window))
-    # ... and always floor(t_total + 1/2) of the reported t_total, with
-    # the addition rounded to a float once.
-    assert years_after == int(MP.floor(float(MP.mpf(t_total) + MP.mpf(0.5))))
+    # ... and always floor(t_total + 1/2) of the reported t_total, exactly.
+    assert years_after == int(MP.floor(MP.mpf(t_total) + MP.mpf(0.5)))
     t_comp, err_comp = expected["t_comp"]
     partial, err_split = expected["t_crow_partial"]
     if abs(t_comp - partial) > SAFETY * (err_comp + err_split):

@@ -115,6 +115,10 @@ class TestCrowMiles:
             "the growth mileage (crow.alpha=0.0001 * crow.severity=1.0 / "
             "crow_lambda_target=1e-08) ** (1 / crow.beta=5e-324) exceeds float range")
 
+    def test_failure_rate_beyond_float_range_names_miles(self):
+        with raises_exactly("the failure rate after miles=5e-324 exceeds float range"):
+            crow_failure_rate(CrowAmsaaParams(alpha=1.0, beta=0.99), 5e-324)
+
     def test_ratio_beyond_float_range_names_lambda_target(self):
         # 1e-4 / 5e-324 overflows to inf before the power is taken.
         with pytest.raises(ValidationError, match="crow_lambda_target=5e-324"):

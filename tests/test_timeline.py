@@ -1,10 +1,25 @@
-"""Tests for timeline composition, gating, and calendar rounding."""
+"""Tests for timeline composition, gating, and calendar rounding, and
+the argument checks of every public model function."""
 
 import dataclasses
+import math
+import re
 
 import pytest
 
+from avhorizon.complexity import (
+    Magnitude,
+    compute_demand,
+    effective_demand,
+    naive_mapf_ops_per_cycle,
+)
 from avhorizon.errors import UnsupportedStageError, ValidationError
+from avhorizon.reliability import (
+    CrowAmsaaParams,
+    crow_failure_rate,
+    crow_required_miles,
+    demonstration_years,
+)
 from avhorizon.timeline import (
     Gating,
     PROJECTABLE_STAGES,
@@ -184,3 +199,68 @@ class TestCalendarDate:
     def test_negative_total_rejected(self):
         with pytest.raises(ValidationError):
             calendar_date(2024, -0.1)
+
+    def test_a_total_just_below_half_a_year_rounds_down(self):
+        # In floats 0.49999999999999994 + 0.5 rounds up to 1.0.
+        assert calendar_date(2024, 0.49999999999999994) == 2024
+
+    def test_an_odd_whole_total_beyond_2_to_the_52_keeps_its_year(self):
+        # In floats 2**52 + 1 + 0.5 is a tie that rounds to 2**52 + 2.
+        assert calendar_date(2024, 4503599627370497.0) == 2024 + 4503599627370497
+
+    def test_any_integer_baseline_year(self):
+        assert calendar_date(10**400, 1.0) == 10**400 + 1
+        assert calendar_date(-5000, 0.0) == -5000
+
+
+# ---------------------------------------------------------------------------
+# Argument checks of the public model functions
+# ---------------------------------------------------------------------------
+
+# Each public model function with valid keyword arguments.
+ENTRY_POINTS = [
+    (Magnitude, {"log10_value": 19.0}),
+    (Magnitude.from_value, {"value": 1e19}),
+    (naive_mapf_ops_per_cycle, {"n_objects": 60}),
+    (compute_demand, {"n_objects": 60, "cycle_time_s": 0.1}),
+    (effective_demand, {"naive": Magnitude(19.0), "chi": 0.5}),
+    (crow_required_miles, {"params": CrowAmsaaParams(1e-3, 0.5), "lambda_target": 1e-7}),
+    (crow_failure_rate, {"params": CrowAmsaaParams(1e-3, 0.5), "miles": 1e6}),
+    (demonstration_years, {"required_miles": 1e9, "gamma_value": 0.9, "delta": 0.5,
+                           "annual_miles": 1e9}),
+    (split_crow, {"t_crow_total": 10.0, "f": 0.5}),
+    (compose_total, {"t_comp": 5.0, "t_crow_total": 10.0, "f": 0.5, "t_poisson": 1.0,
+                     "t_prod_reg": 2.0, "baseline_year": 2024}),
+    (calendar_date, {"baseline_year": 2024, "t_total_years": 43.84}),
+]
+
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+# A value just outside each number argument's interval; baseline_year takes
+# any integer, so it has none.
+JUST_OUTSIDE = {
+    "log10_value": -math.inf, "value": 0.0, "n_objects": -1, "cycle_time_s": 0.0,
+    "chi": ABOVE_ONE, "lambda_target": 0.0, "miles": 0.0, "required_miles": -5e-324,
+    "gamma_value": 0.0, "delta": ABOVE_ONE, "annual_miles": 0.0, "t_crow_total": -5e-324,
+    "f": ABOVE_ONE, "t_comp": -5e-324, "t_poisson": -5e-324, "t_prod_reg": -5e-324,
+    "baseline_year": None, "t_total_years": -5e-324,
+}
+
+
+def bad_arguments():
+    for function, valid in ENTRY_POINTS:
+        for name in [name for name in valid if name in JUST_OUTSIDE]:
+            bad = {"True": True, "nan": math.nan, "inf": math.inf, "10**400": 10**400,
+                   "outside": JUST_OUTSIDE[name]}
+            if name == "baseline_year":  # any integer, however large
+                del bad["10**400"], bad["outside"]
+            for label, value in bad.items():
+                yield pytest.param(function, valid, name, value,
+                                   id=f"{function.__qualname__}-{name}-{label}")
+
+
+@pytest.mark.parametrize("function, valid, name, value", bad_arguments())
+def test_a_bad_number_raises_a_validation_error_naming_the_argument(function, valid, name,
+                                                                     value):
+    with pytest.raises(ValidationError) as err:
+        function(**{**valid, name: value})
+    assert re.match(rf"{name}( must be | is too large|=)", str(err.value)), str(err.value)
