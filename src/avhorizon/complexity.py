@@ -77,10 +77,6 @@ class Magnitude:
         except OverflowError:
             return math.inf
 
-    def ratio_log10(self, other: "Magnitude") -> float:
-        """log10(self / other), exact in the log domain."""
-        return self.log10_value - other.log10_value
-
 
 @dataclass(frozen=True, slots=True)
 class ComputeEnv:

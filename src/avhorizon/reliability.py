@@ -48,6 +48,13 @@ __all__ = [
 
 _AT_LEAST_ONE = _domain(1, math.inf, high_open=True)
 
+# Where the product of a term's first two factors overflows, though the
+# whole term may lie in float range, the term is taken again with its first
+# factor times _DOWN and the result divided by it.  A power of two changes
+# no rounding unless a scaled value is subnormal: the first factor exceeds
+# 1 wherever that product overflows, so it stays normal.
+_DOWN = 2.0 ** -1022
+
 
 @dataclass(frozen=True, slots=True)
 class CrowAmsaaParams:
@@ -109,7 +116,10 @@ def crow_failure_rate(params: CrowAmsaaParams, miles: float) -> float:
 
 def _poisson_miles(confidence: float, safety_factor: float, lambda_target: float,
                    ops) -> float:
-    miles = -ops.log(1.0 - confidence) * safety_factor / lambda_target
+    log_term = -ops.log(1.0 - confidence)
+    first = log_term * safety_factor
+    miles = ops.where(first < math.inf, first / lambda_target,
+                      log_term * _DOWN * safety_factor / lambda_target / _DOWN)
     ops.check(miles < math.inf, lambda: (
         f"poisson.safety_factor={safety_factor!r} over poisson.lambda_target="
         f"{lambda_target!r}: the demonstration mileage exceeds float range"
@@ -125,7 +135,9 @@ def poisson_required_miles(params: PoissonParams) -> float:
 
 def _demonstration_years(required_miles: float, gamma_value: float, delta: float,
                          annual_miles: float, ops) -> float:
-    years = required_miles * gamma_value * delta / annual_miles
+    first = required_miles * gamma_value
+    years = ops.where(first < math.inf, first * delta / annual_miles,
+                      required_miles * _DOWN * gamma_value * delta / annual_miles / _DOWN)
     ops.check(years < math.inf, lambda: (
         f"the demonstration years {required_miles!r} miles * gamma_override="
         f"{gamma_value!r} * stage delta={delta!r} / annual_miles={annual_miles!r} "

@@ -63,7 +63,7 @@ from .complexity import (
     hpc_horizon_years,
 )
 from .errors import _FLOAT_OPS, ScenarioFormatError, UnsupportedStageError, ValidationError
-from .errors import _NONNEGATIVE, _POSITIVE, _check_fields, _domain, _is_finite_number
+from .errors import _NONNEGATIVE, _POSITIVE, _check_fields, _domain
 from .reliability import (
     CrowAmsaaParams,
     PoissonParams,
@@ -510,11 +510,9 @@ def _resolve_chi_value(name: str, stage_key: str, value: Any) -> float:
 
 
 # Per scenario dataclass, how each field is read from a merged document:
-# (name, nested dataclass or None, whether the value is a float), in
-# declaration order.
-_PLANS: dict[type, tuple[tuple[str, type | None, bool], ...]] = {
-    owner: tuple((name, kind if kind in _FIELDS else None, kind is float)
-                 for name, kind, _ in triples)
+# (name, nested dataclass or None), in declaration order.
+_PLANS: dict[type, tuple[tuple[str, type | None], ...]] = {
+    owner: tuple((name, kind if kind in _FIELDS else None) for name, kind, _ in triples)
     for owner, triples in _FIELDS.items()
 }
 _SCENARIO_KEYS = frozenset(name for name, _, _ in _FIELDS[CategoryScenario])
@@ -525,9 +523,10 @@ def _from_document(owner: type, document: Mapping[str, Any], where: str, built: 
     """``owner`` built through its positional constructor, nested
     dataclasses first, so every ``__post_init__`` check runs.
 
-    ``where`` prefixes leaf errors ("scenario 'X': " at the top level);
-    a nested dataclass's errors are prefixed with ``where`` and its field
-    name and a dot, so every error spells the dotted parameter path.
+    A nested dataclass's errors are prefixed with ``where`` ("scenario
+    'X': " at the top level), its field name and a dot, so every error
+    spells the dotted parameter path; the leaves are checked by the
+    constructors, after every nested dataclass is built.
 
     ``built`` maps ``id(d)`` to ``(d, what d was built into)`` for the
     nested dicts of one parse: merged entries share the dicts they
@@ -535,7 +534,7 @@ def _from_document(owner: type, document: Mapping[str, Any], where: str, built: 
     being reused by another dict, and each dict sits under one field.
     """
     args = []
-    for name, nested, number in _PLANS[owner]:
+    for name, nested in _PLANS[owner]:
         value = document[name]
         if nested is not None:
             cached = built.get(id(value))
@@ -545,11 +544,6 @@ def _from_document(owner: type, document: Mapping[str, Any], where: str, built: 
                 except ValidationError as exc:
                     raise ValidationError(f"{where}{name}.{exc}") from None
             value = cached[1]
-        elif number and type(value) is int and not _is_finite_number(value):
-            # JSON allows integers of any size.
-            raise ValidationError(
-                f"{where}{name} is an integer beyond float range ({value.bit_length()} bits)"
-            )
         args.append(value)
     return owner(*args)
 

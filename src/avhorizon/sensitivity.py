@@ -4,7 +4,9 @@ Three analyses share one addressing scheme: a dotted parameter path
 names a numeric scenario field ("crow.beta", "chi.stage3", "f", ...).
 Scenarios are immutable, so setting a path produces a modified copy,
 and every candidate value passes the target field's own validation
-before any projection runs.
+before any projection runs.  Every number an analysis takes (a value,
+bound, mode, step or sample count, a seed) is checked as a scenario
+document's field is (``errors._check_number``), and its error names it.
 
 * one_at_a_time: project the scenario once per swept value.
 * tornado: project at the low and high bound of each parameter with
@@ -44,8 +46,8 @@ from functools import partial, reduce
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
-from .errors import UnknownParameterError, ValidationError
-from .errors import _float_power, _in_interval, _is_finite_number, _outside
+from .errors import _FINITE, UnknownParameterError, ValidationError
+from .errors import _check_number, _domain, _float_power
 from .scenario import _FIELDS, _TERM_LEAVES, _TERM_PATHS, CategoryScenario, ProjectionResult
 from .scenario import _terms, project
 from .timeline import _GATING, Gating, Stage, TimelineBreakdown, _calendar_year
@@ -147,27 +149,27 @@ def get_parameter(scenario: CategoryScenario, path: str) -> float:
 
 
 def set_parameter(scenario: CategoryScenario, path: str, value: float) -> CategoryScenario:
-    """Modified copy with the path set; the field's own validation applies,
-    and a value outside the path's interval reads as in a scenario document."""
+    """Modified copy with the path set.  The value is checked as a scenario
+    document's field is, and an error reads as it does for a document; an
+    integral float sets an int path as that int, and a float path holds a
+    float."""
     _, setter, kind, interval = _lookup(path)
-    if kind is int:
-        if not (_is_finite_number(value) and float(value).is_integer()):
-            raise ValidationError(
-                f"parameter {path!r} takes integer values, got {value!r}"
-            )
+    if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
-    elif _is_finite_number(value):
-        value = float(value)
-    else:
-        raise ValidationError(f"parameter {path!r} requires a finite number, got {value!r}")
-    if not _in_interval(value, interval):
-        raise ValidationError(_outside(f"scenario {scenario.name!r}: {path}", value, interval))
-    return setter(scenario, value)
+    _check_number(path, value, {"domain": interval}, kind, f"scenario {scenario.name!r}: ")
+    return setter(scenario, value if kind is int else float(value))
 
 
 # ---------------------------------------------------------------------------
 # Analysis specifications
 # ---------------------------------------------------------------------------
+
+
+def _check_bounds(prefix: str, low: float, high: float) -> None:
+    """Raise a ValidationError, ``prefix`` then a message naming the bound,
+    unless ``low`` is a finite number and ``high`` lies in [low, inf)."""
+    _check_number("low", low, _FINITE, prefix=prefix)
+    _check_number("high", high, _domain(low, math.inf, high_open=True), prefix=prefix)
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,22 +187,14 @@ class SweepSpec:
                 f"sweep over {self.parameter_path!r} needs at least one value"
             )
         for v in self.values:
-            if not _is_finite_number(v):
-                raise ValidationError(
-                    f"sweep over {self.parameter_path!r}: value {v!r} is not a finite number"
-                )
+            _check_number("value", v, _FINITE, prefix=f"sweep over {self.parameter_path!r}: ")
 
     @classmethod
     def from_grid(cls, parameter_path: str, low: float, high: float, steps: int) -> "SweepSpec":
         """Evenly spaced inclusive grid; endpoints land exactly on low and high."""
-        if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
-            raise ValidationError(f"grid steps must be an integer >= 2, got {steps!r}")
-        if steps > MAX_ROWS:
-            raise ValidationError(f"grid steps must be at most {MAX_ROWS}, got {steps!r}")
-        if not (_is_finite_number(low) and _is_finite_number(high) and low <= high):
-            raise ValidationError(
-                f"grid bounds must be finite with low <= high, got ({low!r}, {high!r})"
-            )
+        prefix = f"sweep over {parameter_path!r}: grid "
+        _check_number("steps", steps, _domain(2, MAX_ROWS), int, prefix)
+        _check_bounds(prefix, low, high)
         values = [low + (high - low) * i / (steps - 1) for i in range(steps)]
         values[-1] = high
         return cls(parameter_path, tuple(values))
@@ -216,12 +210,7 @@ class ParameterBounds:
 
     def __post_init__(self) -> None:
         _lookup(self.parameter_path)
-        if not (_is_finite_number(self.low) and _is_finite_number(self.high)
-                and self.low <= self.high):
-            raise ValidationError(
-                f"bounds for {self.parameter_path!r} must be finite with "
-                f"low <= high, got ({self.low!r}, {self.high!r})"
-            )
+        _check_bounds(f"bounds for {self.parameter_path!r}: ", self.low, self.high)
 
 
 class DistributionKind(enum.Enum):
@@ -243,22 +232,10 @@ class DistributionSpec:
         _lookup(self.parameter_path)
         if not isinstance(self.kind, DistributionKind):
             raise ValidationError(f"kind must be a DistributionKind, got {self.kind!r}")
-        if not (_is_finite_number(self.low) and _is_finite_number(self.high)
-                and self.low <= self.high):
-            raise ValidationError(
-                f"distribution for {self.parameter_path!r}: bounds must be finite "
-                f"with low <= high, got ({self.low!r}, {self.high!r})"
-            )
+        prefix = f"distribution for {self.parameter_path!r}: "
+        _check_bounds(prefix, self.low, self.high)
         if self.kind is DistributionKind.TRIANGULAR:
-            if not _is_finite_number(self.mode):
-                raise ValidationError(
-                    f"triangular distribution for {self.parameter_path!r} requires a finite mode"
-                )
-            if not (self.low <= self.mode <= self.high):
-                raise ValidationError(
-                    f"distribution for {self.parameter_path!r}: mode {self.mode!r} "
-                    f"outside [low, high] = [{self.low!r}, {self.high!r}]"
-                )
+            _check_number("mode", self.mode, _domain(self.low, self.high), prefix=prefix)
         elif self.mode is not None:
             raise ValidationError(
                 f"uniform distribution for {self.parameter_path!r} takes no mode"
@@ -597,6 +574,21 @@ def _report(
 # ---------------------------------------------------------------------------
 
 
+def _check_specs(scenario: CategoryScenario,
+                 specs: Sequence[ParameterBounds | DistributionSpec], what: str) -> None:
+    """Raise a ValidationError, before any projection, for a second spec of
+    one path or a bound or mode that ``set_parameter`` rejects."""
+    seen: set[str] = set()
+    for spec in specs:
+        if spec.parameter_path in seen:
+            raise ValidationError(f"duplicate {what} for parameter {spec.parameter_path!r}")
+        seen.add(spec.parameter_path)
+    for spec in specs:
+        for value in (spec.low, spec.high, getattr(spec, "mode", None)):
+            if value is not None:
+                set_parameter(scenario, spec.parameter_path, value)
+
+
 def one_at_a_time(scenario: CategoryScenario, stage: Stage, sweep: SweepSpec) -> SensitivityReport:
     """Project once per swept value, all other parameters at baseline.
 
@@ -624,17 +616,7 @@ def tornado(
     of each parameter in ranked order.  An empty bounds list yields an
     empty report.
     """
-    seen: set[str] = set()
-    for b in bounds:
-        if b.parameter_path in seen:
-            raise ValidationError(
-                f"duplicate tornado bounds for parameter {b.parameter_path!r}"
-            )
-        seen.add(b.parameter_path)
-    # Validate all excursions up front, before any projection.
-    for b in bounds:
-        set_parameter(scenario, b.parameter_path, b.low)
-        set_parameter(scenario, b.parameter_path, b.high)
+    _check_specs(scenario, bounds, "tornado bounds")
     baseline = project(scenario, stage)
     # Each bound's (low, high) rows.
     pairs = [tuple(_project_row(scenario, stage, ((b.parameter_path, value),))
@@ -681,29 +663,15 @@ def monte_carlo(
 
     if not distributions:
         raise ValidationError("monte_carlo requires at least one distribution")
-    if not isinstance(sample_count, int) or isinstance(sample_count, bool) or sample_count < 1:
-        raise ValidationError(f"sample_count must be an integer >= 1, got {sample_count!r}")
-    if sample_count > MAX_ROWS:
-        raise ValidationError(f"sample_count must be at most {MAX_ROWS}, got {sample_count!r}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2**64):
-        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    seen: set[str] = set()
+    _check_number("sample_count", sample_count, _domain(1, MAX_ROWS), int)
+    _check_number("seed", seed, _domain(0, 2**64, high_open=True), int)
     for dist in distributions:
-        if dist.parameter_path in seen:
-            raise ValidationError(
-                f"duplicate distribution for parameter {dist.parameter_path!r}"
-            )
-        seen.add(dist.parameter_path)
         if _lookup(dist.parameter_path)[2] is int:
             raise ValidationError(
                 f"parameter {dist.parameter_path!r} is integer-valued; continuous "
                 "distributions cannot target it (sweep explicit integer values instead)"
             )
-        # Bounds must already satisfy the target field's invariants.
-        set_parameter(scenario, dist.parameter_path, dist.low)
-        set_parameter(scenario, dist.parameter_path, dist.high)
-        if dist.mode is not None:
-            set_parameter(scenario, dist.parameter_path, dist.mode)
+    _check_specs(scenario, distributions, "distribution")
 
     baseline = project(scenario, stage)
     # Every field's domain is one interval (its dataclass field's metadata),

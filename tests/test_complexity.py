@@ -43,9 +43,6 @@ class TestMagnitude:
     def test_linear_view_saturates(self):
         assert Magnitude(2000.0).value == math.inf  # exponent exact, linear view inf
 
-    def test_ratio_log10(self):
-        assert Magnitude(19.0).ratio_log10(Magnitude(13.0)) == 6.0
-
 
 class TestNaiveOps:
     def test_fifty_objects(self):
@@ -127,7 +124,8 @@ class TestReductionFactor:
         (True, (0.1, 1.0), "value must be a finite number, got True"),
         ("0.5", (0.1, 1.0), "value must be a finite number, got '0.5'"),
         (0.5, ("0.1", 1.0), "documented_range low must be a finite number, got '0.1'"),
-        (0.5, (0.1, 10**400), f"documented_range high must be a finite number, got {10**400}"),
+        (0.5, (0.1, 10**400), "documented_range high is an integer beyond float range "
+                               "(1329 bits)"),
         (0.5, (0.1,), "documented_range must be a (low, high) pair, got (0.1,)"),
         (0.5, None, "documented_range must be a (low, high) pair, got None"),
     ])

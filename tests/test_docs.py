@@ -1,5 +1,7 @@
-"""The README's library surface, export lists and range table match the code."""
+"""The README's library surface, export lists and range table match the
+code, and numbers are checked in one place."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -53,6 +55,22 @@ def test_readme_range_table_matches_the_field_declarations():
     rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|$", section.split("\n\n", 1)[0], re.M)
     assert rows == [(path, _interval_text(sensitivity._lookup(path)[3]))
                     for path in sensitivity.valid_parameter_paths()]
+
+
+# The parts of errors._check_number, the one check of a number a module takes.
+NUMBER_CHECK_PARTS = {"_is_finite_number", "_in_interval", "_outside"}
+
+
+def test_only_errors_uses_the_parts_of_the_number_check():
+    users = {
+        path.name
+        for path in (README.parent / "src" / "avhorizon").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id in NUMBER_CHECK_PARTS
+        or isinstance(node, ast.Attribute) and node.attr in NUMBER_CHECK_PARTS
+        or isinstance(node, ast.alias) and node.name in NUMBER_CHECK_PARTS
+    }
+    assert users == {"errors.py"}
 
 
 def test_package_version_matches_pyproject():

@@ -465,10 +465,29 @@ SIDES = {"below": 1 - 1e-6, "above": 1 + 1e-6}  # exact term / float max, about
 CONSUMER = next(s for s in CATALOG if s.name == "Consumer Automotive")
 CROW_MILES = (1e-4 / 1e-8) ** (1 / 0.4)  # Consumer Automotive's growth miles, about 1e10
 POISSON_MILES = -math.log(1 - 0.95) * 2.0 / 7.1e-9
+# Growth miles 1e306 and gamma_override 1e3, whose product is past float max
+# though the demonstration years are 1e300; and a Poisson mileage of 3e307
+# whose leading product -ln(1 - C) * safety_factor is past float max.
+LEADING_PRODUCT_PAST_FLOAT_MAX = {
+    "years": {"crow.beta": math.log(1e4) / math.log(1e306), "gamma_override": 1e3},
+    "poisson": {"poisson.lambda_target": 10.0, "poisson.safety_factor": 1e308},
+}
+# Edges where the leading product of the term is past float max on both
+# sides: the label, then the check that must fail above the edge.
+LEADING_PRODUCT_EDGES = {
+    "the demonstration years after miles * gamma_override": "the demonstration years",
+    "poisson.safety_factor after -ln(1 - C) * safety_factor": "poisson.safety_factor",
+}
 
 
 def edge_settings(check, k):
     """Settings that put the named term at about k * float max."""
+    if check == "the demonstration years after miles * gamma_override":
+        return {**LEADING_PRODUCT_PAST_FLOAT_MAX["years"], "poisson.lambda_target": 1e10,
+                "annual_miles": 1e306 / FLOAT_MAX * 1e3 / k}
+    if check == "poisson.safety_factor after -ln(1 - C) * safety_factor":
+        return {"poisson.safety_factor": 1e308,
+                "poisson.lambda_target": -math.log(1 - 0.95) / FLOAT_MAX * 1e308 / k}
     if check == "the rate ratio":
         # beta just below 1 keeps the growth miles within float range too.
         return {"crow.alpha": 1.0, "crow.severity": 1e300, "crow.beta": 1 - 2**-53,
@@ -486,18 +505,39 @@ def edge_settings(check, k):
 
 
 @pytest.mark.parametrize("side", SIDES)
-@pytest.mark.parametrize("check", [c for c in FLOAT_RANGE_CHECKS if c != "the stage delta"])
+@pytest.mark.parametrize("check", [c for c in FLOAT_RANGE_CHECKS if c != "the stage delta"]
+                         + list(LEADING_PRODUCT_EDGES))
 def test_float_range_checks_raise_exactly_beyond_float_max(check, side):
     scenario = CONSUMER
     for path, value in edge_settings(check, SIDES[side]).items():
         scenario = set_parameter(scenario, path, value)
     outcome = row_outcome(scenario, Stage.BROAD_COMMERCIAL)
     assert outcome is not None
-    stops_here = isinstance(outcome, ExpectedError) and outcome.prefix == check
+    stops_here = (isinstance(outcome, ExpectedError)
+                  and outcome.prefix == LEADING_PRODUCT_EDGES.get(check, check))
     assert stops_here == (side == "above")
     if side == "below":
         assert isinstance(outcome, dict)
     assert_matches_oracle(scenario, Stage.BROAD_COMMERCIAL)
+
+
+@pytest.mark.parametrize("case", LEADING_PRODUCT_PAST_FLOAT_MAX)
+def test_a_leading_product_past_float_max_in_a_term_within_it(case):
+    """project, and a sweep's columns, at the case and at a tenth of its
+    last setting, where the leading product is within float max."""
+    *settings, (path, value) = LEADING_PRODUCT_PAST_FLOAT_MAX[case].items()
+    scenario = CONSUMER
+    for setting in settings:
+        scenario = set_parameter(scenario, *setting)
+    values = (value, value / 10)
+    outcomes = []
+    for v in values:
+        row = set_parameter(scenario, path, v)
+        outcomes.append(row_outcome(row, Stage.BROAD_COMMERCIAL))
+        assert isinstance(outcomes[-1], dict)
+        assert_matches_oracle(row, Stage.BROAD_COMMERCIAL)
+    assert_rows_match(outcomes, one_at_a_time(scenario, Stage.BROAD_COMMERCIAL,
+                                              SweepSpec(path, values)))
 
 
 @pytest.mark.parametrize("base_delta, underflows", [(5e-324, True), (1e-323, False)])

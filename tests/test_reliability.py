@@ -46,7 +46,7 @@ class TestCrowParams:
             CrowAmsaaParams(alpha=True, beta=0.4)
         with raises_exactly("beta must be a finite number, got '0.4'"):
             CrowAmsaaParams(alpha=1e-4, beta="0.4")
-        with raises_exactly(f"severity must be a finite number, got {10**400}"):
+        with raises_exactly("severity is an integer beyond float range (1329 bits)"):
             CrowAmsaaParams(alpha=1e-4, beta=0.4, severity=10**400)
         assert CrowAmsaaParams(alpha=1, beta=0.5, severity=2).alpha == 1  # ints are numbers
 

@@ -302,8 +302,9 @@ class TestScenarioDocuments:
         else:
             with pytest.raises(ValidationError) as err:
                 parse_scenarios(doc)
-            assert str(err.value) == (f"scenario 'Robo-Taxis': baseline_year={year!r} outside "
-                                      "permitted range [1, 9999]")
+            assert str(err.value) == "scenario 'Robo-Taxis': baseline_year" + (
+                " is an integer beyond float range (1329 bits)" if year == 10**400
+                else f"={year!r} outside permitted range [1, 9999]")
 
     @pytest.mark.parametrize("entry, message", [
         ({"n_objects": 55.0}, "n_objects must be an integer, got 55.0"),
@@ -318,6 +319,16 @@ class TestScenarioDocuments:
         with pytest.raises(ValidationError) as err:
             parse_scenarios(doc)
         assert str(err.value) == f"scenario 'Robo-Taxis': {message}"
+
+    def test_a_nested_error_comes_before_a_top_level_one(self):
+        # The nested blocks are built first; the top-level fields are
+        # checked once the scenario is constructed.
+        doc = json.dumps({"scenarios": [{"name": "Robo-Taxis", "cycle_time_s": 10**400,
+                                         "crow": {"beta": 2.0}}]})
+        with pytest.raises(ValidationError) as err:
+            parse_scenarios(doc)
+        assert str(err.value) == ("scenario 'Robo-Taxis': crow.beta=2.0 outside permitted "
+                                  "range (0, 1)")
 
     def test_new_category_must_state_core_fields(self):
         with pytest.raises(ValidationError, match="n_objects"):

@@ -1,5 +1,6 @@
 """Tests for timeline composition, gating, and calendar rounding, and
-the argument checks of every public model function."""
+the argument checks of every public model function and analysis entry
+point."""
 
 import dataclasses
 import math
@@ -19,6 +20,16 @@ from avhorizon.reliability import (
     crow_failure_rate,
     crow_required_miles,
     demonstration_years,
+)
+from avhorizon.scenario import builtin_catalog
+from avhorizon.sensitivity import (
+    MAX_ROWS,
+    DistributionKind,
+    DistributionSpec,
+    ParameterBounds,
+    SweepSpec,
+    monte_carlo,
+    set_parameter,
 )
 from avhorizon.timeline import (
     Gating,
@@ -246,21 +257,75 @@ JUST_OUTSIDE = {
 }
 
 
+ROBO_TAXIS = next(s for s in builtin_catalog() if s.name == "Robo-Taxis")
+UNIFORM_F = DistributionSpec("f", DistributionKind.UNIFORM, 0.6, 0.8)
+BELOW_LOW = math.nextafter(0.6, 0.0)
+
+# Each number argument of an analysis entry point: the entry point, the
+# argument, a call taking its value (every other argument valid), what
+# the message starts with (prefix and name) and a value just outside.
+ANALYSIS_ARGUMENTS = [
+    ("set_parameter", "crow.beta", lambda v: set_parameter(ROBO_TAXIS, "crow.beta", v),
+     "scenario 'Robo-Taxis': crow.beta", 1.0),
+    ("set_parameter", "baseline_year", lambda v: set_parameter(ROBO_TAXIS, "baseline_year", v),
+     "scenario 'Robo-Taxis': baseline_year", 10000),
+    ("SweepSpec", "values", lambda v: SweepSpec("f", (0.6, v)),
+     "sweep over 'f': value", -math.inf),
+    ("SweepSpec.from_grid", "low", lambda v: SweepSpec.from_grid("f", v, 0.8, 3),
+     "sweep over 'f': grid low", -math.inf),
+    ("SweepSpec.from_grid", "high", lambda v: SweepSpec.from_grid("f", 0.6, v, 3),
+     "sweep over 'f': grid high", BELOW_LOW),
+    ("SweepSpec.from_grid", "steps", lambda v: SweepSpec.from_grid("f", 0.6, 0.8, v),
+     "sweep over 'f': grid steps", 1),
+    ("ParameterBounds", "low", lambda v: ParameterBounds("f", v, 0.8),
+     "bounds for 'f': low", -math.inf),
+    ("ParameterBounds", "high", lambda v: ParameterBounds("f", 0.6, v),
+     "bounds for 'f': high", BELOW_LOW),
+    ("DistributionSpec", "low", lambda v: DistributionSpec("f", DistributionKind.UNIFORM, v, 0.8),
+     "distribution for 'f': low", -math.inf),
+    ("DistributionSpec", "high",
+     lambda v: DistributionSpec("f", DistributionKind.UNIFORM, 0.6, v),
+     "distribution for 'f': high", BELOW_LOW),
+    ("DistributionSpec", "mode",
+     lambda v: DistributionSpec("f", DistributionKind.TRIANGULAR, 0.6, 0.8, v),
+     "distribution for 'f': mode", math.nextafter(0.8, 1.0)),
+    ("monte_carlo", "sample_count",
+     lambda v: monte_carlo(ROBO_TAXIS, Stage.BROAD_COMMERCIAL, [UNIFORM_F], v, 0),
+     "sample_count", MAX_ROWS + 1),
+    ("monte_carlo", "seed",
+     lambda v: monte_carlo(ROBO_TAXIS, Stage.BROAD_COMMERCIAL, [UNIFORM_F], 4, v),
+     "seed", 2**64),
+]
+
+
 def bad_arguments():
-    for function, valid in ENTRY_POINTS:
-        for name in [name for name in valid if name in JUST_OUTSIDE]:
-            bad = {"True": True, "nan": math.nan, "inf": math.inf, "10**400": 10**400,
-                   "outside": JUST_OUTSIDE[name]}
-            if name == "baseline_year":  # any integer, however large
-                del bad["10**400"], bad["outside"]
-            for label, value in bad.items():
-                yield pytest.param(function, valid, name, value,
-                                   id=f"{function.__qualname__}-{name}-{label}")
+    """(call, message start, value) for each number argument and bad value."""
+    arguments = [
+        (function.__qualname__, name,
+         lambda v, function=function, valid=valid, name=name: function(**{**valid, name: v}),
+         name, JUST_OUTSIDE[name])
+        for function, valid in ENTRY_POINTS for name in valid if name in JUST_OUTSIDE
+    ] + ANALYSIS_ARGUMENTS
+    for entry_point, argument, call, start, outside in arguments:
+        bad = {"True": True, "nan": math.nan, "inf": math.inf, "10**400": 10**400,
+               "10**5000": 10**5000, "outside": outside}
+        if argument == "baseline_year" and entry_point != "set_parameter":
+            # any integer, however large
+            del bad["10**400"], bad["10**5000"], bad["outside"]
+        for label, value in bad.items():
+            yield pytest.param(call, start, value, id=f"{entry_point}-{argument}-{label}")
 
 
-@pytest.mark.parametrize("function, valid, name, value", bad_arguments())
-def test_a_bad_number_raises_a_validation_error_naming_the_argument(function, valid, name,
-                                                                     value):
+@pytest.mark.parametrize("call, start, value", bad_arguments())
+def test_a_bad_number_raises_a_validation_error_naming_the_argument(call, start, value):
     with pytest.raises(ValidationError) as err:
-        function(**{**valid, name: value})
-    assert re.match(rf"{name}( must be | is too large|=)", str(err.value)), str(err.value)
+        call(value)
+    message = str(err.value)
+    if type(value) is int and value > 2**1024:  # beyond float range: never printed
+        bits = value.bit_length()
+        assert message == (
+            f"n_objects is too large ({bits} bits): the exponent of 2**n_objects exceeds "
+            "float range" if start == "n_objects"  # any integer, until its exponent
+            else f"{start} is an integer beyond float range ({bits} bits)")
+    else:
+        assert re.match(rf"{re.escape(start)}( must be |=)", message), message
