@@ -5,8 +5,8 @@ d degrees of freedom each and m discretization levels per degree has
 m**(d*n) joint states, and exhaustive multi-agent planning over n
 objects costs on the order of 2**n operations per planning cycle.
 Exponents in the thousands overflow any float, so demand counts and
-rates are carried as :class:`Magnitude` values in the log10 domain and
-only converted to linear floats for display.  Current capacity C_c,
+rates are carried as :class:`Magnitude` values in the log10 domain, and
+reports print the exponent.  Current capacity C_c,
 about 1e13 ops/s, is an input well inside float range and is held as
 the plain number given; the horizon takes its log10.
 
@@ -39,7 +39,6 @@ __all__ = [
     "ReductionFactor",
     "ReductionFactors",
     "DEFAULT_FACTOR_RANGES",
-    "naive_mapf_ops_per_cycle",
     "compute_demand",
     "chi_eff",
     "effective_demand",
@@ -68,14 +67,6 @@ class Magnitude:
         """Build from a linear value, which must be positive and finite."""
         _check_number("value", value, _POSITIVE)
         return cls(math.log10(value))
-
-    @property
-    def value(self) -> float:
-        """Linear value, 10**log10_value (inf beyond about 10**308)."""
-        try:
-            return 10.0 ** self.log10_value
-        except OverflowError:
-            return math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,15 +153,6 @@ def _per_cycle_log10(n_objects: int) -> float:
         ) from None
 
 
-def naive_mapf_ops_per_cycle(n_objects: int) -> Magnitude:
-    """Operations per planning cycle for exhaustive joint planning, 2**n.
-
-    n_objects may be zero (an empty scene costs one operation).
-    """
-    _check_number("n_objects", n_objects, _NONNEGATIVE, int)
-    return Magnitude(_per_cycle_log10(n_objects))
-
-
 def _demand_log10(per_cycle_log10: float, cycle_time_s: float, ops) -> float:
     return per_cycle_log10 - ops.log10(cycle_time_s)
 
@@ -178,12 +160,13 @@ def _demand_log10(per_cycle_log10: float, cycle_time_s: float, ops) -> float:
 def compute_demand(n_objects: int, cycle_time_s: float) -> Magnitude:
     """Naive compute demand in ops/s: 2**n per cycle, replanned every cycle.
 
-    Doubling the cycle time halves the linear demand exactly (the
-    exponent drops by log10(2)).
+    n_objects may be zero (an empty scene costs one operation per
+    cycle).  Doubling the cycle time halves the linear demand exactly
+    (the exponent drops by log10(2)).
     """
     _check_number("cycle_time_s", cycle_time_s, _POSITIVE)
-    per_cycle = naive_mapf_ops_per_cycle(n_objects)
-    return Magnitude(_demand_log10(per_cycle.log10_value, cycle_time_s, _FLOAT_OPS))
+    _check_number("n_objects", n_objects, _NONNEGATIVE, int)
+    return Magnitude(_demand_log10(_per_cycle_log10(n_objects), cycle_time_s, _FLOAT_OPS))
 
 
 def chi_eff(factors: ReductionFactors) -> float:

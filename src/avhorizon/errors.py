@@ -12,6 +12,14 @@ from operator import attrgetter
 from types import SimpleNamespace
 from typing import Any, Callable, get_type_hints
 
+__all__ = [
+    "ValidationError",
+    "ScenarioFormatError",
+    "UnsupportedStageError",
+    "UnknownParameterError",
+    "EmptyResultsError",
+]
+
 
 class ValidationError(ValueError):
     """A value or document failed validation.

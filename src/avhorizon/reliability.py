@@ -116,7 +116,8 @@ def crow_failure_rate(params: CrowAmsaaParams, miles: float) -> float:
 
 def _poisson_miles(confidence: float, safety_factor: float, lambda_target: float,
                    ops) -> float:
-    log_term = -ops.log(1.0 - confidence)
+    # Not -log(...): where 1 - confidence rounds to 1.0, that is -0.0.
+    log_term = 0.0 - ops.log(1.0 - confidence)
     first = log_term * safety_factor
     miles = ops.where(first < math.inf, first / lambda_target,
                       log_term * _DOWN * safety_factor / lambda_target / _DOWN)

@@ -87,6 +87,7 @@ from .timeline import (
 )
 
 __all__ = [
+    "CHI_PROVENANCE",
     "StageMap",
     "CategoryScenario",
     "Intermediates",
@@ -108,15 +109,6 @@ class StageMap:
 
     stage2: float
     stage3: float
-
-    def for_stage(self, stage: Stage) -> float:
-        if stage is Stage.REVENUE_SERVICE:
-            return self.stage2
-        if stage is Stage.BROAD_COMMERCIAL:
-            return self.stage3
-        raise UnsupportedStageError(
-            f"no per-stage value is defined for {stage.display_name}"
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,16 +140,11 @@ class CategoryScenario:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValidationError(f"scenario name must be a non-empty string, got {self.name!r}")
-        if not isinstance(self.chi, StageMap):
-            raise ValidationError(f"scenario {self.name!r}: chi must be a StageMap")
-        if not isinstance(self.compute_env, ComputeEnv):
-            raise ValidationError(f"scenario {self.name!r}: compute_env must be a ComputeEnv")
-        if not isinstance(self.crow, CrowAmsaaParams):
-            raise ValidationError(f"scenario {self.name!r}: crow must be CrowAmsaaParams")
-        if not isinstance(self.poisson, PoissonParams):
-            raise ValidationError(f"scenario {self.name!r}: poisson must be PoissonParams")
-        if not isinstance(self.prod_reg_years, StageMap):
-            raise ValidationError(f"scenario {self.name!r}: prod_reg_years must be a StageMap")
+        for name, kind in _NESTED:
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValidationError(f"scenario {self.name!r}: {name} must be a "
+                                      f"{kind.__name__}, got {value!r}")
         _check_fields(self, "scenario")
 
 
@@ -174,6 +161,8 @@ _FIELDS: dict[type, tuple[tuple[str, type, tuple | None], ...]] = {
     owner: _field_triples(owner)
     for owner in (CategoryScenario, StageMap, ComputeEnv, CrowAmsaaParams, PoissonParams)
 }
+# (name, type) of each nested dataclass field of CategoryScenario.
+_NESTED = tuple((name, kind) for name, kind, _ in _FIELDS[CategoryScenario] if kind in _FIELDS)
 
 
 @dataclass(frozen=True, slots=True)

@@ -68,7 +68,6 @@ __all__ = [
     "MC_PERCENTILES",
     "MAX_ROWS",
     "valid_parameter_paths",
-    "get_parameter",
     "set_parameter",
     "one_at_a_time",
     "tornado",
@@ -81,7 +80,6 @@ MC_PERCENTILES = (5, 25, 50, 75, 95)
 # steps.  Larger counts are rejected before anything is allocated.
 MAX_ROWS = 10_000_000
 
-_Getter = Callable[[CategoryScenario], float]
 _Setter = Callable[[CategoryScenario, float], CategoryScenario]
 
 
@@ -117,15 +115,10 @@ def _numeric_leaves(owner: type, domain: tuple | None = None):
                 yield (name, *path), _field_setter(owner, name, set_child), leaf, leaf_interval
 
 
-def _getter(dotted: str, kind: type) -> _Getter:
-    get = operator.attrgetter(dotted)
-    return (lambda s: float(get(s))) if kind is int else get
-
-
-# path -> (getter, setter, leaf type: int or float, interval),
+# path -> (setter, leaf type: int or float, interval),
 # one entry per numeric scenario field, in dataclass field declaration order.
-_PARAMETERS: dict[str, tuple[_Getter, _Setter, type, tuple]] = {
-    ".".join(path): (_getter(".".join(path), kind), setter, kind, interval)
+_PARAMETERS: dict[str, tuple[_Setter, type, tuple]] = {
+    ".".join(path): (setter, kind, interval)
     for path, setter, kind, interval in _numeric_leaves(CategoryScenario)
 }
 
@@ -135,7 +128,7 @@ def valid_parameter_paths() -> tuple[str, ...]:
     return tuple(sorted(_PARAMETERS))
 
 
-def _lookup(path: str) -> tuple[_Getter, _Setter, type, tuple]:
+def _lookup(path: str) -> tuple[_Setter, type, tuple]:
     if not isinstance(path, str) or path not in _PARAMETERS:
         raise UnknownParameterError(
             f"unknown parameter path {path!r}; valid paths: "
@@ -144,16 +137,12 @@ def _lookup(path: str) -> tuple[_Getter, _Setter, type, tuple]:
     return _PARAMETERS[path]
 
 
-def get_parameter(scenario: CategoryScenario, path: str) -> float:
-    return _lookup(path)[0](scenario)
-
-
 def set_parameter(scenario: CategoryScenario, path: str, value: float) -> CategoryScenario:
     """Modified copy with the path set.  The value is checked as a scenario
     document's field is, and an error reads as it does for a document; an
     integral float sets an int path as that int, and a float path holds a
     float."""
-    _, setter, kind, interval = _lookup(path)
+    setter, kind, interval = _lookup(path)
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     _check_number(path, value, {"domain": interval}, kind, f"scenario {scenario.name!r}: ")
@@ -666,7 +655,7 @@ def monte_carlo(
     _check_number("sample_count", sample_count, _domain(1, MAX_ROWS), int)
     _check_number("seed", seed, _domain(0, 2**64, high_open=True), int)
     for dist in distributions:
-        if _lookup(dist.parameter_path)[2] is int:
+        if _lookup(dist.parameter_path)[1] is int:
             raise ValidationError(
                 f"parameter {dist.parameter_path!r} is integer-valued; continuous "
                 "distributions cannot target it (sweep explicit integer values instead)"

@@ -41,9 +41,7 @@ __all__ = [
     "TimelineBreakdown",
     "PROJECTABLE_STAGES",
     "STAGE_DELTA_MULTIPLIERS",
-    "split_crow",
     "compose_total",
-    "calendar_date",
 ]
 
 
@@ -140,18 +138,6 @@ def _split_crow(t_crow_total: float, f: float, ops) -> tuple[float, float]:
     return partial, ops.where(f >= 0.5, t_crow_total - partial, final_below)
 
 
-def split_crow(t_crow_total: float, f: float) -> tuple[float, float]:
-    """Split growth years into an overlappable part and a serial tail.
-
-    Returns (partial, final) with partial = f * t_crow_total and final
-    the exact floating-point remainder, so partial + final always
-    reconstructs t_crow_total bit for bit.
-    """
-    _check_number("t_crow_total", t_crow_total, _DOMAIN["t_crow_total"])
-    _check_number("f", f, _DOMAIN["f"])
-    return _split_crow(t_crow_total, f, _FLOAT_OPS)
-
-
 @dataclass(frozen=True, slots=True)
 class TimelineBreakdown:
     """All spans of one projected timeline, plus the composed result.
@@ -231,29 +217,26 @@ def compose_total(
                   + t_poisson + t_prod_reg
 
     Setting f = 0 degenerates to the fully serial sum; f = 1 overlaps
-    all growth mileage with the compute wait.
+    all growth mileage with the compute wait.  The growth span splits
+    into partial = f * t_crow_total and the exact remainder, so the two
+    parts reconstruct t_crow_total bit for bit.  The calendar year is
+    the baseline year plus the total rounded half up: 0.5 always rounds
+    forward, unlike bankers' rounding, so projected dates never round
+    toward optimism on ties.
     """
-    for name, span in (("t_comp", t_comp), ("t_poisson", t_poisson), ("t_prod_reg", t_prod_reg)):
-        _check_number(name, span, _DOMAIN[name])
-    partial, final = split_crow(t_crow_total, f)
+    for name, value in (("t_comp", t_comp), ("t_poisson", t_poisson), ("t_prod_reg", t_prod_reg),
+                        ("t_crow_total", t_crow_total), ("f", f)):
+        _check_number(name, value, _DOMAIN[name])
+    partial, final = _split_crow(t_crow_total, f, _FLOAT_OPS)
     t_total, compute_gated = _total_years(t_comp, t_crow_total, f, partial, final, t_poisson,
                                           t_prod_reg, _FLOAT_OPS)
+    _check_number("baseline_year", baseline_year, _DOMAIN["calendar_year"], int)
     return TimelineBreakdown(t_comp, t_crow_total, partial, final, t_poisson, t_prod_reg, f,
-                             t_total, _GATING[compute_gated], calendar_date(baseline_year, t_total))
+                             t_total, _GATING[compute_gated],
+                             _calendar_year(baseline_year, t_total))
 
 
 def _calendar_year(baseline_year: int, t_total_years: float) -> int:
     # Half up without rounding the sum t + 0.5: t - floor(t) is exact.
     whole = math.floor(t_total_years)
     return baseline_year + whole + (t_total_years - whole >= 0.5)
-
-
-def calendar_date(baseline_year: int, t_total_years: float) -> int:
-    """Baseline year plus the total, rounded half up to a whole year.
-
-    Half-up is deliberate: 0.5 always rounds forward, unlike bankers'
-    rounding, so projected dates never round toward optimism on ties.
-    """
-    _check_number("baseline_year", baseline_year, _DOMAIN["calendar_year"], int)
-    _check_number("t_total_years", t_total_years, _DOMAIN["t_total"])
-    return _calendar_year(baseline_year, t_total_years)

@@ -756,7 +756,7 @@ def edge_values(path):
     either side and a value past it; none for an unknown path."""
     if path not in valid_parameter_paths():
         return []
-    low, high, _, _ = sensitivity._lookup(path)[3]
+    low, high, _, _ = sensitivity._lookup(path)[2]
     values = []
     for bound, outward in ((low, -math.inf), (high, math.inf)):
         values += [bound, math.nextafter(bound, -outward), math.nextafter(bound, outward),
@@ -867,7 +867,7 @@ TERM_CASES = (
 def in_domain_extremes(path):
     """The values next to the bounds of the path's permitted range that lie
     inside it (the subnormal 5e-324, the largest float, ...)."""
-    _, _, kind, interval = sensitivity._lookup(path)
+    _, kind, interval = sensitivity._lookup(path)
     return list(dict.fromkeys(int(v) if kind is int else v for v in edge_values(path)
                               if _in_interval(v, interval)))
 
@@ -948,15 +948,21 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     # perfbench/trace_driver.py replaces functions where the cli, scenario,
     # sensitivity and timeline modules bind them; a refactor that drops
     # one of those names fails here as well as in a traced benchmark run.
+    # The analyses also run its count of report entries.
     root = Path(__file__).resolve().parents[1]
     script = (
         "import sys\n"
         "from trace_driver import Recorder, install\n"
-        "sys.exit(install(Recorder())(['catalog', '--format', 'csv']))\n"
+        "sys.exit(install(Recorder())(sys.argv[1:]))\n"
     )
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == run_cli("catalog", "--format", "csv", env=env).stdout
+    for args in (["catalog", "--format", "csv"],
+                 ["tornado", "--category", "Robo-Taxis", "--bound", "crow.beta=0.35,0.45",
+                  "--bound", "f=0.5,0.9", "--format", "csv"],
+                 ["mc", "--category", "Robo-Taxis", "--dist", "crow.beta=uniform:0.35,0.55",
+                  "--samples", "20", "--seed", "7", "--format", "json"]):
+        proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_cli(*args, env=env).stdout, args[0]

@@ -204,9 +204,9 @@ def public_chain(scenario, stage):
     """project's breakdown and intermediates, composed from the public
     functions of complexity, reliability and timeline."""
     naive = compute_demand(scenario.n_objects, scenario.cycle_time_s)
-    effective = effective_demand(naive, scenario.chi.for_stage(stage))
+    effective = effective_demand(naive, getattr(scenario.chi, stage.value))
     t_comp = hpc_horizon_years(effective, scenario.compute_env)
-    spec = StageSpec.for_stage(stage, scenario.prod_reg_years.for_stage(stage))
+    spec = StageSpec.for_stage(stage, getattr(scenario.prod_reg_years, stage.value))
     delta = scenario.base_delta * spec.delta_multiplier
     crow_miles = crow_required_miles(scenario.crow, scenario.crow_lambda_target)
     t_crow_total = demonstration_years(crow_miles, scenario.gamma_override, delta,

@@ -14,7 +14,6 @@ from avhorizon.complexity import (
     compute_demand,
     effective_demand,
     hpc_horizon_years,
-    naive_mapf_ops_per_cycle,
 )
 from avhorizon.errors import ValidationError
 
@@ -23,11 +22,9 @@ class TestMagnitude:
     def test_from_value_round_trip(self):
         m = Magnitude.from_value(1e16)
         assert m.log10_value == pytest.approx(16.0, abs=1e-12)
-        assert m.value == pytest.approx(1e16, rel=1e-12)
 
     def test_negative_exponent_is_legal(self):
-        m = Magnitude(-3.0)
-        assert m.value == pytest.approx(1e-3, rel=1e-12)
+        assert Magnitude(-3.0).log10_value == -3.0
 
     def test_nonfinite_exponent_rejected(self):
         with pytest.raises(ValidationError):
@@ -40,32 +37,23 @@ class TestMagnitude:
             with pytest.raises(ValidationError):
                 Magnitude.from_value(bad)
 
-    def test_linear_view_saturates(self):
-        assert Magnitude(2000.0).value == math.inf  # exponent exact, linear view inf
 
-
-class TestNaiveOps:
-    def test_fifty_objects(self):
-        assert naive_mapf_ops_per_cycle(50).log10_value == pytest.approx(
-            50 * LOG10_2, abs=1e-12
-        )
-
-    def test_zero_objects_is_one_op(self):
-        assert naive_mapf_ops_per_cycle(0).value == pytest.approx(1.0, rel=1e-12)
+class TestComputeDemand:
+    def test_fifty_objects_one_cycle_per_second(self):
+        assert compute_demand(50, 1.0).log10_value == pytest.approx(50 * LOG10_2, abs=1e-12)
 
     def test_ten_objects_is_1024(self):
-        assert naive_mapf_ops_per_cycle(10).value == pytest.approx(1024.0, rel=1e-12)
+        assert compute_demand(10, 1.0).log10_value == pytest.approx(math.log10(1024.0),
+                                                                    abs=1e-12)
 
-    def test_negative_rejected(self):
+    def test_negative_objects_rejected(self):
         with pytest.raises(ValidationError):
-            naive_mapf_ops_per_cycle(-1)
+            compute_demand(-1, 0.1)
 
     def test_exponent_beyond_float_range_names_n_objects(self):
         with pytest.raises(ValidationError, match="n_objects"):
-            naive_mapf_ops_per_cycle(10**400)
+            compute_demand(10**400, 0.1)
 
-
-class TestComputeDemand:
     def test_fifty_objects_tenth_second(self):
         d = compute_demand(50, 0.1)
         assert d.log10_value == pytest.approx(50 * LOG10_2 + 1.0, abs=1e-12)
@@ -74,8 +62,8 @@ class TestComputeDemand:
         d = compute_demand(60, 0.1)
         assert d.log10_value == pytest.approx(19.0618, abs=1e-4)
 
-    def test_degenerate_one_op_per_second(self):
-        assert compute_demand(0, 1.0).value == pytest.approx(1.0, rel=1e-12)
+    def test_zero_objects_is_one_op_per_cycle(self):
+        assert compute_demand(0, 1.0).log10_value == 0.0
 
     def test_doubling_cycle_halves_demand(self):
         fast = compute_demand(40, 0.05)
@@ -150,7 +138,7 @@ class TestEffectiveDemand:
         naive = Magnitude(19.06)
         direct = (10 ** 19.06) * 0.01421
         out = effective_demand(naive, 0.01421)
-        assert out.value == pytest.approx(direct, rel=1e-9)
+        assert 10 ** out.log10_value == pytest.approx(direct, rel=1e-9)
 
     def test_chi_out_of_range_rejected(self):
         for bad in (0.0, -0.5, 1.5):

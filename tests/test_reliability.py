@@ -181,6 +181,15 @@ class TestPoissonMiles:
             PoissonParams(confidence=confidence, safety_factor=1.0, lambda_target=1.0))
         assert factor == pytest.approx(stats.chi2.ppf(confidence, 2) / 2, rel=1e-12)
 
+    @pytest.mark.parametrize("confidence", [1e-17, 1e-16, 1e-3, 0.5, 0.95, 1 - 2**-53])
+    def test_miles_are_the_negated_log_term_and_never_negative_zero(self, confidence):
+        # 0 - log(1 - C) has the bits of -log(1 - C) wherever the log is not
+        # zero, and +0.0 where 1 - C rounds to 1.0.
+        miles = poisson_required_miles(
+            PoissonParams(confidence=confidence, safety_factor=2.0, lambda_target=1e-8))
+        assert miles == -math.log(1.0 - confidence) * 2.0 / 1e-8
+        assert math.copysign(1.0, miles) == 1.0
+
     def test_mileage_beyond_float_range_names_lambda_target(self):
         params = PoissonParams(confidence=0.95, safety_factor=2.0, lambda_target=5e-324)
         with pytest.raises(ValidationError, match=r"poisson\.lambda_target=5e-324"):

@@ -22,6 +22,7 @@ from avhorizon.sensitivity import (
     SweepSpec,
     monte_carlo,
     one_at_a_time,
+    set_parameter,
     tornado,
 )
 from avhorizon.timeline import Stage
@@ -147,6 +148,25 @@ class TestJson:
     def test_docs_copy_matches_module_schema(self):
         docs = pathlib.Path(__file__).resolve().parent.parent / "docs" / "report_schema.json"
         assert json.loads(docs.read_text()) == REPORT_SCHEMA
+
+
+class TestSignedZero:
+    """A confidence so small that 1 - confidence rounds to 1.0 needs zero
+    demonstration miles, printed as 0.0 and never as -0.0."""
+
+    @pytest.fixture(scope="class")
+    def result(self, catalog):
+        scenario = set_parameter(catalog["Robo-Taxis"], "poisson.confidence", 1e-17)
+        return project(scenario, Stage.BROAD_COMMERCIAL)
+
+    def test_csv_prints_zero_poisson_span_and_miles(self, result):
+        (row,) = csv.DictReader(io.StringIO(render([result], ReportFormat.CSV)))
+        assert (row["t_poisson_years"], row["poisson_miles"]) == ("0.0", "0.0")
+
+    def test_json_prints_zero_poisson_span_and_miles(self, result):
+        text = render([result], ReportFormat.JSON)
+        assert '"t_poisson": 0.0,' in text and '"poisson_miles": 0.0,' in text
+        assert "-0.0" not in text
 
 
 class TestMarkdown:

@@ -116,7 +116,7 @@ class TestCatalog:
             s = catalog[name]
             for stage, years in horizons.items():
                 naive = s.n_objects * LOG10_2 - math.log10(s.cycle_time_s)
-                chi = s.chi.for_stage(stage)
+                chi = getattr(s.chi, stage.value)
                 eff = naive + math.log10(chi)
                 got = 2.5 * (eff - 13.0) / LOG10_2
                 assert got == pytest.approx(years, abs=1e-9)
@@ -319,6 +319,16 @@ class TestScenarioDocuments:
         with pytest.raises(ValidationError) as err:
             parse_scenarios(doc)
         assert str(err.value) == f"scenario 'Robo-Taxis': {message}"
+
+    @pytest.mark.parametrize("field, kind", [
+        ("chi", "StageMap"), ("compute_env", "ComputeEnv"), ("crow", "CrowAmsaaParams"),
+        ("poisson", "PoissonParams"), ("prod_reg_years", "StageMap"),
+    ])
+    def test_a_nested_field_of_the_wrong_type_names_its_type(self, catalog, field, kind):
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(catalog["Robo-Taxis"], **{field: {"stage2": 0.5}})
+        assert str(err.value) == (
+            f"scenario 'Robo-Taxis': {field} must be a {kind}, got {{'stage2': 0.5}}")
 
     def test_a_nested_error_comes_before_a_top_level_one(self):
         # The nested blocks are built first; the top-level fields are

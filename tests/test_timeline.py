@@ -8,12 +8,7 @@ import re
 
 import pytest
 
-from avhorizon.complexity import (
-    Magnitude,
-    compute_demand,
-    effective_demand,
-    naive_mapf_ops_per_cycle,
-)
+from avhorizon.complexity import Magnitude, compute_demand, effective_demand
 from avhorizon.errors import UnsupportedStageError, ValidationError
 from avhorizon.reliability import (
     CrowAmsaaParams,
@@ -38,9 +33,7 @@ from avhorizon.timeline import (
     Stage,
     StageSpec,
     TimelineBreakdown,
-    calendar_date,
     compose_total,
-    split_crow,
 )
 
 
@@ -83,27 +76,33 @@ class TestStageSpec:
             StageSpec.for_stage(Stage.PILOT, prod_reg_years=1.0)
 
 
+def split(t_crow_total, f):
+    """compose_total's (t_crow_partial, t_crow_final) of the growth span."""
+    b = compose_total(0.0, t_crow_total, f, 0.0, 0.0)
+    return b.t_crow_partial, b.t_crow_final
+
+
 class TestSplitCrow:
     def test_worked_split(self):
-        partial, final = split_crow(10.0, 0.7)
+        partial, final = split(10.0, 0.7)
         assert partial == 7.0
         assert final == 3.0
 
     def test_full_concurrency(self):
-        assert split_crow(12.5, 1.0) == (12.5, 0.0)
+        assert split(12.5, 1.0) == (12.5, 0.0)
 
     def test_fully_serial(self):
-        assert split_crow(12.5, 0.0) == (0.0, 12.5)
+        assert split(12.5, 0.0) == (0.0, 12.5)
 
     def test_parts_recompose_exactly(self):
-        partial, final = split_crow(13.7, 0.37)
+        partial, final = split(13.7, 0.37)
         assert partial + final == 13.7
 
     def test_f_out_of_range(self):
         with pytest.raises(ValidationError):
-            split_crow(10.0, 1.5)
+            split(10.0, 1.5)
         with pytest.raises(ValidationError):
-            split_crow(10.0, -0.1)
+            split(10.0, -0.1)
 
 
 class TestComposeTotal:
@@ -192,36 +191,45 @@ class TestBreakdownInvariants:
             "and t_prod_reg=1e+308 exceeds float range")
 
 
+def calendar_year(baseline_year, t_total):
+    """compose_total's calendar year of a timeline whose only span is
+    t_prod_reg = t_total, so its total is t_total exactly."""
+    b = compose_total(0.0, 0.0, 0.0, 0.0, t_total, baseline_year)
+    assert b.t_total == t_total
+    return b.calendar_year
+
+
 class TestCalendarDate:
     def test_rounds_half_up_not_to_even(self):
         # Banker's rounding would map 0.5 to 0; the calendar rule must not.
-        assert calendar_date(2024, 0.5) == 2025
-        assert calendar_date(2024, 1.5) == 2026
-        assert calendar_date(2024, 2.5) == 2027
+        assert calendar_year(2024, 0.5) == 2025
+        assert calendar_year(2024, 1.5) == 2026
+        assert calendar_year(2024, 2.5) == 2027
 
     def test_worked_values(self):
-        assert calendar_date(2024, 43.84) == 2068
-        assert calendar_date(2024, 0.0) == 2024
-        assert calendar_date(2024, 228.94) == 2253
+        assert calendar_year(2024, 43.84) == 2068
+        assert calendar_year(2024, 0.0) == 2024
+        assert calendar_year(2024, 228.94) == 2253
 
     def test_below_half_rounds_down(self):
-        assert calendar_date(2024, 4.49) == 2028
-
-    def test_negative_total_rejected(self):
-        with pytest.raises(ValidationError):
-            calendar_date(2024, -0.1)
+        assert calendar_year(2024, 4.49) == 2028
 
     def test_a_total_just_below_half_a_year_rounds_down(self):
         # In floats 0.49999999999999994 + 0.5 rounds up to 1.0.
-        assert calendar_date(2024, 0.49999999999999994) == 2024
+        assert calendar_year(2024, 0.49999999999999994) == 2024
 
-    def test_an_odd_whole_total_beyond_2_to_the_52_keeps_its_year(self):
+    @pytest.mark.parametrize("total", [2**52 + 1, 2**52 + 12345, 2**53 - 1])
+    def test_an_odd_whole_total_beyond_2_to_the_52_keeps_its_year(self, total):
         # In floats 2**52 + 1 + 0.5 is a tie that rounds to 2**52 + 2.
-        assert calendar_date(2024, 4503599627370497.0) == 2024 + 4503599627370497
+        assert calendar_year(2024, float(total)) == 2024 + total
 
     def test_any_integer_baseline_year(self):
-        assert calendar_date(10**400, 1.0) == 10**400 + 1
-        assert calendar_date(-5000, 0.0) == -5000
+        assert calendar_year(10**400, 1.0) == 10**400 + 1
+        assert calendar_year(-5000, 0.0) == -5000
+
+    def test_a_total_overflow_raises_before_the_baseline_year_is_checked(self):
+        with pytest.raises(ValidationError, match="exceeds float range"):
+            compose_total(1e308, 0.0, 0.0, 0.0, 1e308, baseline_year=2024.5)
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +240,14 @@ class TestCalendarDate:
 ENTRY_POINTS = [
     (Magnitude, {"log10_value": 19.0}),
     (Magnitude.from_value, {"value": 1e19}),
-    (naive_mapf_ops_per_cycle, {"n_objects": 60}),
     (compute_demand, {"n_objects": 60, "cycle_time_s": 0.1}),
     (effective_demand, {"naive": Magnitude(19.0), "chi": 0.5}),
     (crow_required_miles, {"params": CrowAmsaaParams(1e-3, 0.5), "lambda_target": 1e-7}),
     (crow_failure_rate, {"params": CrowAmsaaParams(1e-3, 0.5), "miles": 1e6}),
     (demonstration_years, {"required_miles": 1e9, "gamma_value": 0.9, "delta": 0.5,
                            "annual_miles": 1e9}),
-    (split_crow, {"t_crow_total": 10.0, "f": 0.5}),
     (compose_total, {"t_comp": 5.0, "t_crow_total": 10.0, "f": 0.5, "t_poisson": 1.0,
                      "t_prod_reg": 2.0, "baseline_year": 2024}),
-    (calendar_date, {"baseline_year": 2024, "t_total_years": 43.84}),
 ]
 
 ABOVE_ONE = math.nextafter(1.0, 2.0)
@@ -253,7 +258,7 @@ JUST_OUTSIDE = {
     "chi": ABOVE_ONE, "lambda_target": 0.0, "miles": 0.0, "required_miles": -5e-324,
     "gamma_value": 0.0, "delta": ABOVE_ONE, "annual_miles": 0.0, "t_crow_total": -5e-324,
     "f": ABOVE_ONE, "t_comp": -5e-324, "t_poisson": -5e-324, "t_prod_reg": -5e-324,
-    "baseline_year": None, "t_total_years": -5e-324,
+    "baseline_year": None,
 }
 
 
