@@ -36,11 +36,8 @@ from .errors import _check_number, _domain
 __all__ = [
     "Magnitude",
     "ComputeEnv",
-    "ReductionFactor",
-    "ReductionFactors",
     "DEFAULT_FACTOR_RANGES",
     "compute_demand",
-    "chi_eff",
     "effective_demand",
     "hpc_horizon_years",
 ]
@@ -80,57 +77,6 @@ class ComputeEnv:
         _check_fields(self)
 
 
-@dataclass(frozen=True, slots=True)
-class ReductionFactor:
-    """One independent source of algorithmic savings.
-
-    The value is the fraction of work remaining after applying the
-    technique, so smaller is better.  documented_range records the
-    band of credible values for sensitivity work; the point value must
-    lie inside it.
-    """
-
-    name: str
-    value: float
-    documented_range: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ValidationError(f"factor name must be a non-empty string, got {self.name!r}")
-        where = f"factor {self.name!r}: "
-        try:
-            low, high = self.documented_range
-        except (TypeError, ValueError):
-            raise ValidationError(f"{where}documented_range must be a (low, high) pair, "
-                                  f"got {self.documented_range!r}") from None
-        for name, number in (("documented_range low", low), ("documented_range high", high),
-                             ("value", self.value)):
-            _check_number(where + name, number, _FINITE)
-        if not (0.0 < low <= high <= 1.0):
-            raise ValidationError(
-                f"{where}documented_range must satisfy "
-                f"0 < low <= high <= 1, got ({low!r}, {high!r})"
-            )
-        if not (low <= self.value <= high):
-            raise ValidationError(
-                f"{where}value {self.value!r} outside "
-                f"documented_range [{low}, {high}]"
-            )
-
-
-@dataclass(frozen=True, slots=True)
-class ReductionFactors:
-    """Ordered collection of reduction factors; chi is their product."""
-
-    factors: tuple[ReductionFactor, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(self.factors))
-        for f in self.factors:
-            if not isinstance(f, ReductionFactor):
-                raise ValidationError(f"factors must be ReductionFactor items, got {f!r}")
-
-
 # Credible ranges for the standard savings mechanisms.  Factors with
 # these names may omit an explicit range; unknown names must state one.
 DEFAULT_FACTOR_RANGES: dict[str, tuple[float, float]] = {
@@ -167,24 +113,6 @@ def compute_demand(n_objects: int, cycle_time_s: float) -> Magnitude:
     _check_number("cycle_time_s", cycle_time_s, _POSITIVE)
     _check_number("n_objects", n_objects, _NONNEGATIVE, int)
     return Magnitude(_demand_log10(_per_cycle_log10(n_objects), cycle_time_s, _FLOAT_OPS))
-
-
-def chi_eff(factors: ReductionFactors) -> float:
-    """Combined reduction factor: the plain product of all factor values.
-
-    Order independent, never larger than the smallest factor, and in
-    (0, 1] (an empty factor list means no savings, chi = 1).
-    """
-    if not isinstance(factors, ReductionFactors):
-        raise ValidationError(f"chi_eff expects ReductionFactors, got {factors!r}")
-    chi = 1.0
-    for f in factors.factors:
-        chi *= f.value
-    if chi <= 0.0:  # underflow guard; factor validation already bounds each term
-        raise ValidationError(
-            f"combined reduction factor underflowed to {chi!r}; fewer or larger factors required"
-        )
-    return chi
 
 
 def _effective_log10(naive_log10: float, chi: float, ops) -> float:

@@ -130,13 +130,14 @@ def _check_number(name: str, value: Any, domain: dict, kind: type = float,
     """Raise a ValidationError, ``prefix`` then a message naming ``name``,
     unless ``value`` is a number of ``kind`` (int or float) inside the
     interval that the field metadata ``domain`` declares.  A float also
-    takes an int within float range; neither takes a bool.  An int beyond
-    float range is named by its bit length, never printed."""
-    number = value.__class__ is kind or kind is float and (
-        isinstance(value, float) or _is_finite_number(value))
+    takes an int within float range.  The type must be exactly int or
+    float: a bool or a numpy scalar is not taken.  An int beyond float
+    range is named by its bit length, never printed."""
+    number = value.__class__ is kind or (
+        kind is float and value.__class__ is int and _is_finite_number(value))
     if number and _in_interval(value, domain["domain"]):
         return
-    if isinstance(value, int) and not isinstance(value, bool) and not _is_finite_number(value):
+    if value.__class__ is int and not _is_finite_number(value):
         message = f"{name} is an integer beyond float range ({value.bit_length()} bits)"
     elif number:
         message = _outside(name, value, domain["domain"])

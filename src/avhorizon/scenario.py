@@ -51,19 +51,16 @@ from .complexity import (
     ComputeEnv,
     DEFAULT_FACTOR_RANGES,
     Magnitude,
-    ReductionFactor,
-    ReductionFactors,
     _demand_log10,
     _effective_log10,
     _horizon_years,
     _per_cycle_log10,
-    chi_eff,
     compute_demand,
     effective_demand,
     hpc_horizon_years,
 )
 from .errors import _FLOAT_OPS, ScenarioFormatError, UnsupportedStageError, ValidationError
-from .errors import _NONNEGATIVE, _POSITIVE, _check_fields, _domain
+from .errors import _NONNEGATIVE, _POSITIVE, _check_fields, _check_number, _domain
 from .reliability import (
     CrowAmsaaParams,
     PoissonParams,
@@ -475,27 +472,28 @@ def serialize_scenarios(scenarios: tuple[CategoryScenario, ...] | list[CategoryS
 
 
 def _resolve_chi_value(name: str, stage_key: str, value: Any) -> float:
-    """Scalar chi, resolving the factor-product form if given; an error
-    in that form names the scenario and ``chi.<stage_key>``."""
+    """Scalar chi, or the product of a factor-product form's values taken
+    left to right.  Each factor's documented range lies in (0, 1] and its
+    value in that range; an error names the scenario, ``chi.<stage_key>``
+    and the factor.  A product that underflows to 0.0 is left to the chi
+    field's own check."""
     if not isinstance(value, dict):
         return value
-    where = f"scenario {name!r}: chi.{stage_key}"
-    factors = []
+    chi = 1.0
     for item in value["factors"]:
-        rng = item.get("documented_range", DEFAULT_FACTOR_RANGES.get(item["name"]))
-        if rng is None:
+        prefix = f"scenario {name!r}: chi.{stage_key}: factor {item['name']!r}: "
+        documented = item.get("documented_range", DEFAULT_FACTOR_RANGES.get(item["name"]))
+        if documented is None:
             raise ValidationError(
-                f"{where} factor {item['name']!r} has no documented_range and no default "
-                f"range is known for that name (known: {sorted(DEFAULT_FACTOR_RANGES)})"
+                f"{prefix}documented_range is required, as no default range is known for "
+                f"that name (known: {sorted(DEFAULT_FACTOR_RANGES)})"
             )
-        try:
-            factors.append(ReductionFactor(item["name"], item["value"], (rng[0], rng[1])))
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
-    try:
-        return chi_eff(ReductionFactors(tuple(factors)))
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+        low, high = documented
+        _check_number("documented_range low", low, _domain(0, 1, low_open=True), prefix=prefix)
+        _check_number("documented_range high", high, _domain(low, 1), prefix=prefix)
+        _check_number("value", item["value"], _domain(low, high), prefix=prefix)
+        chi *= item["value"]
+    return chi
 
 
 # Per scenario dataclass, how each field is read from a merged document:

@@ -143,7 +143,7 @@ def set_parameter(scenario: CategoryScenario, path: str, value: float) -> Catego
     integral float sets an int path as that int, and a float path holds a
     float."""
     setter, kind, interval = _lookup(path)
-    if kind is int and isinstance(value, float) and value.is_integer():
+    if kind is int and value.__class__ is float and value.is_integer():
         value = int(value)
     _check_number(path, value, {"domain": interval}, kind, f"scenario {scenario.name!r}: ")
     return setter(scenario, value if kind is int else float(value))

@@ -8,9 +8,6 @@ from avhorizon.complexity import (
     LOG10_2,
     ComputeEnv,
     Magnitude,
-    ReductionFactor,
-    ReductionFactors,
-    chi_eff,
     compute_demand,
     effective_demand,
     hpc_horizon_years,
@@ -75,52 +72,6 @@ class TestComputeDemand:
             compute_demand(10, 0.0)
         with pytest.raises(ValidationError):
             compute_demand(10, -0.1)
-
-
-class TestChiEff:
-    def test_empty_factor_list_is_identity(self):
-        assert chi_eff(ReductionFactors(factors=())) == 1.0
-
-    def test_two_halves(self):
-        factors = ReductionFactors(factors=(
-            ReductionFactor("a", 0.5, (0.1, 1.0)),
-            ReductionFactor("b", 0.5, (0.1, 1.0)),
-        ))
-        assert chi_eff(factors) == 0.25
-
-    def test_at_most_min_factor(self):
-        factors = ReductionFactors(factors=(
-            ReductionFactor("active_interaction", 0.33, (0.2, 0.5)),
-            ReductionFactor("hierarchical_decomposition", 0.2, (0.1, 0.3)),
-            ReductionFactor("specialized_hardware", 0.5, (0.1, 1.0)),
-        ))
-        assert chi_eff(factors) <= min(f.value for f in factors.factors)
-
-    def test_value_outside_documented_range_rejected(self):
-        with pytest.raises(ValidationError, match="range"):
-            ReductionFactor("active_interaction", 0.9, (0.2, 0.5))
-
-    def test_value_outside_unit_interval_rejected(self):
-        with pytest.raises(ValidationError):
-            ReductionFactor("x", 1.5, (0.1, 2.0))
-        with pytest.raises(ValidationError):
-            ReductionFactor("x", 0.0, (0.0, 1.0))
-
-
-class TestReductionFactor:
-    @pytest.mark.parametrize("value, documented_range, message", [
-        (True, (0.1, 1.0), "value must be a finite number, got True"),
-        ("0.5", (0.1, 1.0), "value must be a finite number, got '0.5'"),
-        (0.5, ("0.1", 1.0), "documented_range low must be a finite number, got '0.1'"),
-        (0.5, (0.1, 10**400), "documented_range high is an integer beyond float range "
-                               "(1329 bits)"),
-        (0.5, (0.1,), "documented_range must be a (low, high) pair, got (0.1,)"),
-        (0.5, None, "documented_range must be a (low, high) pair, got None"),
-    ])
-    def test_non_numbers_are_rejected(self, value, documented_range, message):
-        with pytest.raises(ValidationError) as err:
-            ReductionFactor("x", value, documented_range)
-        assert str(err.value) == f"factor 'x': {message}"
 
 
 class TestEffectiveDemand:

@@ -3,14 +3,16 @@ code, and numbers are checked in one place."""
 
 import ast
 import importlib
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 import avhorizon
-from avhorizon import sensitivity
-from avhorizon.errors import _interval_text
+from avhorizon import errors, sensitivity
+from avhorizon.errors import ValidationError, _interval_text
+from avhorizon.scenario import parse_scenarios
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -81,6 +83,47 @@ def test_only_errors_uses_the_parts_of_the_number_check():
         or isinstance(node, ast.alias) and node.name in NUMBER_CHECK_PARTS
     }
     assert users == {"errors.py"}
+
+
+# Every ValidationError class; a call of one builds an error.
+ERROR_CLASSES = {name for name, value in vars(errors).items()
+                 if isinstance(value, type) and issubclass(value, ValidationError)}
+
+
+def range_messages(path: Path) -> list[str]:
+    """The string parts of each error built in ``path`` that reads as a
+    range check: ``outside`` or ``must satisfy``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ERROR_CLASSES:
+            text = "".join(part.value for arg in node.args for part in ast.walk(arg)
+                           if isinstance(part, ast.Constant) and isinstance(part.value, str))
+            if "outside" in text or "must satisfy" in text:
+                found.append(text)
+    return found
+
+
+def test_only_errors_writes_a_range_message():
+    # A range is checked by errors._check_number against a declared
+    # interval, not by a hand-written comparison with its own message.
+    found = {path.name: range_messages(path) for path in SRC.glob("*.py")
+             if path.name != "errors.py"}
+    assert {name: texts for name, texts in found.items() if texts} == {}
+
+
+def readme_json_blocks() -> list[str]:
+    return re.findall(r"^```json\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def test_readme_scenario_document_parses():
+    document = readme_json_blocks()[0]
+    assert [s.name for s in parse_scenarios(document)] == ["Robo-Taxis"]
+
+
+def test_readme_chi_fragment_is_the_factor_product():
+    fragment = json.loads("{" + readme_json_blocks()[1] + "}")
+    (scenario,) = parse_scenarios(json.dumps({"scenarios": [{"name": "Robo-Taxis", **fragment}]}))
+    assert scenario.chi.stage3 == 0.2 * 0.4
 
 
 # Imports that nothing in scenario reads: perfbench/trace_driver.py wraps

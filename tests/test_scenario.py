@@ -5,9 +5,12 @@ import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 
-from avhorizon.complexity import LOG10_2, hpc_horizon_years
+from avhorizon import cli
+
+from avhorizon.complexity import DEFAULT_FACTOR_RANGES, LOG10_2, hpc_horizon_years
 from avhorizon.errors import (
     ScenarioFormatError,
     UnsupportedStageError,
@@ -320,6 +323,15 @@ class TestScenarioDocuments:
             parse_scenarios(doc)
         assert str(err.value) == f"scenario 'Robo-Taxis': {message}"
 
+    def test_a_numpy_scalar_is_rejected_at_the_input(self, catalog):
+        # np.float64 subclasses float; taken for one, it would make the
+        # calendar year an np.int64 and fail there, naming an output.
+        with pytest.raises(ValidationError) as err:
+            project(dataclasses.replace(catalog["Robo-Taxis"], f=np.float64(0.7)),
+                    Stage.BROAD_COMMERCIAL)
+        assert str(err.value) == (
+            "scenario 'Robo-Taxis': f must be a finite number, got np.float64(0.7)")
+
     @pytest.mark.parametrize("field, kind", [
         ("chi", "StageMap"), ("compute_env", "ComputeEnv"), ("crow", "CrowAmsaaParams"),
         ("poisson", "PoissonParams"), ("prod_reg_years", "StageMap"),
@@ -360,60 +372,6 @@ class TestScenarioDocuments:
         with pytest.raises(ScenarioFormatError, match="line"):
             parse_scenarios('{"scenarios": [}')
 
-    def test_chi_factor_product_form(self):
-        doc = json.dumps({"scenarios": [{
-            "name": "Consumer Automotive",
-            "chi": {
-                "stage2": 0.001,
-                "stage3": {"factors": [
-                    {"name": "active_interaction", "value": 0.4},
-                    {"name": "learned_heuristics", "value": 0.2},
-                ]},
-            },
-        }]})
-        (s,) = parse_scenarios(doc)
-        assert s.chi.stage3 == pytest.approx(0.08, rel=1e-12)
-        assert s.chi.stage2 == 0.001
-
-    def test_factor_value_outside_documented_range_rejected(self):
-        doc = json.dumps({"scenarios": [{
-            "name": "Consumer Automotive",
-            "chi": {"stage3": {"factors": [
-                {"name": "active_interaction", "value": 0.9},
-            ]}},
-        }]})
-        with pytest.raises(ValidationError, match="range"):
-            parse_scenarios(doc)
-
-    @pytest.mark.parametrize("factors, message", [
-        ([{"name": "x", "value": 0.5, "documented_range": [0.6, 0.4]}],
-         "factor 'x': documented_range must satisfy 0 < low <= high <= 1, got (0.6, 0.4)"),
-        ([{"name": "x", "value": 1e-200, "documented_range": [1e-300, 1.0]}] * 2,
-         "combined reduction factor underflowed to 0.0; fewer or larger factors required"),
-    ])
-    def test_factor_product_errors_name_the_scenario_and_stage(self, factors, message):
-        doc = json.dumps({"scenarios": [{"name": "Consumer Automotive",
-                                         "chi": {"stage2": {"factors": factors}}}]})
-        with pytest.raises(ValidationError) as raised:
-            parse_scenarios(doc)
-        assert str(raised.value) == f"scenario 'Consumer Automotive': chi.stage2: {message}"
-
-    def test_unknown_factor_requires_explicit_range(self):
-        doc = json.dumps({"scenarios": [{
-            "name": "Consumer Automotive",
-            "chi": {"stage3": {"factors": [{"name": "mystery", "value": 0.4}]}},
-        }]})
-        with pytest.raises(ValidationError, match="documented_range"):
-            parse_scenarios(doc)
-        doc_ok = json.dumps({"scenarios": [{
-            "name": "Consumer Automotive",
-            "chi": {"stage3": {"factors": [
-                {"name": "mystery", "value": 0.4, "documented_range": [0.1, 0.5]},
-            ]}},
-        }]})
-        (s,) = parse_scenarios(doc_ok)
-        assert s.chi.stage3 == 0.4
-
     def test_load_scenarios_missing_file(self, tmp_path):
         missing = tmp_path / "nope.json"
         with pytest.raises(ValidationError, match="nope.json"):
@@ -449,3 +407,64 @@ class TestScenarioDocuments:
         for entry, scenario in zip(entries, scenarios):
             alone = parse_scenarios(json.dumps({"defaults": defaults, "scenarios": [entry]}))
             assert scenario == alone[0], entry["name"]
+
+
+def chi_stage2_document(factors) -> str:
+    return json.dumps({"scenarios": [{"name": "Consumer Automotive",
+                                      "chi": {"stage2": {"factors": factors}}}]})
+
+
+class TestChiFactorProduct:
+    """A chi stage given in a document as a product of reduction factors."""
+
+    def test_chi_is_the_left_to_right_float_product(self):
+        factors = [{"name": "site", "value": 0.77, "documented_range": [0.1, 0.9]},
+                   {"name": "active_interaction", "value": 0.48},
+                   {"name": "route", "value": 0.61, "documented_range": [0.61, 0.61]},
+                   {"name": "learned_heuristics", "value": 0.22}]
+        (s,) = parse_scenarios(chi_stage2_document(factors))
+        assert s.chi.stage2.hex() == (1.0 * 0.77 * 0.48 * 0.61 * 0.22).hex()
+        # The order is what pins the bits: right to left rounds differently.
+        assert s.chi.stage2 != 1.0 * 0.22 * 0.61 * 0.48 * 0.77
+
+    @pytest.mark.parametrize("factors, message", [
+        ([{"name": "x", "value": 0.5, "documented_range": [0.6, 0.4]}],
+         "factor 'x': documented_range high=0.4 outside permitted range [0.6, 1]"),
+        ([{"name": "x", "value": 0.5, "documented_range": [0, 1]}],
+         "factor 'x': documented_range low=0 outside permitted range (0, 1]"),
+        ([{"name": "x", "value": 1.5, "documented_range": [0.1, 2.0]}],
+         "factor 'x': documented_range high=2.0 outside permitted range [0.1, 1]"),
+        ([{"name": "active_interaction", "value": 0.9}],
+         "factor 'active_interaction': value=0.9 outside permitted range [0.2, 0.5]"),
+        ([{"name": "learned_heuristics", "value": math.nan}],
+         "factor 'learned_heuristics': value=nan outside permitted range [0.1, 0.3]"),
+        ([{"name": "x", "value": 0.5, "documented_range": [math.inf, 1.0]}],
+         "factor 'x': documented_range low=inf outside permitted range (0, 1]"),
+        ([{"name": "x", "value": 0.5, "documented_range": [0.1, 10**400]}],
+         "factor 'x': documented_range high is an integer beyond float range (1329 bits)"),
+        ([{"name": "mystery", "value": 0.4}],
+         "factor 'mystery': documented_range is required, as no default range is known "
+         f"for that name (known: {sorted(DEFAULT_FACTOR_RANGES)})"),
+    ])
+    def test_a_factor_error_names_the_scenario_stage_and_factor(self, factors, message):
+        # The first factor is valid, so the error is the second's.
+        factors = [{"name": "specialized_hardware", "value": 0.5}, *factors]
+        with pytest.raises(ValidationError) as err:
+            parse_scenarios(chi_stage2_document(factors))
+        assert str(err.value) == f"scenario 'Consumer Automotive': chi.stage2: {message}"
+
+    def test_a_product_that_underflows_fails_the_chi_range(self):
+        factors = [{"name": "x", "value": 1e-200, "documented_range": [1e-300, 1.0]}] * 2
+        with pytest.raises(ValidationError) as err:
+            parse_scenarios(chi_stage2_document(factors))
+        assert str(err.value) == ("scenario 'Consumer Automotive': chi.stage2=0.0 outside "
+                                  "permitted range (0, 1]")
+
+    def test_the_cli_reports_a_factor_error_on_one_line(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(chi_stage2_document([{"name": "mystery", "value": 0.4}]))
+        assert cli.main(["project", "--file", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: scenario 'Consumer Automotive': chi.stage2: "
+                              "factor 'mystery': documented_range is required")

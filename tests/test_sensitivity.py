@@ -5,6 +5,7 @@ import math
 import operator
 import re
 
+import numpy as np
 import pytest
 
 from avhorizon.complexity import LOG10_2
@@ -127,6 +128,15 @@ class TestSweepSpec:
     def test_unknown_path_rejected_at_construction(self):
         with pytest.raises(UnknownParameterError):
             SweepSpec("nope", (1.0,))
+
+    @pytest.mark.parametrize("scalar", [np.float32(0.4), np.float64(0.4)], ids=repr)
+    def test_a_numpy_scalar_value_is_rejected(self, scalar):
+        # np.float64 subclasses float; taken for one, a CSV report would
+        # write its repr, np.float64(0.4), as the cell.
+        with pytest.raises(ValidationError) as err:
+            SweepSpec("f", (scalar,))
+        assert str(err.value) == (
+            f"sweep over 'f': value must be a finite number, got {scalar!r}")
 
 
 class TestOneAtATime:
