@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import Iterable, Sequence
 
+from ._jsonschema import NUMBER, closed_object
 from .errors import ValidationError
 from .report import (
     _CHUNKED_FORMATS,
@@ -312,46 +314,34 @@ def _reject_flag_conflicts(parser: argparse.ArgumentParser, args: argparse.Names
             parser.error("mc requires at least one --dist (or --spec-file)")
 
 
-def _closed_object(optional: tuple[str, ...] = (), **properties: dict) -> dict:
-    """Schema of an object with exactly these keys, all but ``optional`` required."""
-    return {
-        "type": "object",
-        "additionalProperties": False,
-        "required": [key for key in properties if key not in optional],
-        "properties": properties,
-    }
-
-
 # Shapes of the --spec-file documents, keyed by command.  The value
 # checks (finite numbers, low <= high, grid steps >= 2, known parameter
 # paths) stay with the sensitivity specs built from them.
-_NUMBER = {"type": "number"}
 _PATH = {"type": "string"}
+_KINDS = "|".join(kind.value for kind in DistributionKind)
 _SPEC_SCHEMAS = {
     "sweep": {
-        **_closed_object(
-            optional=("values", "grid"),
-            parameter_path=_PATH,
-            values={"type": "array", "items": _NUMBER},
-            grid=_closed_object(low=_NUMBER, high=_NUMBER, steps={"type": "integer"}),
-        ),
+        **closed_object({
+            "parameter_path": _PATH,
+            "values": {"type": "array", "items": NUMBER},
+            "grid": closed_object({"low": NUMBER, "high": NUMBER, "steps": {"type": "integer"}}),
+        }, required=["parameter_path"]),
         "oneOf": [{"required": ["values"]}, {"required": ["grid"]}],
     },
-    "tornado": _closed_object(bounds={
+    "tornado": closed_object({"bounds": {
         "type": "array",
-        "items": _closed_object(parameter_path=_PATH, low=_NUMBER, high=_NUMBER),
-    }),
-    "mc": _closed_object(distributions={
+        "items": closed_object({"parameter_path": _PATH, "low": NUMBER, "high": NUMBER}),
+    }}),
+    "mc": closed_object({"distributions": {
         "type": "array",
-        "items": _closed_object(
-            optional=("mode",),
-            parameter_path=_PATH,
-            kind={"type": "string", "pattern": "^(?i:uniform|triangular)$"},
-            low=_NUMBER,
-            high=_NUMBER,
-            mode={"type": ["number", "null"]},
-        ),
-    }),
+        "items": closed_object({
+            "parameter_path": _PATH,
+            "kind": {"type": "string", "pattern": f"^(?i:{_KINDS})$"},
+            "low": NUMBER,
+            "high": NUMBER,
+            "mode": {"type": ["number", "null"]},
+        }, required=["parameter_path", "kind", "low", "high"]),
+    }}),
 }
 
 
@@ -433,13 +423,15 @@ _COMMANDS = {
 
 def _write(output: str | Iterable[str], path: str | None) -> None:
     """Write a command's text, whole or as chunks, to ``path`` (created or
-    truncated only now, once every check has passed) or standard output."""
+    truncated only now, once every check has passed) or standard output.
+    Text the stream's encoding cannot hold raises ``OSError``."""
     chunks = (output,) if isinstance(output, str) else output
-    if not path:
-        sys.stdout.writelines(chunks)
-        return
-    with open(path, "w", encoding="utf-8") as stream:
-        stream.writelines(chunks)
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as stream:
+        for chunk in chunks:
+            try:
+                stream.write(chunk)
+            except UnicodeEncodeError as exc:
+                raise OSError(str(exc)) from exc
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -24,6 +24,7 @@ from itertools import chain, islice
 from operator import attrgetter, itemgetter
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence, get_type_hints
 
+from ._jsonschema import NUMBER, closed_object
 from .complexity import Magnitude
 from .errors import EmptyResultsError, ValidationError
 from .scenario import Intermediates, ProjectionResult
@@ -42,14 +43,11 @@ __all__ = [
 _CHUNK_ROWS = 4096
 
 # The JSON schema and JSON value of each type a result field holds.
-_JSON_NUMBER = {"type": "number"}
 _JSON_TYPES: dict[type, tuple[dict, Callable | None]] = {
-    float: (_JSON_NUMBER, None),
+    float: (NUMBER, None),
     int: ({"type": "integer"}, None),
     Gating: ({"enum": [g.value for g in Gating]}, attrgetter("value")),
-    Magnitude: ({"type": "object", "additionalProperties": False, "required": ["log10"],
-                 "properties": {"log10": _JSON_NUMBER}},
-                lambda m: {"log10": m.log10_value}),
+    Magnitude: (closed_object({"log10": NUMBER}), lambda m: {"log10": m.log10_value}),
 }
 
 
@@ -64,15 +62,6 @@ _BREAKDOWN_JSON = _json_fields(TimelineBreakdown)
 _INTERMEDIATE_JSON = _json_fields(Intermediates)
 
 
-def _object_schema(json_fields: tuple) -> dict:
-    return {
-        "type": "object",
-        "additionalProperties": False,
-        "required": [name for name, _, _ in json_fields],
-        "properties": {name: schema for name, schema, _ in json_fields},
-    }
-
-
 def _json_object(obj, json_fields: tuple) -> dict:
     return {name: getattr(obj, name) if to_json is None else to_json(getattr(obj, name))
             for name, _, to_json in json_fields}
@@ -83,28 +72,20 @@ def _json_object(obj, json_fields: tuple) -> dict:
 REPORT_SCHEMA: dict = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "Projection report document",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["title", "results"],
-    "properties": {
+    **closed_object({
         "title": {"type": "string", "minLength": 1},
         "generated_at": {"type": "string"},
         "results": {
             "type": "array",
             "minItems": 1,
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["category", "stage", "breakdown", "intermediate"],
-                "properties": {
-                    "category": {"type": "string", "minLength": 1},
-                    "stage": {"enum": ["stage2", "stage3"]},
-                    "breakdown": _object_schema(_BREAKDOWN_JSON),
-                    "intermediate": _object_schema(_INTERMEDIATE_JSON),
-                },
-            },
+            "items": closed_object({
+                "category": {"type": "string", "minLength": 1},
+                "stage": {"enum": [stage.value for stage in PROJECTABLE_STAGES]},
+                "breakdown": closed_object({n: schema for n, schema, _ in _BREAKDOWN_JSON}),
+                "intermediate": closed_object({n: schema for n, schema, _ in _INTERMEDIATE_JSON}),
+            }),
         },
-    },
+    }, required=["title", "results"]),
 }
 
 
@@ -190,11 +171,15 @@ def _aligned_lines(table: _Table) -> list[str]:
     return lines
 
 
+def _markdown_row(cells: Sequence[str]) -> str:
+    """One Markdown table row, each ``|`` in a cell written ``\\|``."""
+    return "| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |"
+
+
 def _markdown_lines(table: _Table) -> Iterator[str]:
-    yield "| " + " | ".join(table.headers) + " |"
-    yield "| " + " | ".join("---" for _ in table.headers) + " |"
-    for row in table.rows:
-        yield "| " + " | ".join(row) + " |"
+    yield _markdown_row(table.headers)
+    yield _markdown_row(["---"] * len(table.headers))
+    yield from map(_markdown_row, table.rows)
 
 
 def _csv_text(table: _Table, with_headers: bool = True) -> str:

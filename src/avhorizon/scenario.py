@@ -137,6 +137,11 @@ class CategoryScenario:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValidationError(f"scenario name must be a non-empty string, got {self.name!r}")
+        try:
+            self.name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"scenario name must be text that UTF-8 can encode, "
+                                  f"got {self.name!r}") from None
         for name, kind in _NESTED:
             value = getattr(self, name)
             if not isinstance(value, kind):
@@ -366,47 +371,35 @@ def project(scenario: CategoryScenario, stage: Stage) -> ProjectionResult:
 # Scenario documents
 # ---------------------------------------------------------------------------
 
-_NUMBER = {"type": "number"}
-_FACTOR_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["name", "value"],
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "value": _NUMBER,
-        "documented_range": {
-            "type": "array",
-            "minItems": 2,
-            "maxItems": 2,
-            "prefixItems": [_NUMBER, _NUMBER],
-        },
+_FACTOR_SCHEMA = jsonschema.closed_object({
+    "name": {"type": "string", "minLength": 1},
+    "value": jsonschema.NUMBER,
+    "documented_range": {
+        "type": "array",
+        "minItems": 2,
+        "maxItems": 2,
+        "prefixItems": [jsonschema.NUMBER, jsonschema.NUMBER],
     },
-}
+}, required=["name", "value"])
 _CHI_VALUE_SCHEMA = {
     "oneOf": [
-        _NUMBER,
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["factors"],
-            "properties": {
-                "factors": {"type": "array", "minItems": 1, "items": _FACTOR_SCHEMA},
-            },
-        },
+        jsonschema.NUMBER,
+        jsonschema.closed_object({
+            "factors": {"type": "array", "minItems": 1, "items": _FACTOR_SCHEMA},
+        }),
     ]
 }
 _LEAF_SCHEMAS = {
     str: {"type": "string", "minLength": 1},
     int: {"type": "integer"},
-    float: _NUMBER,
+    float: jsonschema.NUMBER,
 }
 
 
 def _field_schemas(owner: type) -> dict[str, Any]:
     """Schema of each field of ``owner``; a nested dataclass is a closed object."""
     return {
-        name: {"type": "object", "additionalProperties": False,
-               "properties": _field_schemas(kind)}
+        name: jsonschema.closed_object(_field_schemas(kind), required=[])
         if kind in _FIELDS else _LEAF_SCHEMAS[kind]
         for name, kind, _ in _FIELDS[owner]
     }
@@ -423,28 +416,16 @@ _SCENARIO_FIELD_SCHEMAS["chi"]["properties"] = dict.fromkeys(
 SCENARIO_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "Vehicle-category scenario document",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["scenarios"],
-    "properties": {
-        "defaults": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                key: schema for key, schema in _SCENARIO_FIELD_SCHEMAS.items() if key != "name"
-            },
-        },
+    **jsonschema.closed_object({
+        "defaults": jsonschema.closed_object({
+            key: schema for key, schema in _SCENARIO_FIELD_SCHEMAS.items() if key != "name"
+        }, required=[]),
         "scenarios": {
             "type": "array",
             "minItems": 1,
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["name"],
-                "properties": _SCENARIO_FIELD_SCHEMAS,
-            },
+            "items": jsonschema.closed_object(_SCENARIO_FIELD_SCHEMAS, required=["name"]),
         },
-    },
+    }, required=["scenarios"]),
 }
 
 

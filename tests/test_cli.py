@@ -122,6 +122,35 @@ class TestProjectCommand:
         assert "beta" in proc.stderr
 
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "markdown"])
+    def test_a_name_utf8_cannot_encode_fails_before_creating_the_output(self, tmp_path,
+                                                                       capsys, fmt):
+        doc = tmp_path / "doc.json"
+        doc.write_text(renamed_document("Bad \ud800 name"))
+        output = tmp_path / "out"
+        err = assert_single_error_line(capsys, "project", "--file", str(doc), "--format", fmt,
+                                       "--output", str(output))
+        assert err == ("error: scenario name must be text that UTF-8 can encode, "
+                       "got 'Bad \\ud800 name'\n")
+        assert not output.exists()
+
+    def test_output_the_stream_cannot_encode_is_one_error_line(self, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_text(renamed_document("Café shuttles"))
+        proc = run_cli("project", "--file", str(doc), "--format", "csv",
+                       env={**os.environ, "PYTHONIOENCODING": "ascii"})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: 'ascii' codec can't encode character '\\xe9'")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+
+def renamed_document(name: str) -> str:
+    """A document of the first catalog category, named ``name``."""
+    (entry,) = json.loads(serialize_scenarios(builtin_catalog()[:1]))["scenarios"]
+    return json.dumps({"scenarios": [{**entry, "name": name}]})
+
+
 class TestSweepCommand:
     def test_inline_values(self):
         proc = run_cli("sweep", "--category", "Consumer Automotive",

@@ -1,16 +1,18 @@
-"""The README's library surface, export lists and range table match the
-code, and numbers are checked in one place."""
+"""The README's library surface, export lists, range table and example
+commands match the code; numbers are checked, and schema shapes written,
+in one place each."""
 
 import ast
 import importlib
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import avhorizon
-from avhorizon import errors, sensitivity
+from avhorizon import cli, errors, sensitivity
 from avhorizon.errors import ValidationError, _interval_text
 from avhorizon.scenario import parse_scenarios
 
@@ -109,6 +111,42 @@ def test_only_errors_writes_a_range_message():
     found = {path.name: range_messages(path) for path in SRC.glob("*.py")
              if path.name != "errors.py"}
     assert {name: texts for name, texts in found.items() if texts} == {}
+
+
+def hand_written_schema_shapes(path: Path) -> list[int]:
+    """Lines of the dict literals in ``path`` that write a closed object's
+    ``additionalProperties`` or are the number schema."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Dict)
+            and (any(isinstance(key, ast.Constant) and key.value == "additionalProperties"
+                     for key in node.keys)
+                 or ast.unparse(node) == "{'type': 'number'}")]
+
+
+def test_only_jsonschema_writes_a_closed_object_or_the_number_schema():
+    # The other modules build them with _jsonschema.closed_object and NUMBER.
+    found = {path.name: lines for path in SRC.glob("*.py")
+             if path.name != "_jsonschema.py"
+             and (lines := hand_written_schema_shapes(path))}
+    assert found == {}
+
+
+def readme_commands() -> list[str]:
+    """The ``avhorizon`` commands of the README's Examples block, each
+    continued line joined to the one before."""
+    block = README.read_text(encoding="utf-8").split("Examples:\n\n```sh\n", 1)[1]
+    lines = re.sub(r"\s*\\\n\s*", " ", block.split("\n```", 1)[0]).splitlines()
+    return [line for line in lines if line.startswith("avhorizon ")]
+
+
+def test_the_readme_has_example_commands():
+    assert readme_commands()
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_readme_example_command_runs(command, capsys):
+    assert cli.main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out
 
 
 def readme_json_blocks() -> list[str]:

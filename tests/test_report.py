@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import pathlib
+import re
 
 import jsonschema
 import pytest
@@ -25,7 +26,7 @@ from avhorizon.sensitivity import (
     set_parameter,
     tornado,
 )
-from avhorizon.timeline import Stage
+from avhorizon.timeline import PROJECTABLE_STAGES, Stage
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +194,14 @@ class TestMarkdown:
         text = render([single_result], ReportFormat.MARKDOWN, title="x")
         row = next(l for l in text.splitlines() if l.startswith("| Industrial/Mining"))
         assert "n/a" in row
+
+    def test_each_row_has_as_many_cells_as_its_header(self, catalog):
+        scenario = dataclasses.replace(catalog["Geo-fenced Vans/Buses"], name="Vans | Buses")
+        text = render([project(scenario, stage) for stage in PROJECTABLE_STAGES],
+                      ReportFormat.MARKDOWN, title="x")
+        rows = [line for line in text.splitlines() if line.startswith("|")]
+        assert len(rows) == 3 and "| Vans \\| Buses |" in rows[2]
+        assert {len(re.split(r"(?<!\\)\|", row)) for row in rows} == {5}
 
     def test_fractional_years_shown_to_two_decimals(self, single_result):
         text = render([single_result], ReportFormat.MARKDOWN, title="x")

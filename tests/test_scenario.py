@@ -352,6 +352,12 @@ class TestScenarioDocuments:
         assert str(err.value) == ("scenario 'Robo-Taxis': crow.beta=2.0 outside permitted "
                                   "range (0, 1)")
 
+    def test_a_name_utf8_cannot_encode_is_rejected(self, catalog):
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(catalog["Robo-Taxis"], name="Bad \ud800 name")
+        assert str(err.value) == (
+            "scenario name must be text that UTF-8 can encode, got 'Bad \\ud800 name'")
+
     def test_new_category_must_state_core_fields(self):
         with pytest.raises(ValidationError, match="n_objects"):
             parse_scenarios('{"scenarios": [{"name": "New Cat"}]}')
