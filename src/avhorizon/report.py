@@ -18,6 +18,7 @@ import csv
 import enum
 import io
 import json
+import re
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from itertools import chain, islice
@@ -216,6 +217,7 @@ def _page(fmt: ReportFormat, title: str, timestamp: str | None, facts: list[str]
           tables: Sequence[_Table], sections: Iterable[str] = ()) -> str:
     """Text or Markdown page: title, optional timestamp, fact lines (bullets
     in Markdown), the tables separated by blank lines, then any sections."""
+    title = _escape_controls(title)
     if fmt is ReportFormat.MARKDOWN:
         lines = [f"# {title}", ""]
         if timestamp:
@@ -239,6 +241,20 @@ def _page(fmt: ReportFormat, title: str, timestamp: str | None, facts: list[str]
     return "\n".join(lines) + "\n"
 
 
+# A C0 or C1 control character, or DEL.
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+
+
+def _escape_controls(text: str) -> str:
+    """A name or title as the text and Markdown pages print it: each control
+    character written as ``json.dumps`` escapes it, so that a name holding
+    a newline keeps its row or heading on one line."""
+    # No control character is printable, and this test is far cheaper.
+    if text.isprintable():
+        return text
+    return _CONTROL.sub(lambda match: json.dumps(match.group())[1:-1], text)
+
+
 # ---------------------------------------------------------------------------
 # Projection tables
 # ---------------------------------------------------------------------------
@@ -248,9 +264,9 @@ def _projection_table(results: Sequence[ProjectionResult]) -> _Table:
     def rows() -> Iterator[list[str]]:
         for r in results:
             b = r.breakdown
-            yield [r.category, r.stage.value, f"{b.t_comp:.2f}", f"{b.t_crow_total:.2f}",
-                   f"{b.t_poisson:.2f}", f"{b.t_prod_reg:.2f}", f"{b.t_total:.2f}",
-                   b.gating.value, str(b.calendar_year)]
+            yield [_escape_controls(r.category), r.stage.value, f"{b.t_comp:.2f}",
+                   f"{b.t_crow_total:.2f}", f"{b.t_poisson:.2f}", f"{b.t_prod_reg:.2f}",
+                   f"{b.t_total:.2f}", b.gating.value, str(b.calendar_year)]
 
     headers = ["Category", "Stage", "T_comp", "T_crow", "T_poisson",
                "T_prod_reg", "T_total", "Gating", "Year"]
@@ -290,7 +306,7 @@ def _stage_summary_table(results: Sequence[ProjectionResult]) -> _Table:
     by_key = {(r.category, r.stage): r for r in results}
     categories = dict.fromkeys(r.category for r in results)
     rows = (
-        [category] + [
+        [_escape_controls(category)] + [
             str(by_key[(category, stage)].breakdown.calendar_year)
             if (category, stage) in by_key else "n/a"
             for stage in PROJECTABLE_STAGES
@@ -306,7 +322,7 @@ def _breakdown_sections(results: Sequence[ProjectionResult]) -> Iterator[str]:
     for r in results:
         b = r.breakdown
         yield from (
-            "", f"## {r.category}: {r.stage.display_name}", "",
+            "", f"## {_escape_controls(r.category)}: {r.stage.display_name}", "",
             f"- t_comp: {b.t_comp:.2f} years",
             f"- t_crow_total: {b.t_crow_total:.2f} years",
             f"- t_crow_partial: {b.t_crow_partial:.2f} years",

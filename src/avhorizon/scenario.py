@@ -13,7 +13,7 @@ reliability and timeline:
     growth / Poisson mileage -> stage delta -> demonstration years
     split by f -> total -> calendar year
 
-Sweeps and Monte Carlo run the same ``_terms`` over numpy columns.
+Monte Carlo and long sweeps run the same ``_terms`` over numpy columns.
 
 The builtin catalog holds eight reference categories spanning the
 spectrum from constrained industrial sites to unrestricted consumer
@@ -350,6 +350,25 @@ def _terms(stage: Stage, ops, n_objects, cycle_time_s, chi, doubling_period_year
             (naive, effective, crow_miles, poisson_miles, gamma_value, delta))
 
 
+# The slot setter of each field, in declaration order, of the classes whose
+# checks _terms has already passed on the values project gives them.
+_SLOT_SETTERS = {cls: tuple(getattr(cls, spec.name).__set__ for spec in fields(cls))
+                 for cls in (TimelineBreakdown, Magnitude)}
+
+
+def _proven(cls: type, *values):
+    """An instance of ``cls`` holding ``values`` in field order, built
+    without ``__post_init__``.  ``project`` builds its results this way:
+    ``_terms`` has checked that every span is finite and not negative
+    and every demand finite, and the split, total and gating are what
+    the public constructor recomputes from the same term functions, so
+    checking them again proves nothing new."""
+    obj = object.__new__(cls)
+    for set_slot, value in zip(_SLOT_SETTERS[cls], values):
+        set_slot(obj, value)
+    return obj
+
+
 def project(scenario: CategoryScenario, stage: Stage) -> ProjectionResult:
     """Run the full pipeline for one scenario at one stage."""
     if stage not in PROJECTABLE_STAGES:
@@ -361,10 +380,11 @@ def project(scenario: CategoryScenario, stage: Stage) -> ProjectionResult:
         )
     spans, compute_gated, (naive, effective, *intermediate) = _terms(
         stage, _FLOAT_OPS, *_TERM_LEAVES[stage](scenario))
-    breakdown = TimelineBreakdown(*spans, _GATING[compute_gated],
-                                  _calendar_year(scenario.baseline_year, spans[-1]))
+    breakdown = _proven(TimelineBreakdown, *spans, _GATING[compute_gated],
+                        _calendar_year(scenario.baseline_year, spans[-1]))
     return ProjectionResult(scenario.name, stage, breakdown,
-                            Intermediates(Magnitude(naive), Magnitude(effective), *intermediate))
+                            Intermediates(_proven(Magnitude, naive), _proven(Magnitude, effective),
+                                          *intermediate))
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +482,31 @@ def _resolve_chi_value(name: str, stage_key: str, value: Any) -> float:
         return value
     chi = 1.0
     for item in value["factors"]:
-        prefix = f"scenario {name!r}: chi.{stage_key}: factor {item['name']!r}: "
         documented = item.get("documented_range", DEFAULT_FACTOR_RANGES.get(item["name"]))
-        if documented is None:
-            raise ValidationError(
-                f"{prefix}documented_range is required, as no default range is known for "
-                f"that name (known: {sorted(DEFAULT_FACTOR_RANGES)})"
-            )
-        low, high = documented
-        _check_number("documented_range low", low, _domain(0, 1, low_open=True), prefix=prefix)
-        _check_number("documented_range high", high, _domain(low, 1), prefix=prefix)
-        _check_number("value", item["value"], _domain(low, high), prefix=prefix)
-        chi *= item["value"]
+        factor = item["value"]
+        if documented is not None:
+            low, high = documented  # JSON numbers: the schema admits no other type
+            if 0 < low <= high <= 1 and low <= factor <= high:
+                chi *= factor
+                continue
+        _reject_factor(f"scenario {name!r}: chi.{stage_key}: factor {item['name']!r}: ",
+                       documented, factor)
     return chi
+
+
+def _reject_factor(prefix: str, documented: Any, factor: Any) -> None:
+    """Raise the ValidationError, ``prefix`` first, of the first check a
+    factor fails: a documented range is known, its low end lies in (0, 1],
+    its high end in [low, 1], and the factor's value in [low, high]."""
+    if documented is None:
+        raise ValidationError(
+            f"{prefix}documented_range is required, as no default range is known for "
+            f"that name (known: {sorted(DEFAULT_FACTOR_RANGES)})"
+        )
+    low, high = documented
+    _check_number("documented_range low", low, _domain(0, 1, low_open=True), prefix=prefix)
+    _check_number("documented_range high", high, _domain(low, 1), prefix=prefix)
+    _check_number("value", factor, _domain(low, high), prefix=prefix)
 
 
 # Per scenario dataclass, how each field is read from a merged document:

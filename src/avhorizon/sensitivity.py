@@ -13,15 +13,16 @@ document's field is (``errors._check_number``), and its error names it.
   all others at baseline, ranked by descending output spread.
 * monte_carlo: draw all distribution parameters jointly per sample.
 
-Sweeps and Monte Carlo evaluate their rows together (``_evaluate``):
-the term functions ``project`` runs on floats (``scenario._terms``) run
-over numpy columns of the varying inputs (``_column_ops``), with results
-bit-identical to ``project`` on each row's modified scenario.  A row
-that fails any of the terms' checks is re-run through ``set_parameter``
-and ``project`` (``_project_row``), which raise the exact error.  A
-tornado has at most two rows per parameter path, so it runs every row
-that way and never pays for importing numpy.  numpy is imported by the
-functions that build columns, so only the ``sweep`` and ``mc`` commands
+Monte Carlo and sweeps of more than ``_ROW_BY_ROW_LIMIT`` values
+evaluate their rows together (``_evaluate``): the term functions
+``project`` runs on floats (``scenario._terms``) run over numpy columns
+of the varying inputs (``_column_ops``), with results bit-identical to
+``project`` on each row's modified scenario.  A row that fails any of
+the terms' checks is re-run through ``set_parameter`` and ``project``
+(``_project_row``), which raise the exact error.  A tornado (at most two
+rows per parameter path) and a shorter sweep project every row that way,
+which costs less than importing numpy.  numpy is imported by the
+functions that build columns, so only the ``mc`` command and long sweeps
 load it.
 
 Monte Carlo determinism contract: the generator is Philox4x64-10, keyed
@@ -79,6 +80,17 @@ MC_PERCENTILES = (5, 25, 50, 75, 95)
 # The most rows one analysis evaluates: Monte Carlo samples or grid
 # steps.  Larger counts are rejected before anything is allocated.
 MAX_ROWS = 10_000_000
+
+# The most values a sweep projects one row at a time, through
+# ``set_parameter`` and ``project`` as a tornado does; a longer sweep is
+# evaluated as columns (``_evaluate``), which first imports numpy.  Set
+# just below where the two routes cross in fresh ``avhorizon sweep``
+# processes (catalog scenario, crow.beta and f grids of 1000-10000 values,
+# table output; medians of 12 interleaved runs on a 2-vCPU host, two
+# series): row by row took 0.165-0.172 s + 28.4-28.9 us a value, columns
+# 0.266-0.270 s + 9.4-13.5 us, so wall time crosses at 5300-6400 values
+# and CPU time, which numpy's import raises more, at 12000-15000.
+_ROW_BY_ROW_LIMIT = 5000
 
 _Setter = Callable[[CategoryScenario, float], CategoryScenario]
 
@@ -518,19 +530,35 @@ def _evaluate(
         fallback = fallback | unchecked
     if any(type(v) is int and float(v) != v for v in held):  # an int float64 does not hold
         fallback = np.ones(rows, dtype=bool)
-    totals = np.broadcast_to(t_total, rows).tolist()
+    totals = np.array(np.broadcast_to(t_total, rows), dtype=np.float64)
     gating = list(map(_GATING.__getitem__, np.broadcast_to(compute_gated, rows).tolist()))
     for row in np.flatnonzero(fallback).tolist():
         breakdown = _project_row(scenario, stage,
                                  ((path, values[row]) for path, values in inputs.items()))
         totals[row], gating[row] = breakdown.t_total, breakdown.gating
 
-    baseline_year = columns.get("baseline_year")
-    if baseline_year is None:
-        baseline_years = [scenario.baseline_year] * len(totals)
-    else:
-        baseline_years = [int(b) for b in baseline_year.tolist()]
-    return totals, list(map(_calendar_year, baseline_years, totals)), gating
+    baseline_years = np.broadcast_to(columns.get("baseline_year", scenario.baseline_year), rows)
+    return totals.tolist(), _calendar_years(baseline_years.astype(np.int64), totals), gating
+
+
+def _calendar_years(baseline_years: np.ndarray, totals: np.ndarray) -> list[int]:
+    """``timeline._calendar_year`` of each row of an int64 and a float64
+    column at once: ``t - floor(t)`` is exact, so one comparison with 0.5
+    rounds half up as it does.  A total of 2**62 or more, whose floor an
+    int64 may not hold, takes the Python path."""
+    import numpy as np
+
+    large = totals >= 2.0**62
+    whole = np.floor(np.where(large, 0.0, totals))
+    years = (baseline_years + whole.astype(np.int64) + (totals - whole >= 0.5)).tolist()
+    for row in np.flatnonzero(large).tolist():
+        years[row] = _calendar_year(int(baseline_years[row]), float(totals[row]))
+    return years
+
+
+def _outputs(rows: Sequence[TimelineBreakdown]) -> tuple[list[float], list[int], list[Gating]]:
+    """The t_total, calendar year and gating columns of projected rows."""
+    return [r.t_total for r in rows], [r.calendar_year for r in rows], [r.gating for r in rows]
 
 
 def _report(
@@ -585,11 +613,16 @@ def one_at_a_time(scenario: CategoryScenario, stage: Stage, sweep: SweepSpec) ->
     before the first projection runs.
     """
     path = sweep.parameter_path
-    for v in sweep.values:
-        set_parameter(scenario, path, v)
-    baseline = project(scenario, stage)
     inputs = {path: list(sweep.values)}
-    outputs = _evaluate(scenario, stage, {path: _leaf_column(sweep.values)}, inputs)
+    if len(sweep.values) <= _ROW_BY_ROW_LIMIT:
+        rows = [set_parameter(scenario, path, v) for v in sweep.values]
+        baseline = project(scenario, stage)
+        outputs = _outputs([project(row, stage).breakdown for row in rows])
+    else:
+        for v in sweep.values:
+            set_parameter(scenario, path, v)
+        baseline = project(scenario, stage)
+        outputs = _evaluate(scenario, stage, {path: _leaf_column(sweep.values)}, inputs)
     return _report(AnalysisKind.SWEEP, scenario, stage, baseline, inputs, outputs)
 
 
@@ -618,9 +651,7 @@ def tornado(
     for position, i in enumerate(ranked):
         inputs[bounds[i].parameter_path] = column = [None] * (2 * len(bounds))
         column[2 * position:2 * position + 2] = bounds[i].low, bounds[i].high
-    rows = [row for i in ranked for row in pairs[i]]
-    outputs = ([r.t_total for r in rows], [r.calendar_year for r in rows],
-               [r.gating for r in rows])
+    outputs = _outputs([row for i in ranked for row in pairs[i]])
     spreads = tuple(
         TornadoSpread(
             parameter_path=bounds[i].parameter_path,

@@ -1,8 +1,10 @@
 """The shared model terms on floats and on columns, against references.
 
-``project`` runs the model's term functions on Python floats; sweeps
-and Monte Carlo run the same functions over numpy columns.  The cases
-here check:
+``project`` runs the model's term functions on Python floats; Monte
+Carlo and sweeps of more than ``sensitivity._ROW_BY_ROW_LIMIT`` values
+run the same functions over numpy columns.  The sweep cases here set
+that limit to 0 (``columnar_sweeps``), so their few values take the
+columnar route too.  The cases here check:
 
 - ``project`` against the chain of public functions it once called
   (``compute_demand`` ... ``compose_total``);
@@ -13,7 +15,9 @@ here check:
 - the fallback rows: rows that fail a term check, lie outside their
   distribution's bounds or hold a JSON integer float64 does not;
 - tornado, which projects each row on its own, against its reference
-  loop.
+  loop;
+- the two sweep routes against each other at the limit, and the
+  calendar years of the columns against ``_calendar_year``.
 
 Reports must be equal, renders in all four formats byte-identical, and
 errors the same text.
@@ -38,6 +42,7 @@ from avhorizon.reliability import crow_required_miles, demonstration_years, pois
 from avhorizon.report import ReportFormat, render_sensitivity
 from avhorizon.scenario import _TERM_LEAVES, _TERM_PATHS, Intermediates, builtin_catalog, project
 from avhorizon.sensitivity import (
+    _ROW_BY_ROW_LIMIT,
     MC_PERCENTILES,
     AnalysisKind,
     DistributionKind,
@@ -47,6 +52,7 @@ from avhorizon.sensitivity import (
     SensitivityReport,
     SweepSpec,
     TornadoSpread,
+    _calendar_years,
     _leaf_column,
     _summarize,
     _uniforms,
@@ -56,7 +62,7 @@ from avhorizon.sensitivity import (
     tornado,
     valid_parameter_paths,
 )
-from avhorizon.timeline import PROJECTABLE_STAGES, Stage, StageSpec, compose_total
+from avhorizon.timeline import PROJECTABLE_STAGES, Stage, StageSpec, _calendar_year, compose_total
 
 CATALOG = builtin_catalog()
 S2, S3 = Stage.REVENUE_SERVICE, Stage.BROAD_COMMERCIAL
@@ -411,6 +417,13 @@ def test_sample_outside_its_bounds_takes_the_scalar_path(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture
+def columnar_sweeps(monkeypatch):
+    """Every sweep, however short, evaluated as columns."""
+    monkeypatch.setattr(sensitivity, "_ROW_BY_ROW_LIMIT", 0)
+
+
+@pytest.mark.usefixtures("columnar_sweeps")
 @pytest.mark.parametrize("path, values", [
     ("n_objects", (1, 20, 35.0, 60, 120, 1000, 2**70)),
     ("baseline_year", (1, 2024, 2030.0, 9999)),
@@ -451,6 +464,7 @@ def test_tornado_over_every_path_equals_scalar_loop(scale, stage):
         assert_same(columnar, outcome(scalar_tornado, scenario, stage, bounds))
 
 
+@pytest.mark.usefixtures("columnar_sweeps")
 @pytest.mark.parametrize("stage", PROJECTABLE_STAGES)
 def test_scenarios_the_registry_does_not_build(stage):
     # JSON integers in float fields, some of them beyond float64's 53 bits.
@@ -495,6 +509,7 @@ def test_tornado_row_whose_growth_mileage_overflows(stage):
         assert columnar[1].startswith("the growth mileage")
 
 
+@pytest.mark.usefixtures("columnar_sweeps")
 @pytest.mark.parametrize("path, values, stage, message", [
     # 5e-324 * 0.5 rounds to a zero stage delta.
     ("base_delta", (1.0, 5e-324), S2,
@@ -510,6 +525,7 @@ def test_sweep_row_that_fails_a_term_check(path, values, stage, message):
     assert columnar == (ValidationError, message)
 
 
+@pytest.mark.usefixtures("columnar_sweeps")
 def test_sweep_whose_total_overflows():
     sweep = SweepSpec("prod_reg_years.stage3", (1.0, 1e308, 5e307))
     scenario = set_parameter(CATALOG[0], "compute_env.doubling_period_years", 1e307)
@@ -519,3 +535,54 @@ def test_sweep_whose_total_overflows():
         "the total of the spans t_comp=1.4000000000000003e+308, t_crow_total=10.0 "
         "(f=0.7), t_poisson=0.8438682460715464 and t_prod_reg=1e+308 exceeds float range"
     )
+
+
+# ---------------------------------------------------------------------------
+# The two sweep routes, and calendar years as a column
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path, low, high", [
+    ("crow.beta", 0.3, 0.6),
+    ("prod_reg_years.stage3", 0.0, 40.0),  # whole and half-year totals
+])
+@pytest.mark.parametrize("count", [_ROW_BY_ROW_LIMIT, _ROW_BY_ROW_LIMIT + 1])
+def test_sweep_routes_render_the_same_bytes(monkeypatch, path, low, high, count):
+    sweep = SweepSpec.from_grid(path, low, high, count)
+    renders = []
+    for limit in (count, count - 1):  # row by row, then as columns
+        monkeypatch.setattr(sensitivity, "_ROW_BY_ROW_LIMIT", limit)
+        report = one_at_a_time(CATALOG[1], S3, sweep)
+        renders.append([render_sensitivity(report, fmt)
+                        for fmt in (ReportFormat.CSV, ReportFormat.JSON)])
+    assert renders[0] == renders[1]
+
+
+# Half-year ties, a total just below a half year, odd whole totals past
+# 2**52 (where t + 0.5 would round), and totals from 2**62 up.
+CALENDAR_TOTALS = [0.0, 0.5, 1.5, 2.5, 4.49, 43.84, 228.94, 0.49999999999999994,
+                   float(2**52 + 1), float(2**52 + 12345), float(2**53 - 1),
+                   math.nextafter(2.0**62, 0.0), 2.0**62, 2.0**63, 2.0**64 + 2**12, 1e300]
+
+
+@pytest.mark.parametrize("baseline_year", [1, 2024, 9999])
+def test_calendar_years_of_a_column_equal_calendar_year(baseline_year):
+    totals = np.array(CALENDAR_TOTALS)
+    years = _calendar_years(np.full(totals.size, baseline_year, dtype=np.int64), totals)
+    expected = [_calendar_year(baseline_year, t) for t in CALENDAR_TOTALS]
+    assert years == expected and all(type(year) is int for year in years)
+
+
+@pytest.mark.usefixtures("columnar_sweeps")
+@pytest.mark.parametrize("path", ["prod_reg_years.stage3", "baseline_year"])
+def test_sweep_calendar_years_equal_scalar_loop(path):
+    # prod_reg_years.stage3 is the total on this scenario: no compute,
+    # growth or Poisson span (the oracle's exact half-year case).
+    scenario = next(s for s in CATALOG if s.name == "Geo-fenced Vans/Buses")
+    for leaf, value in {"crow_lambda_target": 1.0, "annual_miles": 1e30,
+                        "prod_reg_years.stage3": 2.5}.items():
+        scenario = set_parameter(scenario, leaf, value)
+    values = CALENDAR_TOTALS if path.startswith("prod") else (1, 2023, 2024.0, 9999)
+    sweep = SweepSpec(path, tuple(values))
+    assert_same(outcome(one_at_a_time, scenario, S3, sweep),
+                outcome(scalar_sweep, scenario, S3, sweep))

@@ -94,6 +94,7 @@ reaches thousands of years.
 
 import math
 import sys
+from dataclasses import fields
 from functools import reduce
 
 import mpmath
@@ -105,13 +106,17 @@ from avhorizon import (
     DistributionKind,
     DistributionSpec,
     Gating,
+    Intermediates,
+    Magnitude,
     Stage,
     SweepSpec,
+    TimelineBreakdown,
     ValidationError,
     builtin_catalog,
     monte_carlo,
     one_at_a_time,
     project,
+    sensitivity,
     set_parameter,
     valid_parameter_paths,
 )
@@ -391,6 +396,35 @@ def test_project_matches_the_oracle(case):
     assert_matches_oracle(*case)
 
 
+def assert_rebuilds(scenario, stage):
+    """project builds its results without their constructors' checks; the
+    same values through the public, checked constructors pass them and
+    give equal results."""
+    try:
+        result = project(scenario, stage)
+    except ValidationError:
+        return
+    b, m = result.breakdown, result.intermediate
+    rebuilt = (TimelineBreakdown(*(getattr(b, spec.name) for spec in fields(b))),
+               Intermediates(Magnitude(m.naive_demand.log10_value),
+                             Magnitude(m.effective_demand.log10_value), m.crow_miles,
+                             m.poisson_miles, m.gamma, m.delta_effective))
+    # repr tells -0.0 from 0.0 and an int from a float.
+    assert rebuilt == (b, m) and repr(rebuilt) == repr((b, m))
+
+
+@pytest.mark.parametrize("stage", PROJECTABLE_STAGES)
+@pytest.mark.parametrize("scenario", CATALOG, ids=lambda s: s.name)
+def test_catalog_results_pass_the_public_constructors(scenario, stage):
+    assert_rebuilds(scenario, stage)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=cases())
+def test_results_pass_the_public_constructors(case):
+    assert_rebuilds(*case)
+
+
 def row_outcome(scenario, stage):
     """The oracle at one row: its values, None, or the ExpectedError."""
     try:
@@ -411,12 +445,15 @@ def assert_rows_match(outcomes, report):
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(case=cases(), path=st.sampled_from(PATHS), data=st.data())
 def test_sweep_rows_match_the_oracle(case, path, data):
-    """one_at_a_time evaluates its rows as columns, not through project."""
+    """one_at_a_time evaluates its rows as columns, not through project,
+    once a sweep has more values than its row-by-row limit, here 0."""
     scenario, stage = case
     values = data.draw(st.lists(VALUES[path], min_size=1, max_size=8))
     outcomes = [row_outcome(set_parameter(scenario, path, v), stage) for v in values]
     try:
-        report = one_at_a_time(scenario, stage, SweepSpec(path, values))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sensitivity, "_ROW_BY_ROW_LIMIT", 0)
+            report = one_at_a_time(scenario, stage, SweepSpec(path, values))
     except ValidationError as exc:
         # The first row the oracle does not pass decides the error.
         first = next((o for o in outcomes if not isinstance(o, dict)), None)

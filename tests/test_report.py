@@ -208,6 +208,51 @@ class TestMarkdown:
         assert "4.67" in text
 
 
+class TestControlCharacters:
+    """Text and Markdown write a control character as JSON escapes it, so
+    a name holding a newline keeps its row and its heading on one line;
+    CSV and JSON carry the name as it is."""
+
+    NAME = "Vans\nBuses\t\x00\x7f\x85"
+    ESCAPED = "Vans\\nBuses\\t\\u0000\\u007f\\u0085"
+
+    @pytest.fixture
+    def results(self, catalog):
+        scenario = dataclasses.replace(catalog["Geo-fenced Vans/Buses"], name=self.NAME)
+        return [project(scenario, stage) for stage in PROJECTABLE_STAGES]
+
+    def test_table_rows_keep_to_one_line_and_align(self, results):
+        lines = render(results, ReportFormat.TABLE, title="x").splitlines()
+        assert len(lines) == 4 + len(results)  # title, blank line, header, rule, rows
+        assert [line.split("  ")[0] for line in lines[4:]] == [self.ESCAPED] * 2
+        assert lines[3].startswith("-" * len(self.ESCAPED) + "  ")
+
+    def test_markdown_rows_and_headings_keep_to_one_line(self, results):
+        lines = render(results, ReportFormat.MARKDOWN, title="x").splitlines()
+        rows = [line for line in lines if line.startswith("|")]
+        assert len(rows) == 3 and rows[2].startswith(f"| {self.ESCAPED} | ")
+        assert [line for line in lines if line.startswith("## ")] == [
+            f"## {self.ESCAPED}: {stage.display_name}" for stage in PROJECTABLE_STAGES]
+
+    @pytest.mark.parametrize("fmt, heading", [(ReportFormat.TABLE, "Line\\nbreak"),
+                                              (ReportFormat.MARKDOWN, "# Line\\nbreak")])
+    def test_title_keeps_to_one_line(self, results, fmt, heading):
+        assert render(results, fmt, title="Line\nbreak").splitlines()[0] == heading
+
+    @pytest.mark.parametrize("fmt", [ReportFormat.TABLE, ReportFormat.MARKDOWN])
+    def test_sensitivity_heading_keeps_to_one_line(self, catalog, fmt):
+        scenario = dataclasses.replace(catalog["Robo-Taxis"], name=self.NAME)
+        report = one_at_a_time(scenario, Stage.BROAD_COMMERCIAL, SweepSpec("f", (0.2, 0.9)))
+        first = render_sensitivity(report, fmt).splitlines()[0]
+        assert first.endswith(f"sensitivity: {self.ESCAPED} (stage3)")
+
+    def test_csv_and_json_hold_the_name_as_it_is(self, results):
+        rows = list(csv.reader(io.StringIO(render(results, ReportFormat.CSV), newline="")))
+        assert [row[0] for row in rows[1:]] == [self.NAME] * 2
+        document = json.loads(render(results, ReportFormat.JSON))
+        assert [r["category"] for r in document["results"]] == [self.NAME] * 2
+
+
 class TestTimestamps:
     def test_render_without_timestamp_is_reproducible(self, single_result):
         a = render([single_result], ReportFormat.JSON, title="x")

@@ -27,6 +27,7 @@ from avhorizon.scenario import (
     builtin_catalog,
     scenario_to_document,
 )
+from avhorizon.sensitivity import _ROW_BY_ROW_LIMIT
 
 
 def errors_of(module, schema, document):
@@ -257,7 +258,8 @@ def test_targeted_faults_match_jsonschema(schema, document):
 
 
 def test_cli_runs_without_importing_jsonschema_or_numpy(tmp_path):
-    """jsonschema never loads; numpy loads only for sweep and mc."""
+    """jsonschema never loads; numpy loads only for mc and for sweeps of
+    more values than ``sensitivity._ROW_BY_ROW_LIMIT``."""
     valid = tmp_path / "valid.json"
     valid.write_text(json.dumps({"scenarios": [{"name": "Robo-Taxis"}]}))
     malformed = tmp_path / "malformed.json"
@@ -274,11 +276,16 @@ def test_cli_runs_without_importing_jsonschema_or_numpy(tmp_path):
         "for args, code in ((['catalog'], 0), (['project', '--file', valid], 0),\n"
         "                   (['project', '--file', malformed], 1), (['schema'], 0),\n"
         "                   (['tornado', '--category', 'Robo-Taxis', '--bound', 'f=0.6,0.8',\n"
-        "                     '--bound', 'crow.beta=0.3,0.5'], 0)):\n"
+        "                     '--bound', 'crow.beta=0.3,0.5'], 0),\n"
+        "                   (['sweep', '--category', 'Robo-Taxis', '--param', 'f',\n"
+        "                     '--values', '0.2,0.6,0.9'], 0),\n"
+        "                   (['sweep', '--category', 'Robo-Taxis', '--param', 'crow.beta',\n"
+        f"                     '--grid', '0.3:0.5:{_ROW_BY_ROW_LIMIT}'], 0)):\n"
         "    run(args, code)\n"
         "    assert 'numpy' not in sys.modules, args\n"
-        "run(['sweep', '--category', 'Robo-Taxis', '--param', 'f', '--values', '0.6'], 0)\n"
-        "assert 'numpy' in sys.modules, 'sweep'\n"
+        "run(['mc', '--category', 'Robo-Taxis', '--dist', 'f=uniform:0.6,0.8',\n"
+        "     '--samples', '5', '--seed', '1'], 0)\n"
+        "assert 'numpy' in sys.modules, 'mc'\n"
     )
     src = str(Path(avhorizon.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
