@@ -18,19 +18,21 @@ import csv
 import enum
 import io
 import json
+import math
 import re
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass
 from datetime import datetime, timezone
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence, get_type_hints
 
 from ._jsonschema import NUMBER, closed_object
 from .complexity import Magnitude
 from .errors import EmptyResultsError, ValidationError
-from .scenario import Intermediates, ProjectionResult
+from .scenario import ProjectionResult
 from .sensitivity import AnalysisKind, SensitivityReport
-from .timeline import PROJECTABLE_STAGES, Gating, TimelineBreakdown
+from .timeline import PROJECTABLE_STAGES, Gating
 
 __all__ = [
     "ReportFormat",
@@ -43,29 +45,69 @@ __all__ = [
 # depend on it; it bounds the text a render holds at once.
 _CHUNK_ROWS = 4096
 
-# The JSON schema and JSON value of each type a result field holds.
-_JSON_TYPES: dict[type, tuple[dict, Callable | None]] = {
-    float: (NUMBER, None),
-    int: ({"type": "integer"}, None),
-    Gating: ({"enum": [g.value for g in Gating]}, attrgetter("value")),
-    Magnitude: (closed_object({"log10": NUMBER}), lambda m: {"log10": m.log10_value}),
+_SLOT = "\0"  # a value's place in the skeleton of a JSON item (_json_chunks)
+
+
+def _json_texts(values: Sequence) -> list[str | None]:
+    """The ``json.dumps`` text of each value; None stays None.  ``repr`` of
+    an exact int, or of an exact finite float, is the encoder's text, so a
+    column of those whose sum is finite (so no value is inf or nan) is mapped
+    through ``repr``, and a column of exact strs through the encoder's string
+    function.  Any other, such as a float subclass, takes ``json.dumps``."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if kinds <= {int, float}:
+        try:
+            if math.isfinite(sum(values)):
+                return list(map(repr, values))
+        except OverflowError:  # an int beyond float range
+            pass
+    return [None if v is None else json.dumps(v) for v in values]
+
+
+class _Field(NamedTuple):
+    """A breakdown or intermediate field as reports write it: ``path`` reads the
+    written value (a number, a gating's text), ``csv`` names its cell function."""
+
+    name: str
+    path: str
+    schema: dict
+    slot: object  # its value in the skeleton of a JSON item
+    csv_header: str
+    csv: str
+    markdown: str
+    unit: str  # of a span, from its metadata: in its CSV header and after its Markdown value
+
+
+# Per field type: schema, attribute of the written value, slot, CSV cell function, CSV suffix.
+_KINDS: dict[type, tuple] = {
+    float: (NUMBER, "", _SLOT, "repr", ""),
+    int: ({"type": "integer"}, "", _SLOT, "repr", ""),
+    Gating: ({"enum": [g.value for g in Gating]}, ".value", _SLOT, "", ""),
+    Magnitude: (closed_object({"log10": NUMBER}), ".log10_value", {"log10": _SLOT}, "repr", "_log10"),
 }
 
 
-def _json_fields(owner: type) -> tuple[tuple[str, dict, Callable | None], ...]:
-    """(name, JSON schema, JSON value or None for the value itself) of
-    each field of ``owner``, in declaration order."""
+def _report_fields(owner: type) -> tuple[_Field, ...]:
+    """Each field of ``owner`` as a _Field; in Markdown a span has two decimals."""
     hints = get_type_hints(owner)
-    return tuple((f.name, *_JSON_TYPES[hints[f.name]]) for f in fields(owner))
+    table = []
+    for spec in fields(owner):
+        schema, attribute, slot, csv, suffix = _KINDS[hints[spec.name]]
+        unit = spec.metadata.get("unit", "")
+        table.append(_Field(spec.name, spec.name + attribute, schema, slot,
+                            spec.name + (f"_{unit}" if unit else suffix), csv,
+                            ".2f" if unit else "g" if hints[spec.name] is float else "", unit))
+    return tuple(table)
 
 
-_BREAKDOWN_JSON = _json_fields(TimelineBreakdown)
-_INTERMEDIATE_JSON = _json_fields(Intermediates)
-
-
-def _json_object(obj, json_fields: tuple) -> dict:
-    return {name: getattr(obj, name) if to_json is None else to_json(getattr(obj, name))
-            for name, _, to_json in json_fields}
+# The fields of each dataclass member of ProjectionResult: what the CSV, JSON
+# and Markdown renders of projections hold, and REPORT_SCHEMA's result objects.
+_FIELDS: dict[str, tuple[_Field, ...]] = {
+    name: _report_fields(kind)
+    for name, kind in get_type_hints(ProjectionResult).items() if is_dataclass(kind)
+}
 
 
 # Formal shape of the JSON render of projection results.  Shipped under
@@ -82,8 +124,8 @@ REPORT_SCHEMA: dict = {
             "items": closed_object({
                 "category": {"type": "string", "minLength": 1},
                 "stage": {"enum": [stage.value for stage in PROJECTABLE_STAGES]},
-                "breakdown": closed_object({n: schema for n, schema, _ in _BREAKDOWN_JSON}),
-                "intermediate": closed_object({n: schema for n, schema, _ in _INTERMEDIATE_JSON}),
+                **{member: closed_object({f.name: f.schema for f in table})
+                   for member, table in _FIELDS.items()},
             }),
         },
     }, required=["title", "results"]),
@@ -137,7 +179,7 @@ def render(
     if fmt is ReportFormat.CSV:
         return _csv_text(_projection_csv_table(results))
     if fmt is ReportFormat.JSON:
-        return _render_json(results, title, timestamp)
+        return "".join(_projection_json_chunks(results, title, timestamp))
     if fmt is ReportFormat.MARKDOWN:
         return _page(fmt, title, timestamp, [], [_stage_summary_table(results)],
                      sections=_breakdown_sections(results))
@@ -241,6 +283,40 @@ def _page(fmt: ReportFormat, title: str, timestamp: str | None, facts: list[str]
     return "\n".join(lines) + "\n"
 
 
+def _weave(pieces: Sequence[str], columns: Sequence[Sequence[str]], joiner: str) -> str:
+    """Rows joined by ``joiner``, row i being ``pieces[0] + columns[0][i] +
+    pieces[1] + ... + columns[-1][i] + pieces[-1]``: the parts are laid
+    out a column at a time, then joined once."""
+    count, step = len(columns[0]), 2 * len(columns)
+    parts = [pieces[-1] + joiner + pieces[0]] * (step * count + 1)
+    parts[0], parts[-1] = pieces[0], pieces[-1]
+    for i, column in enumerate(columns):
+        parts[2 * i + 1::step] = column
+    for i in range(1, len(columns)):
+        parts[2 * i::step] = [pieces[i]] * count
+    return "".join(parts)
+
+
+def _json_chunks(title: str, timestamp: str | None, head: dict, key: str,
+                 runs: Iterable[tuple[dict, Sequence[Sequence[str]]]]) -> Iterator[str]:
+    """A report's JSON text and a newline, in chunks, as ``json.dumps(indent=2)``
+    writes the title, any timestamp, the members of ``head`` that are not None,
+    then the list ``key``: for each run, a skeleton of its items whose values
+    are ``_SLOT``, their values' JSON texts, a column per value and an item per
+    row.  The encoder writes ``_SLOT`` as ``"\\u0000"``, never a raw NUL, and
+    never ``: "`` inside a string, so ``: "\\u0000"`` marks each value's place."""
+    head = {"title": title, "generated_at": timestamp or None, **head}
+    head = {name: value for name, value in head.items() if value is not None}
+    yield json.dumps(head, indent=2)[:-2] + f",\n  {json.dumps(key)}: [\n"
+    for i, (skeleton, columns) in enumerate(runs):
+        text = json.dumps(skeleton, indent=2).replace(': "\\u0000"', ": \0")
+        pieces = ("    " + text.replace("\n", "\n    ")).split("\0")  # an item of the list
+        if i:
+            yield ",\n"
+        yield _weave(pieces, columns, ",\n")
+    yield "\n  ]\n}\n"
+
+
 # A C0 or C1 control character, or DEL.
 _CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
@@ -273,31 +349,24 @@ def _projection_table(results: Sequence[ProjectionResult]) -> _Table:
     return _Table(headers, rows(), right_aligned={2, 3, 4, 5, 6, 8})
 
 
-_CSV_COLUMNS = (
-    "category", "stage",
-    "t_comp_years", "t_crow_total_years", "t_crow_partial_years",
-    "t_crow_final_years", "t_poisson_years", "t_prod_reg_years", "f",
-    "t_total_years", "gating", "calendar_year",
-    "naive_demand_log10", "effective_demand_log10",
-    "crow_miles", "poisson_miles", "gamma", "delta_effective",
-)
+def _columns(results: Sequence[ProjectionResult], members: Iterable[str]) -> list[tuple]:
+    """(field, column of written values) of each field of the results' ``members``."""
+    columns = []
+    for member in members:
+        owners = list(map(attrgetter(member), results))
+        columns += [(f, list(map(attrgetter(f.path), owners))) for f in _FIELDS[member]]
+    return columns
+
+
+# The CSV header, and the cells of a result as one expression compiled from the
+# fields: as fast as a hand-written row, where cells made a column at a time are not.
+_CSV_HEADERS = ["category", "stage", *(f.csv_header for t in _FIELDS.values() for f in t)]
+_csv_row = eval("lambda r: [r.category, r.stage.value, " + ", ".join(
+    f"{f.csv}(r.{member}.{f.path})" for member, table in _FIELDS.items() for f in table) + "]")
 
 
 def _projection_csv_table(results: Sequence[ProjectionResult]) -> _Table:
-    def rows() -> Iterator[list[str]]:
-        for r in results:
-            b, m = r.breakdown, r.intermediate
-            yield [
-                r.category, r.stage.value,
-                repr(b.t_comp), repr(b.t_crow_total), repr(b.t_crow_partial),
-                repr(b.t_crow_final), repr(b.t_poisson), repr(b.t_prod_reg),
-                repr(b.f), repr(b.t_total), b.gating.value, str(b.calendar_year),
-                repr(m.naive_demand.log10_value), repr(m.effective_demand.log10_value),
-                repr(m.crow_miles), repr(m.poisson_miles), repr(m.gamma),
-                repr(m.delta_effective),
-            ]
-
-    return _Table(_CSV_COLUMNS, rows())
+    return _Table(_CSV_HEADERS, map(_csv_row, results))
 
 
 def _stage_summary_table(results: Sequence[ProjectionResult]) -> _Table:
@@ -316,42 +385,28 @@ def _stage_summary_table(results: Sequence[ProjectionResult]) -> _Table:
     return _Table(["Category"] + [s.display_name for s in PROJECTABLE_STAGES], rows)
 
 
-def _breakdown_sections(results: Sequence[ProjectionResult]) -> Iterator[str]:
-    """Markdown lines of one section per result: calendar years as
-    integers, fractional year spans to two decimals."""
-    for r in results:
-        b = r.breakdown
-        yield from (
-            "", f"## {_escape_controls(r.category)}: {r.stage.display_name}", "",
-            f"- t_comp: {b.t_comp:.2f} years",
-            f"- t_crow_total: {b.t_crow_total:.2f} years",
-            f"- t_crow_partial: {b.t_crow_partial:.2f} years",
-            f"- t_crow_final: {b.t_crow_final:.2f} years",
-            f"- t_poisson: {b.t_poisson:.2f} years",
-            f"- t_prod_reg: {b.t_prod_reg:.2f} years",
-            f"- f: {b.f:g}",
-            f"- t_total: {b.t_total:.2f} years",
-            f"- gating: {b.gating.value}",
-            f"- calendar_year: {b.calendar_year}",
-        )
+def _breakdown_sections(results: Sequence[ProjectionResult]) -> list[str]:
+    """The Markdown of one section per result, as one text: a heading,
+    then a line per breakdown field."""
+    columns = _columns(results, ["breakdown"])
+    pieces = ["\n## ", ": ", "\n"]
+    for f, _ in columns:
+        pieces[-1] += f"\n- {f.name}: "
+        pieces.append(f" {f.unit}" if f.unit else "")
+    return [_weave(pieces, [[_escape_controls(r.category) for r in results],
+                            [r.stage.display_name for r in results],
+                            *(list(map(format, values, repeat(f.markdown)))
+                              for f, values in columns)], "\n")]
 
 
-def _result_to_json_object(r: ProjectionResult) -> dict:
-    return {
-        "category": r.category,
-        "stage": r.stage.value,
-        "breakdown": _json_object(r.breakdown, _BREAKDOWN_JSON),
-        "intermediate": _json_object(r.intermediate, _INTERMEDIATE_JSON),
-    }
-
-
-def _render_json(results: Sequence[ProjectionResult], title: str,
-                 timestamp: str | None) -> str:
-    payload: dict = {"title": title}
-    if timestamp:
-        payload["generated_at"] = timestamp
-    payload["results"] = [_result_to_json_object(r) for r in results]
-    return json.dumps(payload, indent=2) + "\n"
+def _projection_json_chunks(results: Sequence[ProjectionResult], title: str,
+                            timestamp: str | None) -> Iterator[str]:
+    skeleton = {"category": _SLOT, "stage": _SLOT, **{
+        member: {f.name: f.slot for f in table} for member, table in _FIELDS.items()}}
+    columns = [[r.category for r in results], [r.stage.value for r in results],
+               *(values for _, values in _columns(results, _FIELDS))]
+    return _json_chunks(title, timestamp, {}, "results",
+                        [(skeleton, list(map(_json_texts, columns)))])
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +466,7 @@ def _sensitivity_heading(report: SensitivityReport, title: str | None,
                          generated_at: datetime | str | None) -> tuple[str, str | None]:
     """The title and timestamp of a render, once the report is known to
     have entries and the timestamp to be valid."""
-    if not report.entries:
+    if not report.t_total:
         raise EmptyResultsError("cannot render a sensitivity report with no entries")
     resolved_title = title or (
         f"{report.kind.value} sensitivity: {report.category} ({report.stage.value})"
@@ -481,103 +536,33 @@ def _entries_table(report: SensitivityReport, for_csv: bool = False) -> _Table:
     return _Table(paths + tail + ["gating"], rows, right_aligned=range(len(paths) + 2))
 
 
-_PLAIN_NUMBERS = {int, float}
-
-
-def _json_texts(values: Sequence) -> list[str | None]:
-    """The ``json.dumps`` text of each number; None stays None.
-
-    ``repr`` of an exact int, or of an exact finite float, is the text
-    the JSON encoder writes, and report values are finite, so a column
-    holding only those is mapped through ``repr``.  Any other value,
-    such as a float subclass with its own repr, goes through
-    ``json.dumps``.
-    """
-    if set(map(type, values)) <= _PLAIN_NUMBERS:
-        return list(map(repr, values))
-    return [None if v is None else json.dumps(v) for v in values]
-
-
-def _entry_pieces(paths: Sequence[str]) -> list[str]:
-    """The text around the values of one entry as ``json.dumps(indent=2)``
-    writes it inside the top-level ``entries`` list: a value per input
-    path, then t_total, calendar_year and gating.  ``json.dumps`` escapes
-    every control character, so a NUL marks each value's place."""
-    slots = ",\n".join(f"        {json.dumps(path)}: \0" for path in paths)
-    inputs = f"{{\n{slots}\n      }}" if paths else "{}"
-    return ("    {\n"
-            f'      "inputs": {inputs},\n'
-            '      "t_total": \0,\n'
-            '      "calendar_year": \0,\n'
-            '      "gating": \0\n'
-            "    }").split("\0")
-
-
-def _weave(pieces: Sequence[str], columns: Sequence[Sequence[str]], joiner: str) -> str:
-    """Rows joined by ``joiner``, row i being ``pieces[0] + columns[0][i] +
-    pieces[1] + ... + columns[-1][i] + pieces[-1]``: the parts are laid
-    out a column at a time, then joined once."""
-    count, step = len(columns[0]), 2 * len(columns)
-    parts = [pieces[-1] + joiner + pieces[0]] * (step * count + 1)
-    parts[0], parts[-1] = pieces[0], pieces[-1]
-    for i, column in enumerate(columns):
-        parts[2 * i + 1::step] = column
-    for i in range(1, len(columns)):
-        parts[2 * i::step] = [pieces[i]] * count
-    return "".join(parts)
-
-
-def _json_entries(report: SensitivityReport) -> Iterator[str]:
-    """The JSON text of the entries, joined by ``",\n"``, in chunks of
-    ``_CHUNK_ROWS``.  A chunk whose rows all set every input path is
-    woven from one set of pieces; otherwise each row is written from a
-    ``%``-template for the paths it sets."""
-    paths = [path for path, _ in report.inputs]
-    pieces = _entry_pieces(paths)
+def _entry_runs(report: SensitivityReport) -> Iterator[tuple[dict, list[list[str]]]]:
+    """The skeleton and value columns of the entries, ``_CHUNK_ROWS`` at a
+    time: a block whose entries all set every input path is one run, and
+    otherwise each entry is one, with the paths it sets."""
     gating = json.dumps(Gating.COMPUTE.value), json.dumps(Gating.RELIABILITY.value)
-    templates: dict[tuple[bool, ...], str] = {}
     for rows in _row_blocks(len(report.t_total)):
-        inputs = [_json_texts(column[rows]) for _, column in report.inputs]
-        outputs = [_json_texts(report.t_total[rows]), _json_texts(report.calendar_year[rows]),
-                   _gating_texts(report.gating[rows], *gating)]
-        if rows.start:
-            yield ",\n"
-        if not any(None in column for column in inputs):
-            yield _weave(pieces, inputs + outputs, ",\n")
-            continue
-        texts = []
-        for row in zip(*inputs, *outputs):
-            present = tuple(v is not None for v in row[:len(paths)])
-            if present not in templates:
-                templates[present] = "%s".join(piece.replace("%", "%%") for piece in
-                                               _entry_pieces([path for path, here
-                                                              in zip(paths, present) if here]))
-            texts.append(templates[present] % tuple(v for v in row if v is not None))
-        yield ",\n".join(texts)
+        inputs = {path: _json_texts(column[rows]) for path, column in report.inputs}
+        outputs = {"t_total": _json_texts(report.t_total[rows]),
+                   "calendar_year": _json_texts(report.calendar_year[rows]),
+                   "gating": _gating_texts(report.gating[rows], *gating)}
+        runs = [(inputs, outputs)]
+        if any(None in texts for texts in inputs.values()):
+            runs = [({path: [t[row]] for path, t in inputs.items() if t[row] is not None},
+                     {name: [t[row]] for name, t in outputs.items()})
+                    for row in range(len(outputs["t_total"]))]
+        for here, out in runs:
+            yield ({"inputs": dict.fromkeys(here, _SLOT), **dict.fromkeys(out, _SLOT)},
+                   [*here.values(), *out.values()])
 
 
 def _sensitivity_json_chunks(report: SensitivityReport, title: str,
                              timestamp: str | None) -> Iterator[str]:
-    payload: dict = {"title": title}
-    if timestamp:
-        payload["generated_at"] = timestamp
-    payload.update({
-        "kind": report.kind.value,
-        "category": report.category,
-        "stage": report.stage.value,
-        "baseline_t_total": report.baseline_t_total,
-        "summary": asdict(report.summary),
-    })
-    if report.seed is not None:
-        payload["seed"] = report.seed
-    if report.sample_count is not None:
-        payload["sample_count"] = report.sample_count
-    if report.percentiles is not None:
-        payload["percentiles"] = {f"p{p}": v for p, v in report.percentiles}
-    if report.tornado_spreads is not None:
-        payload["tornado_spreads"] = list(map(asdict, report.tornado_spreads))
-    # The entries list is the last member: the rest of the document as
-    # json.dumps writes it, without its closing brace, then the entries.
-    yield json.dumps(payload, indent=2)[:-2] + ',\n  "entries": [\n'
-    yield from _json_entries(report)
-    yield "\n  ]\n}\n"
+    percentiles, spreads = report.percentiles, report.tornado_spreads
+    return _json_chunks(title, timestamp, {
+        "kind": report.kind.value, "category": report.category, "stage": report.stage.value,
+        "baseline_t_total": report.baseline_t_total, "summary": asdict(report.summary),
+        "seed": report.seed, "sample_count": report.sample_count,
+        "percentiles": None if percentiles is None else {f"p{p}": v for p, v in percentiles},
+        "tornado_spreads": None if spreads is None else list(map(asdict, spreads)),
+    }, "entries", _entry_runs(report))

@@ -173,10 +173,16 @@ class Intermediates:
 
     naive_demand: Magnitude
     effective_demand: Magnitude
-    crow_miles: float
-    poisson_miles: float
-    gamma: float
-    delta_effective: float
+    crow_miles: float = field(metadata=_NONNEGATIVE)
+    poisson_miles: float = field(metadata=_NONNEGATIVE)
+    gamma: float = field(metadata=_POSITIVE)
+    delta_effective: float = field(metadata=_domain(0, 1, low_open=True))
+
+    def __post_init__(self) -> None:
+        for name in ("naive_demand", "effective_demand"):
+            if not isinstance(getattr(self, name), Magnitude):
+                raise ValidationError(f"{name} must be a Magnitude, got {getattr(self, name)!r}")
+        _check_fields(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,16 +359,17 @@ def _terms(stage: Stage, ops, n_objects, cycle_time_s, chi, doubling_period_year
 # The slot setter of each field, in declaration order, of the classes whose
 # checks _terms has already passed on the values project gives them.
 _SLOT_SETTERS = {cls: tuple(getattr(cls, spec.name).__set__ for spec in fields(cls))
-                 for cls in (TimelineBreakdown, Magnitude)}
+                 for cls in (TimelineBreakdown, Magnitude, Intermediates)}
 
 
 def _proven(cls: type, *values):
     """An instance of ``cls`` holding ``values`` in field order, built
     without ``__post_init__``.  ``project`` builds its results this way:
-    ``_terms`` has checked that every span is finite and not negative
-    and every demand finite, and the split, total and gating are what
-    the public constructor recomputes from the same term functions, so
-    checking them again proves nothing new."""
+    ``_terms`` has checked that every span and mileage is finite and not
+    negative, every demand finite and the stage delta above zero (gamma
+    is the scenario's checked gamma_override), and the split, total and
+    gating are what the public constructor recomputes from the same term
+    functions, so checking them again proves nothing new."""
     obj = object.__new__(cls)
     for set_slot, value in zip(_SLOT_SETTERS[cls], values):
         set_slot(obj, value)
@@ -383,8 +390,8 @@ def project(scenario: CategoryScenario, stage: Stage) -> ProjectionResult:
     breakdown = _proven(TimelineBreakdown, *spans, _GATING[compute_gated],
                         _calendar_year(scenario.baseline_year, spans[-1]))
     return ProjectionResult(scenario.name, stage, breakdown,
-                            Intermediates(_proven(Magnitude, naive), _proven(Magnitude, effective),
-                                          *intermediate))
+                            _proven(Intermediates, _proven(Magnitude, naive),
+                                    _proven(Magnitude, effective), *intermediate))
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,9 @@ class SensitivityReport:
             raise ValidationError(
                 f"report columns must all hold {rows} rows, got lengths {sorted(lengths)}"
             )
+        paths = [path for path, _ in self.inputs]
+        if len(set(paths)) < len(paths):
+            raise ValidationError(f"report input paths must be distinct, got {paths!r}")
         if self.percentiles is not None:
             values = [v for _, v in self.percentiles]
             if sorted(values) != values:
@@ -499,9 +502,9 @@ def _evaluate(
     columns: dict[str, np.ndarray],
     inputs: dict[str, list],
     unchecked: np.ndarray | None = None,
-) -> tuple[list[float], list[int], list[Gating]]:
-    """The t_total, calendar year and gating columns of the rows of
-    ``inputs``: each row equal to ``project`` on the scenario with the
+) -> tuple[np.ndarray, list[int], list[Gating]]:
+    """The t_total (float64), calendar year and gating columns of the rows
+    of ``inputs``: each row equal to ``project`` on the scenario with the
     row's inputs applied by ``set_parameter``.
 
     ``inputs`` maps each varying path to its values as given;
@@ -538,7 +541,7 @@ def _evaluate(
         totals[row], gating[row] = breakdown.t_total, breakdown.gating
 
     baseline_years = np.broadcast_to(columns.get("baseline_year", scenario.baseline_year), rows)
-    return totals.tolist(), _calendar_years(baseline_years.astype(np.int64), totals), gating
+    return totals, _calendar_years(baseline_years.astype(np.int64), totals), gating
 
 
 def _calendar_years(baseline_years: np.ndarray, totals: np.ndarray) -> list[int]:
@@ -622,7 +625,9 @@ def one_at_a_time(scenario: CategoryScenario, stage: Stage, sweep: SweepSpec) ->
         for v in sweep.values:
             set_parameter(scenario, path, v)
         baseline = project(scenario, stage)
-        outputs = _evaluate(scenario, stage, {path: _leaf_column(sweep.values)}, inputs)
+        totals, years, gating = _evaluate(scenario, stage, {path: _leaf_column(sweep.values)},
+                                          inputs)
+        outputs = totals.tolist(), years, gating
     return _report(AnalysisKind.SWEEP, scenario, stage, baseline, inputs, outputs)
 
 
@@ -706,8 +711,8 @@ def monte_carlo(
         inputs[dist.parameter_path] = ([dist.low] * sample_count if dist.high - dist.low == 0.0
                                        else column.tolist())
         columns[dist.parameter_path] = column
-    outputs = _evaluate(scenario, stage, columns, inputs, outside)
-    t_totals = np.array(outputs[0], dtype=np.float64)
-    percentiles = tuple(zip(MC_PERCENTILES, np.percentile(t_totals, MC_PERCENTILES).tolist()))
-    return _report(AnalysisKind.MONTE_CARLO, scenario, stage, baseline, inputs, outputs,
+    totals, years, gating = _evaluate(scenario, stage, columns, inputs, outside)
+    percentiles = tuple(zip(MC_PERCENTILES, np.percentile(totals, MC_PERCENTILES).tolist()))
+    return _report(AnalysisKind.MONTE_CARLO, scenario, stage, baseline, inputs,
+                   (totals.tolist(), years, gating),
                    percentiles=percentiles, seed=seed, sample_count=sample_count)

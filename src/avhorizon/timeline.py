@@ -99,6 +99,8 @@ class Gating(enum.Enum):
 
 _GATING = {True: Gating.COMPUTE, False: Gating.RELIABILITY}  # by t_comp > t_crow_partial
 
+_YEARS = {**_NONNEGATIVE, "unit": "years"}  # a span; reports name its unit
+
 
 @dataclass(frozen=True, slots=True)
 class StageSpec:
@@ -147,14 +149,14 @@ class TimelineBreakdown:
     exactly and t_total equals the composition formula term for term).
     """
 
-    t_comp: float = field(metadata=_NONNEGATIVE)
-    t_crow_total: float = field(metadata=_NONNEGATIVE)
-    t_crow_partial: float = field(metadata=_NONNEGATIVE)
-    t_crow_final: float = field(metadata=_NONNEGATIVE)
-    t_poisson: float = field(metadata=_NONNEGATIVE)
-    t_prod_reg: float = field(metadata=_NONNEGATIVE)
+    t_comp: float = field(metadata=_YEARS)
+    t_crow_total: float = field(metadata=_YEARS)
+    t_crow_partial: float = field(metadata=_YEARS)
+    t_crow_final: float = field(metadata=_YEARS)
+    t_poisson: float = field(metadata=_YEARS)
+    t_prod_reg: float = field(metadata=_YEARS)
     f: float = field(metadata=_domain(0, 1))
-    t_total: float = field(metadata=_NONNEGATIVE)
+    t_total: float = field(metadata=_YEARS)
     gating: Gating
     calendar_year: int = field(metadata=_domain(-math.inf, math.inf))  # any integer
 

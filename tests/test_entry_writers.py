@@ -3,9 +3,9 @@ they replaced.
 
 ``render_sensitivity`` writes a report's entries straight from its
 columns, in chunks of ``_CHUNK_ROWS`` entries: JSON woven a column at a
-time around the text of one entry (rows that leave a path unset through
-a ``%``-template per set of input paths), and the CSV, text and Markdown
-tables from column-wise cells.  Every case here renders the same report
+time around the text of one entry (a row that leaves a path unset on its
+own, around the text of the paths it sets), and the CSV, text and
+Markdown tables from column-wise cells.  Every case here renders the same report
 a second time with test-local copies of the per-entry writers that came
 before (``json.dumps`` over entry dicts, one table row per
 ``SensitivityEntry``) patched in, and requires byte-identical output in
@@ -15,6 +15,7 @@ with chunks of 3 entries, so that they cross chunk boundaries.
 
 import datetime
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from avhorizon import report as report_module
+from avhorizon.errors import ValidationError
 from avhorizon.report import ReportFormat, render_sensitivity
 from avhorizon.scenario import builtin_catalog
 from avhorizon.sensitivity import (
@@ -237,3 +239,41 @@ def column_reports(draw):
                                                         tzinfo=datetime.timezone.utc))))
 def test_column_reports_render_as_before(report, title, generated_at):
     assert_renders_match(report, title=title, generated_at=generated_at)
+
+
+def hand_report(inputs, t_total):
+    rows = len(t_total)
+    return SensitivityReport(kind=AnalysisKind.SWEEP, category="Robo-Taxis", stage=S3,
+                             baseline_t_total=40.0, inputs=inputs, t_total=t_total,
+                             calendar_year=(2050,) * rows, gating=(Gating.COMPUTE,) * rows,
+                             summary=_summarize(t_total))
+
+
+def test_a_report_holds_one_column_per_input_path():
+    """A JSON entry holds one member per path, so a second column of a path
+    has no place there."""
+    with pytest.raises(ValidationError, match=r"input paths must be distinct, got \['f', 'f'\]"):
+        hand_report((("f", (0.5,)), ("f", (0.7,))), (1.0,))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("column", ["inputs", "t_total"])
+def test_non_finite_numbers_render_as_before(value, column):
+    """json.dumps writes NaN, Infinity and -Infinity, which json.loads reads."""
+    values = (0.5, value, 2)
+    report = hand_report((("f", values if column == "inputs" else (0.5, 0.6, 0.7)),),
+                         values if column == "t_total" else (1.0, 2.0, 3.0))
+    assert_renders_match(report, title="t")
+    entry = json.loads(render_sensitivity(report, ReportFormat.JSON, title="t"))["entries"][1]
+    assert repr(entry["inputs"]["f"] if column == "inputs" else entry["t_total"]) == repr(value)
+
+
+@pytest.mark.parametrize("values", [(10**400, 2.5), (2.5, 10**400), (10**400, 1)], ids=str)
+def test_an_int_beyond_float_range_renders_as_json_dumps_writes_it(values):
+    report = hand_report((("n_objects", values),), (1.0, 2.0))
+    for fmt in (ReportFormat.JSON, ReportFormat.CSV):
+        with mock.patch.object(report_module, "_CHUNK_ROWS", 1):
+            text = render_sensitivity(report, fmt, title="t")
+        with mock.patch.object(report_module, "_entries_table", row_entries_table), \
+                mock.patch.object(report_module, "_sensitivity_json_chunks", row_render_json):
+            assert text == render_sensitivity(report, fmt, title="t")

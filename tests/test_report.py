@@ -105,9 +105,9 @@ class TestCsv:
         scenario = dataclasses.replace(catalog["Robo-Taxis"], name=name)
         results = [project(scenario, stage) for stage in (Stage.REVENUE_SERVICE,
                                                           Stage.BROAD_COMMERCIAL)]
+        table = report_module._projection_csv_table(results)
         expected = io.StringIO()
-        csv.writer(expected, lineterminator="\n").writerows(
-            [report_module._CSV_COLUMNS, *report_module._projection_csv_table(results).rows])
+        csv.writer(expected, lineterminator="\n").writerows([table.headers, *table.rows])
         assert render(results, ReportFormat.CSV, title="x") == expected.getvalue()
 
     @pytest.mark.parametrize("headers, rows", [

@@ -196,6 +196,21 @@ class TestProjection:
         assert r.intermediate.poisson_miles == pytest.approx(
             poisson_required_miles(s.poisson), rel=1e-12)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("crow_miles", math.inf, r"crow_miles=inf outside permitted range \[0, inf\)"),
+        ("poisson_miles", -1.0, r"poisson_miles=-1.0 outside permitted range \[0, inf\)"),
+        ("gamma", 0.0, r"gamma=0.0 outside permitted range \(0, inf\)"),
+        ("gamma", np.float64(0.9), r"gamma must be a finite number, got np.float64\(0.9\)"),
+        ("delta_effective", 1.5, r"delta_effective=1.5 outside permitted range \(0, 1\]"),
+        ("delta_effective", math.nan, "delta_effective=nan outside permitted range"),
+        ("naive_demand", 12.0, "naive_demand must be a Magnitude, got 12.0"),
+        ("effective_demand", None, "effective_demand must be a Magnitude, got None"),
+    ])
+    def test_intermediates_check_their_numbers(self, catalog_results, field, value, message):
+        checked = catalog_results[0].intermediate
+        with pytest.raises(ValidationError, match=message):
+            dataclasses.replace(checked, **{field: value})
+
     def test_pilot_stage_rejected(self, catalog):
         with pytest.raises(UnsupportedStageError):
             project(catalog["Industrial/Mining"], Stage.PILOT)
