@@ -29,7 +29,7 @@ from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence
 
 from ._jsonschema import NUMBER, closed_object
 from .complexity import Magnitude
-from .errors import EmptyResultsError, ValidationError
+from .errors import _FINITE, EmptyResultsError, ValidationError, _check_number
 from .scenario import ProjectionResult
 from .sensitivity import AnalysisKind, SensitivityReport
 from .timeline import PROJECTABLE_STAGES, Gating
@@ -525,8 +525,15 @@ def _entries_table(report: SensitivityReport, for_csv: bool = False) -> _Table:
         tail, value_text, total_text = ["t_total", "year"], "{:g}".format, "{:.4f}".format
 
     def block(rows: slice) -> Iterator[tuple[str, ...]]:
-        cells = [_cells(column[rows], value_text) for _, column in report.inputs]
-        cells.append(list(map(total_text, report.t_total[rows])))
+        try:
+            cells = [_cells(column[rows], value_text) for _, column in report.inputs]
+            cells.append(list(map(total_text, report.t_total[rows])))
+        except OverflowError:  # an int beyond float range has no float text
+            for path, column in (*report.inputs, ("t_total", report.t_total)):
+                for value in column[rows]:
+                    if value.__class__ is int:
+                        _check_number(path, value, _FINITE)
+            raise
         cells.append(list(map(str, report.calendar_year[rows])))
         cells.append(_gating_texts(report.gating[rows], Gating.COMPUTE.value,
                                    Gating.RELIABILITY.value))

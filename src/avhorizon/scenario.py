@@ -13,7 +13,7 @@ reliability and timeline:
     growth / Poisson mileage -> stage delta -> demonstration years
     split by f -> total -> calendar year
 
-Monte Carlo and long sweeps run the same ``_terms`` over numpy columns.
+Monte Carlo runs the same ``_terms`` over numpy columns.
 
 The builtin catalog holds eight reference categories spanning the
 spectrum from constrained industrial sites to unrestricted consumer

@@ -13,17 +13,15 @@ document's field is (``errors._check_number``), and its error names it.
   all others at baseline, ranked by descending output spread.
 * monte_carlo: draw all distribution parameters jointly per sample.
 
-Monte Carlo and sweeps of more than ``_ROW_BY_ROW_LIMIT`` values
-evaluate their rows together (``_evaluate``): the term functions
-``project`` runs on floats (``scenario._terms``) run over numpy columns
-of the varying inputs (``_column_ops``), with results bit-identical to
-``project`` on each row's modified scenario.  A row that fails any of
-the terms' checks is re-run through ``set_parameter`` and ``project``
-(``_project_row``), which raise the exact error.  A tornado (at most two
-rows per parameter path) and a shorter sweep project every row that way,
-which costs less than importing numpy.  numpy is imported by the
-functions that build columns, so only the ``mc`` command and long sweeps
-load it.
+A sweep and a tornado build each row with ``set_parameter`` and project
+it with ``project``.  Monte Carlo evaluates its samples together
+(``_evaluate``): the term functions ``project`` runs on floats
+(``scenario._terms``) run over numpy columns of the sampled inputs
+(``_column_ops``), with results bit-identical to ``project`` on each
+row's modified scenario.  A sample that fails any of the terms' checks
+is re-run through ``set_parameter`` and ``project``, which raise the
+exact error.  numpy is imported by the functions that build columns, so
+only the ``mc`` command loads it.
 
 Monte Carlo determinism contract: the generator is Philox4x64-10, keyed
 per sample as (seed, sample_index), with exactly one uniform draw per
@@ -41,7 +39,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial, reduce
 from types import SimpleNamespace
@@ -80,17 +78,6 @@ MC_PERCENTILES = (5, 25, 50, 75, 95)
 # The most rows one analysis evaluates: Monte Carlo samples or grid
 # steps.  Larger counts are rejected before anything is allocated.
 MAX_ROWS = 10_000_000
-
-# The most values a sweep projects one row at a time, through
-# ``set_parameter`` and ``project`` as a tornado does; a longer sweep is
-# evaluated as columns (``_evaluate``), which first imports numpy.  Set
-# just below where the two routes cross in fresh ``avhorizon sweep``
-# processes (catalog scenario, crow.beta and f grids of 1000-10000 values,
-# table output; medians of 12 interleaved runs on a 2-vCPU host, two
-# series): row by row took 0.165-0.172 s + 28.4-28.9 us a value, columns
-# 0.266-0.270 s + 9.4-13.5 us, so wall time crosses at 5300-6400 values
-# and CPU time, which numpy's import raises more, at 12000-15000.
-_ROW_BY_ROW_LIMIT = 5000
 
 _Setter = Callable[[CategoryScenario, float], CategoryScenario]
 
@@ -257,12 +244,13 @@ def _sample(dist: DistributionSpec, u: np.ndarray) -> np.ndarray:
     span = dist.high - dist.low
     if span == 0.0:
         return np.full(u.size, float(dist.low))
-    if dist.kind is DistributionKind.UNIFORM:
-        return float(dist.low) + float(span) * u
-    cut = (dist.mode - dist.low) / span
-    below = float(dist.low) + np.sqrt(u * float(span) * float(dist.mode - dist.low))
-    above = float(dist.high) - np.sqrt((1.0 - u) * float(span) * float(dist.high - dist.mode))
-    return np.where(u < cut, below, above)
+    with np.errstate(all="ignore"):  # a sample out of float range is the scalar path's to reject
+        if dist.kind is DistributionKind.UNIFORM:
+            return float(dist.low) + float(span) * u
+        cut = (dist.mode - dist.low) / span
+        below = float(dist.low) + np.sqrt(u * float(span) * float(dist.mode - dist.low))
+        above = float(dist.high) - np.sqrt((1.0 - u) * float(span) * float(dist.high - dist.mode))
+        return np.where(u < cut, below, above)
 
 
 # Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1,
@@ -469,14 +457,6 @@ def _per_row(fn: Callable[..., float], *args):
                        count=columns[0].size)
 
 
-def _leaf_column(values) -> np.ndarray:
-    """The numbers ``project`` reads after ``set_parameter(path, v)`` for
-    each of ``values``, as a float64 column."""
-    import numpy as np
-
-    return np.array([float(v) for v in values], dtype=np.float64)
-
-
 def _column_ops(masks: list):
     """``errors._FLOAT_OPS`` over float64 columns: libm runs per row
     (``_per_row``), and each check's mask is appended to ``masks``."""
@@ -487,34 +467,23 @@ def _column_ops(masks: list):
                            check=lambda ok, _message: masks.append(ok))
 
 
-def _project_row(scenario: CategoryScenario, stage: Stage,
-                 settings: Iterable[tuple[str, float]]) -> TimelineBreakdown:
-    """``project``'s breakdown of ``scenario`` with each (path, value) of
-    ``settings`` set in turn by ``set_parameter``."""
-    for path, value in settings:
-        scenario = set_parameter(scenario, path, value)
-    return project(scenario, stage).breakdown
-
-
 def _evaluate(
     scenario: CategoryScenario,
     stage: Stage,
     columns: dict[str, np.ndarray],
-    inputs: dict[str, list],
-    unchecked: np.ndarray | None = None,
+    outside: np.ndarray,
 ) -> tuple[np.ndarray, list[int], list[Gating]]:
-    """The t_total (float64), calendar year and gating columns of the rows
-    of ``inputs``: each row equal to ``project`` on the scenario with the
-    row's inputs applied by ``set_parameter``.
+    """The t_total (float64), calendar year and gating columns of Monte
+    Carlo's samples: each row equal to ``project`` on the scenario with
+    the row's values applied by ``set_parameter``.
 
-    ``inputs`` maps each varying path to its values as given;
-    ``columns`` maps the same paths to the numbers ``project`` reads in
-    each row (``_leaf_column``).  Every other path keeps the scenario's
-    value.  ``project``'s own ``_terms`` runs on the columns with
-    ``_column_ops``, so a term none of whose inputs vary is computed
-    once.  A row that fails one of its checks, or that ``unchecked``
-    marks, runs through ``_project_row`` instead, in row order, so the
-    first invalid row raises the scalar path's error.
+    ``columns`` maps each sampled path to its float64 column; every other
+    path keeps the scenario's value.  ``project``'s own ``_terms`` runs on
+    the columns with ``_column_ops``, so a term none of whose inputs vary
+    is computed once.  A row that fails one of its checks, or that
+    ``outside`` marks, runs through ``set_parameter`` and ``project``
+    instead, in row order, so the first invalid row raises the scalar
+    path's error.
     """
     import numpy as np
 
@@ -524,38 +493,34 @@ def _evaluate(
               for path, value in zip(_TERM_PATHS[stage], held)]
     with np.errstate(all="ignore"):
         spans, compute_gated, _ = _terms(stage, _column_ops(masks), *leaves)
-    t_total = spans[-1]
-    valid = reduce(operator.and_, masks)
 
-    rows = (len(next(iter(inputs.values()), ())),)
-    fallback = ~np.broadcast_to(valid, rows)
-    if unchecked is not None:
-        fallback = fallback | unchecked
+    rows = outside.shape
+    fallback = ~np.broadcast_to(reduce(operator.and_, masks), rows) | outside
     if any(type(v) is int and float(v) != v for v in held):  # an int float64 does not hold
         fallback = np.ones(rows, dtype=bool)
-    totals = np.array(np.broadcast_to(t_total, rows), dtype=np.float64)
+    totals = np.array(np.broadcast_to(spans[-1], rows), dtype=np.float64)
     gating = list(map(_GATING.__getitem__, np.broadcast_to(compute_gated, rows).tolist()))
     for row in np.flatnonzero(fallback).tolist():
-        breakdown = _project_row(scenario, stage,
-                                 ((path, values[row]) for path, values in inputs.items()))
+        modified = scenario
+        for path, column in columns.items():  # .item(): set_parameter takes no numpy scalar
+            modified = set_parameter(modified, path, column[row].item())
+        breakdown = project(modified, stage).breakdown
         totals[row], gating[row] = breakdown.t_total, breakdown.gating
-
-    baseline_years = np.broadcast_to(columns.get("baseline_year", scenario.baseline_year), rows)
-    return totals, _calendar_years(baseline_years.astype(np.int64), totals), gating
+    return totals, _calendar_years(scenario.baseline_year, totals), gating
 
 
-def _calendar_years(baseline_years: np.ndarray, totals: np.ndarray) -> list[int]:
-    """``timeline._calendar_year`` of each row of an int64 and a float64
-    column at once: ``t - floor(t)`` is exact, so one comparison with 0.5
-    rounds half up as it does.  A total of 2**62 or more, whose floor an
-    int64 may not hold, takes the Python path."""
+def _calendar_years(baseline_year: int, totals: np.ndarray) -> list[int]:
+    """``timeline._calendar_year`` of ``baseline_year`` and each row of a
+    float64 column at once: ``t - floor(t)`` is exact, so one comparison
+    with 0.5 rounds half up as it does.  A total of 2**62 or more, whose
+    floor an int64 may not hold, takes the Python path."""
     import numpy as np
 
     large = totals >= 2.0**62
     whole = np.floor(np.where(large, 0.0, totals))
-    years = (baseline_years + whole.astype(np.int64) + (totals - whole >= 0.5)).tolist()
+    years = (baseline_year + whole.astype(np.int64) + (totals - whole >= 0.5)).tolist()
     for row in np.flatnonzero(large).tolist():
-        years[row] = _calendar_year(int(baseline_years[row]), float(totals[row]))
+        years[row] = _calendar_year(baseline_year, float(totals[row]))
     return years
 
 
@@ -569,11 +534,11 @@ def _report(
     scenario: CategoryScenario,
     stage: Stage,
     baseline: ProjectionResult,
-    inputs: dict[str, list],
+    inputs: dict[str, Sequence],
     outputs: tuple[list[float], list[int], list[Gating]],
     **fields,
 ) -> SensitivityReport:
-    """The report of rows whose inputs and ``_evaluate`` outputs are given."""
+    """The report of rows whose inputs and outputs are given."""
     t_total, calendar_year, gating = outputs
     return SensitivityReport(
         kind=kind,
@@ -595,18 +560,20 @@ def _report(
 
 
 def _check_specs(scenario: CategoryScenario,
-                 specs: Sequence[ParameterBounds | DistributionSpec], what: str) -> None:
+                 specs: Sequence[ParameterBounds | DistributionSpec],
+                 what: str) -> list[list[CategoryScenario]]:
     """Raise a ValidationError, before any projection, for a second spec of
-    one path or a bound or mode that ``set_parameter`` rejects."""
+    one path or a bound or mode that ``set_parameter`` rejects.  Return,
+    for each spec, the scenario at its low bound, its high bound and its
+    mode if it has one."""
     seen: set[str] = set()
     for spec in specs:
         if spec.parameter_path in seen:
             raise ValidationError(f"duplicate {what} for parameter {spec.parameter_path!r}")
         seen.add(spec.parameter_path)
-    for spec in specs:
-        for value in (spec.low, spec.high, getattr(spec, "mode", None)):
-            if value is not None:
-                set_parameter(scenario, spec.parameter_path, value)
+    return [[set_parameter(scenario, spec.parameter_path, value)
+             for value in (spec.low, spec.high, getattr(spec, "mode", None)) if value is not None]
+            for spec in specs]
 
 
 def one_at_a_time(scenario: CategoryScenario, stage: Stage, sweep: SweepSpec) -> SensitivityReport:
@@ -616,19 +583,10 @@ def one_at_a_time(scenario: CategoryScenario, stage: Stage, sweep: SweepSpec) ->
     before the first projection runs.
     """
     path = sweep.parameter_path
-    inputs = {path: list(sweep.values)}
-    if len(sweep.values) <= _ROW_BY_ROW_LIMIT:
-        rows = [set_parameter(scenario, path, v) for v in sweep.values]
-        baseline = project(scenario, stage)
-        outputs = _outputs([project(row, stage).breakdown for row in rows])
-    else:
-        for v in sweep.values:
-            set_parameter(scenario, path, v)
-        baseline = project(scenario, stage)
-        totals, years, gating = _evaluate(scenario, stage, {path: _leaf_column(sweep.values)},
-                                          inputs)
-        outputs = totals.tolist(), years, gating
-    return _report(AnalysisKind.SWEEP, scenario, stage, baseline, inputs, outputs)
+    rows = [set_parameter(scenario, path, v) for v in sweep.values]
+    baseline = project(scenario, stage)
+    return _report(AnalysisKind.SWEEP, scenario, stage, baseline, {path: sweep.values},
+                   _outputs([project(row, stage).breakdown for row in rows]))
 
 
 def tornado(
@@ -643,11 +601,10 @@ def tornado(
     of each parameter in ranked order.  An empty bounds list yields an
     empty report.
     """
-    _check_specs(scenario, bounds, "tornado bounds")
+    built = _check_specs(scenario, bounds, "tornado bounds")
     baseline = project(scenario, stage)
     # Each bound's (low, high) rows.
-    pairs = [tuple(_project_row(scenario, stage, ((b.parameter_path, value),))
-                   for value in (b.low, b.high)) for b in bounds]
+    pairs = [tuple(project(row, stage).breakdown for row in rows) for rows in built]
     spread = [abs(high.t_total - low.t_total) for low, high in pairs]
     ranked = sorted(range(len(bounds)), key=spread.__getitem__, reverse=True)  # stable
     # The report lists each bound's low and high row in ranked order; a
@@ -711,7 +668,7 @@ def monte_carlo(
         inputs[dist.parameter_path] = ([dist.low] * sample_count if dist.high - dist.low == 0.0
                                        else column.tolist())
         columns[dist.parameter_path] = column
-    totals, years, gating = _evaluate(scenario, stage, columns, inputs, outside)
+    totals, years, gating = _evaluate(scenario, stage, columns, outside)
     percentiles = tuple(zip(MC_PERCENTILES, np.percentile(totals, MC_PERCENTILES).tolist()))
     return _report(AnalysisKind.MONTE_CARLO, scenario, stage, baseline, inputs,
                    (totals.tolist(), years, gating),

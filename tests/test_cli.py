@@ -290,6 +290,14 @@ class TestMonteCarloCommand:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
 
+    def test_a_sample_beyond_float_range_writes_no_numpy_warning(self):
+        # The inverse CDF overflows to inf; the scalar path rejects that sample.
+        proc = run_cli("mc", "--category", "Robo-Taxis",
+                       "--dist", "annual_miles=triangular:1e-300,1e300,1e300", "--samples", "3")
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: scenario 'Robo-Taxis': annual_miles=inf outside "
+                               "permitted range (0, inf)\n")
+
 
 class TestStreamedOutput:
     """CSV and JSON analysis output is written chunk by chunk as it is made."""

@@ -1,23 +1,19 @@
 """The shared model terms on floats and on columns, against references.
 
 ``project`` runs the model's term functions on Python floats; Monte
-Carlo and sweeps of more than ``sensitivity._ROW_BY_ROW_LIMIT`` values
-run the same functions over numpy columns.  The sweep cases here set
-that limit to 0 (``columnar_sweeps``), so their few values take the
-columnar route too.  The cases here check:
+Carlo runs the same functions over numpy columns, and sweeps and
+tornados project each row on its own.  The cases here check:
 
 - ``project`` against the chain of public functions it once called
   (``compute_demand`` ... ``compose_total``);
-- numpy against libm arithmetic on the shared terms: sweeps and Monte
-  Carlo against a copy of the per-row loops they replaced
-  (``set_parameter`` then ``project``, one row at a time, one Philox
-  generator per Monte Carlo sample);
-- the fallback rows: rows that fail a term check, lie outside their
-  distribution's bounds or hold a JSON integer float64 does not;
-- tornado, which projects each row on its own, against its reference
-  loop;
-- the two sweep routes against each other at the limit, and the
-  calendar years of the columns against ``_calendar_year``.
+- numpy against libm arithmetic on the shared terms: Monte Carlo
+  against a copy of the per-row loop it replaced (``set_parameter``
+  then ``project``, one row and one Philox generator per sample);
+- the fallback rows: samples that fail each term check, lie outside
+  their distribution's bounds or come from a scenario holding a JSON
+  integer float64 does not;
+- sweeps and tornados against their reference loops;
+- the calendar years of a column against ``_calendar_year``.
 
 Reports must be equal, renders in all four formats byte-identical, and
 errors the same text.
@@ -25,6 +21,7 @@ errors the same text.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,9 +37,8 @@ from avhorizon.complexity import (
 from avhorizon.errors import ValidationError
 from avhorizon.reliability import crow_required_miles, demonstration_years, poisson_required_miles
 from avhorizon.report import ReportFormat, render_sensitivity
-from avhorizon.scenario import _TERM_LEAVES, _TERM_PATHS, Intermediates, builtin_catalog, project
+from avhorizon.scenario import Intermediates, builtin_catalog, project
 from avhorizon.sensitivity import (
-    _ROW_BY_ROW_LIMIT,
     MC_PERCENTILES,
     AnalysisKind,
     DistributionKind,
@@ -53,7 +49,6 @@ from avhorizon.sensitivity import (
     SweepSpec,
     TornadoSpread,
     _calendar_years,
-    _leaf_column,
     _summarize,
     _uniforms,
     monte_carlo,
@@ -93,7 +88,7 @@ FORMATS = tuple(ReportFormat)
 
 
 # ---------------------------------------------------------------------------
-# The scalar path: the per-row loops the columnar evaluator replaced
+# The scalar path: reference loops, one row at a time
 # ---------------------------------------------------------------------------
 
 
@@ -332,17 +327,6 @@ def test_monte_carlo_each_path(path):
                     outcome(scalar_monte_carlo, scenario, stage, dists, 1000, 7))
 
 
-@pytest.mark.parametrize("path", sorted(FLOAT_RANGES))
-def test_leaf_columns_equal_what_set_parameter_sets(path):
-    # What project reads for the path.
-    stage = S3 if path.endswith("stage3") else S2
-    index = _TERM_PATHS[stage].index(path)
-    low, high = FLOAT_RANGES[path]
-    values = np.linspace(low, high, 2000).tolist()
-    expected = [_TERM_LEAVES[stage](set_parameter(CATALOG[0], path, v))[index] for v in values]
-    assert _leaf_column(values).tolist() == expected
-
-
 def test_zero_width_distribution_reports_bound_as_given():
     dists = [DistributionSpec("gamma_override", DistributionKind.UNIFORM, 1, 1),
              DistributionSpec("f", DistributionKind.TRIANGULAR, 0, 1, 1)]
@@ -351,19 +335,25 @@ def test_zero_width_distribution_reports_bound_as_given():
     assert_same(report, scalar_monte_carlo(CATALOG[1], S3, dists, 8, 3))
 
 
-@pytest.mark.parametrize("scenario", CATALOG[:4])
-@pytest.mark.parametrize("stage", PROJECTABLE_STAGES)
-def test_no_generator_set_parameter_or_project_per_sample(monkeypatch, scenario, stage):
-    calls = {"set_parameter": 0, "project": 0}
+@pytest.fixture
+def calls(monkeypatch):
+    """How often sensitivity calls set_parameter and project."""
+    counts = {"set_parameter": 0, "project": 0}
 
     def counted(name, fn):
         def wrapper(*args):
-            calls[name] += 1
+            counts[name] += 1
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(sensitivity, "set_parameter", counted("set_parameter", set_parameter))
-    monkeypatch.setattr(sensitivity, "project", counted("project", project))
+    for name, fn in (("set_parameter", set_parameter), ("project", project)):
+        monkeypatch.setattr(sensitivity, name, counted(name, fn))
+    return counts
+
+
+@pytest.mark.parametrize("scenario", CATALOG[:4])
+@pytest.mark.parametrize("stage", PROJECTABLE_STAGES)
+def test_no_generator_set_parameter_or_project_per_sample(monkeypatch, calls, scenario, stage):
     monkeypatch.setattr(np.random, "Philox", None)
     dists = [DistributionSpec("crow.beta", DistributionKind.TRIANGULAR, 0.3, 0.6, 0.4),
              DistributionSpec("f", DistributionKind.UNIFORM, 0.0, 1.0),
@@ -375,6 +365,20 @@ def test_no_generator_set_parameter_or_project_per_sample(monkeypatch, scenario,
     assert len(report.entries) == 5000
     # Each distribution's bounds (and mode) are validated; one baseline projection.
     assert calls == {"set_parameter": 15, "project": 1}
+
+
+@pytest.mark.parametrize("low, mode, high", [
+    (1e-300, 1e300, 1e300),  # below the branch point: the sqrt of inf
+    (1e-300, 1e-300, 1e300),  # above it: 1e300 - inf
+    (1e-300, 1e300, 1.7e308),  # both branches out of float range
+])
+def test_samples_beyond_float_range_raise_no_numpy_warning(low, mode, high):
+    dists = [DistributionSpec("annual_miles", DistributionKind.TRIANGULAR, low, high, mode)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        columnar = outcome(monte_carlo, CATALOG[0], S3, dists, 50, 3)
+    assert columnar == outcome(scalar_monte_carlo, CATALOG[0], S3, dists, 50, 3)
+    assert columnar[0] is ValidationError
 
 
 def test_no_entry_object_while_analysing_or_rendering(monkeypatch):
@@ -417,13 +421,6 @@ def test_sample_outside_its_bounds_takes_the_scalar_path(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def columnar_sweeps(monkeypatch):
-    """Every sweep, however short, evaluated as columns."""
-    monkeypatch.setattr(sensitivity, "_ROW_BY_ROW_LIMIT", 0)
-
-
-@pytest.mark.usefixtures("columnar_sweeps")
 @pytest.mark.parametrize("path, values", [
     ("n_objects", (1, 20, 35.0, 60, 120, 1000, 2**70)),
     ("baseline_year", (1, 2024, 2030.0, 9999)),
@@ -464,7 +461,16 @@ def test_tornado_over_every_path_equals_scalar_loop(scale, stage):
         assert_same(columnar, outcome(scalar_tornado, scenario, stage, bounds))
 
 
-@pytest.mark.usefixtures("columnar_sweeps")
+@pytest.mark.parametrize("scenario", CATALOG[:4])
+@pytest.mark.parametrize("stage", PROJECTABLE_STAGES)
+def test_tornado_builds_each_bound_once(calls, scenario, stage):
+    bounds = every_path_bounds(0.5)
+    assert len(tornado(scenario, stage, bounds).entries) == 2 * len(bounds)
+    # Each bound's scenario is built to validate it, then projected; one
+    # baseline projection.
+    assert calls == {"set_parameter": 2 * len(bounds), "project": 2 * len(bounds) + 1}
+
+
 @pytest.mark.parametrize("stage", PROJECTABLE_STAGES)
 def test_scenarios_the_registry_does_not_build(stage):
     # JSON integers in float fields, some of them beyond float64's 53 bits.
@@ -484,6 +490,10 @@ def test_scenarios_the_registry_does_not_build(stage):
         sweep = SweepSpec("crow_lambda_target", (1e-9, 1e-8, 0.9999999999999999, 1, 2.0**60))
         assert_same(outcome(one_at_a_time, scenario, stage, sweep),
                     outcome(scalar_sweep, scenario, stage, sweep))
+        dists = [DistributionSpec("crow_lambda_target", DistributionKind.UNIFORM, 2.0**60, 2.0**60),
+                 DistributionSpec("annual_miles", DistributionKind.UNIFORM, 1e8, 1e10)]
+        assert_same(outcome(monte_carlo, scenario, stage, dists, 20, 3),
+                    outcome(scalar_monte_carlo, scenario, stage, dists, 20, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +519,6 @@ def test_tornado_row_whose_growth_mileage_overflows(stage):
         assert columnar[1].startswith("the growth mileage")
 
 
-@pytest.mark.usefixtures("columnar_sweeps")
 @pytest.mark.parametrize("path, values, stage, message", [
     # 5e-324 * 0.5 rounds to a zero stage delta.
     ("base_delta", (1.0, 5e-324), S2,
@@ -520,42 +529,45 @@ def test_tornado_row_whose_growth_mileage_overflows(stage):
 ])
 def test_sweep_row_that_fails_a_term_check(path, values, stage, message):
     sweep = SweepSpec(path, values)
-    columnar = outcome(one_at_a_time, CATALOG[1], stage, sweep)
-    assert columnar == outcome(scalar_sweep, CATALOG[1], stage, sweep)
-    assert columnar == (ValidationError, message)
+    actual = outcome(one_at_a_time, CATALOG[1], stage, sweep)
+    assert actual == outcome(scalar_sweep, CATALOG[1], stage, sweep)
+    assert actual == (ValidationError, message)
 
 
-@pytest.mark.usefixtures("columnar_sweeps")
 def test_sweep_whose_total_overflows():
     sweep = SweepSpec("prod_reg_years.stage3", (1.0, 1e308, 5e307))
     scenario = set_parameter(CATALOG[0], "compute_env.doubling_period_years", 1e307)
-    columnar = outcome(one_at_a_time, scenario, S3, sweep)
-    assert columnar == outcome(scalar_sweep, scenario, S3, sweep)
-    assert columnar[1] == (
+    actual = outcome(one_at_a_time, scenario, S3, sweep)
+    assert actual == outcome(scalar_sweep, scenario, S3, sweep)
+    assert actual[1] == (
         "the total of the spans t_comp=1.4000000000000003e+308, t_crow_total=10.0 "
         "(f=0.7), t_poisson=0.8438682460715464 and t_prod_reg=1e+308 exceeds float range"
     )
 
 
-# ---------------------------------------------------------------------------
-# The two sweep routes, and calendar years as a column
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("path, low, high", [
-    ("crow.beta", 0.3, 0.6),
-    ("prod_reg_years.stage3", 0.0, 40.0),  # whole and half-year totals
+@pytest.mark.parametrize("scenario, path, low, high, stage, start, end", [
+    (CATALOG[1], "base_delta", 5e-324, 1e-323, S2,
+     "the stage delta base_delta=5e-324 * stage multiplier 0.5", "underflows to 0.0"),
+    (CATALOG[1], "annual_miles", 1e-300, 2e-300, S3,
+     "the demonstration years 56568542494.923805 miles", "exceed float range"),
+    (set_parameter(CATALOG[0], "compute_env.doubling_period_years", 1e307),
+     "prod_reg_years.stage3", 1e308, 1.7e308, S3,
+     "the total of the spans t_comp=1.4000000000000003e+308", "exceeds float range"),
 ])
-@pytest.mark.parametrize("count", [_ROW_BY_ROW_LIMIT, _ROW_BY_ROW_LIMIT + 1])
-def test_sweep_routes_render_the_same_bytes(monkeypatch, path, low, high, count):
-    sweep = SweepSpec.from_grid(path, low, high, count)
-    renders = []
-    for limit in (count, count - 1):  # row by row, then as columns
-        monkeypatch.setattr(sensitivity, "_ROW_BY_ROW_LIMIT", limit)
-        report = one_at_a_time(CATALOG[1], S3, sweep)
-        renders.append([render_sensitivity(report, fmt)
-                        for fmt in (ReportFormat.CSV, ReportFormat.JSON)])
-    assert renders[0] == renders[1]
+def test_monte_carlo_sample_that_fails_a_term_check(scenario, path, low, high, stage, start,
+                                                    end):
+    # Each sample lies inside its bounds; only the term check sends the
+    # failing ones to the scalar path.
+    dists = [DistributionSpec(path, DistributionKind.UNIFORM, low, high)]
+    columnar = outcome(monte_carlo, scenario, stage, dists, 50, 3)
+    assert columnar == outcome(scalar_monte_carlo, scenario, stage, dists, 50, 3)
+    assert columnar[0] is ValidationError
+    assert columnar[1].startswith(start) and columnar[1].endswith(end)
+
+
+# ---------------------------------------------------------------------------
+# Calendar years as a column
+# ---------------------------------------------------------------------------
 
 
 # Half-year ties, a total just below a half year, odd whole totals past
@@ -568,12 +580,11 @@ CALENDAR_TOTALS = [0.0, 0.5, 1.5, 2.5, 4.49, 43.84, 228.94, 0.49999999999999994,
 @pytest.mark.parametrize("baseline_year", [1, 2024, 9999])
 def test_calendar_years_of_a_column_equal_calendar_year(baseline_year):
     totals = np.array(CALENDAR_TOTALS)
-    years = _calendar_years(np.full(totals.size, baseline_year, dtype=np.int64), totals)
+    years = _calendar_years(baseline_year, totals)
     expected = [_calendar_year(baseline_year, t) for t in CALENDAR_TOTALS]
     assert years == expected and all(type(year) is int for year in years)
 
 
-@pytest.mark.usefixtures("columnar_sweeps")
 @pytest.mark.parametrize("path", ["prod_reg_years.stage3", "baseline_year"])
 def test_sweep_calendar_years_equal_scalar_loop(path):
     # prod_reg_years.stage3 is the total on this scenario: no compute,

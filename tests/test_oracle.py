@@ -116,7 +116,6 @@ from avhorizon import (
     monte_carlo,
     one_at_a_time,
     project,
-    sensitivity,
     set_parameter,
     valid_parameter_paths,
 )
@@ -445,15 +444,12 @@ def assert_rows_match(outcomes, report):
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(case=cases(), path=st.sampled_from(PATHS), data=st.data())
 def test_sweep_rows_match_the_oracle(case, path, data):
-    """one_at_a_time evaluates its rows as columns, not through project,
-    once a sweep has more values than its row-by-row limit, here 0."""
+    """one_at_a_time builds each row with set_parameter and projects it."""
     scenario, stage = case
     values = data.draw(st.lists(VALUES[path], min_size=1, max_size=8))
     outcomes = [row_outcome(set_parameter(scenario, path, v), stage) for v in values]
     try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sensitivity, "_ROW_BY_ROW_LIMIT", 0)
-            report = one_at_a_time(scenario, stage, SweepSpec(path, values))
+        report = one_at_a_time(scenario, stage, SweepSpec(path, values))
     except ValidationError as exc:
         # The first row the oracle does not pass decides the error.
         first = next((o for o in outcomes if not isinstance(o, dict)), None)
@@ -560,7 +556,7 @@ def test_float_range_checks_raise_exactly_beyond_float_max(check, side):
 
 @pytest.mark.parametrize("case", LEADING_PRODUCT_PAST_FLOAT_MAX)
 def test_a_leading_product_past_float_max_in_a_term_within_it(case):
-    """project, and a sweep's columns, at the case and at a tenth of its
+    """project, and a sweep's rows, at the case and at a tenth of its
     last setting, where the leading product is within float max."""
     *settings, (path, value) = LEADING_PRODUCT_PAST_FLOAT_MAX[case].items()
     scenario = CONSUMER

@@ -321,6 +321,22 @@ class TestSensitivityRendering:
         text = render_sensitivity(mc_report, ReportFormat.CSV, title="m")
         assert len(text.splitlines()) == 64 + 1
 
+    @pytest.mark.parametrize("path", ["crow.beta", "t_total"])
+    @pytest.mark.parametrize("fmt", ReportFormat)
+    def test_an_integer_beyond_float_range(self, sweep_report, path, fmt):
+        """The text and Markdown renders, which round every number, name the
+        column of an int beyond float range; CSV and JSON write it as given."""
+        if path == "t_total":
+            huge = dataclasses.replace(sweep_report, t_total=(0.5, 10**400, 1.5))
+        else:
+            huge = dataclasses.replace(sweep_report, inputs=((path, (0.35, 10**400, 0.45)),))
+        if fmt in (ReportFormat.CSV, ReportFormat.JSON):
+            assert str(10**400) in render_sensitivity(huge, fmt)
+        else:
+            with pytest.raises(ValidationError) as caught:
+                render_sensitivity(huge, fmt)
+            assert str(caught.value) == f"{path} is an integer beyond float range (1329 bits)"
+
     def test_empty_sensitivity_rejected(self, catalog):
         empty = tornado(catalog["Robo-Taxis"], Stage.BROAD_COMMERCIAL, [])
         with pytest.raises(EmptyResultsError):

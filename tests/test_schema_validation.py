@@ -27,7 +27,6 @@ from avhorizon.scenario import (
     builtin_catalog,
     scenario_to_document,
 )
-from avhorizon.sensitivity import _ROW_BY_ROW_LIMIT
 
 
 def errors_of(module, schema, document):
@@ -258,8 +257,8 @@ def test_targeted_faults_match_jsonschema(schema, document):
 
 
 def test_cli_runs_without_importing_jsonschema_or_numpy(tmp_path):
-    """jsonschema never loads; numpy loads only for mc and for sweeps of
-    more values than ``sensitivity._ROW_BY_ROW_LIMIT``."""
+    """jsonschema never loads; numpy loads only for mc, however long a
+    sweep is."""
     valid = tmp_path / "valid.json"
     valid.write_text(json.dumps({"scenarios": [{"name": "Robo-Taxis"}]}))
     malformed = tmp_path / "malformed.json"
@@ -280,7 +279,7 @@ def test_cli_runs_without_importing_jsonschema_or_numpy(tmp_path):
         "                   (['sweep', '--category', 'Robo-Taxis', '--param', 'f',\n"
         "                     '--values', '0.2,0.6,0.9'], 0),\n"
         "                   (['sweep', '--category', 'Robo-Taxis', '--param', 'crow.beta',\n"
-        f"                     '--grid', '0.3:0.5:{_ROW_BY_ROW_LIMIT}'], 0)):\n"
+        "                     '--grid', '0.3:0.5:20000'], 0)):\n"
         "    run(args, code)\n"
         "    assert 'numpy' not in sys.modules, args\n"
         "run(['mc', '--category', 'Robo-Taxis', '--dist', 'f=uniform:0.6,0.8',\n"

@@ -356,3 +356,28 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             monte_carlo(catalog["Robo-Taxis"], S3, [self.DIST_BETA],
                         sample_count=0, seed=0)
+
+
+def _tornado_of(scenario, specs):
+    return tornado(scenario, S3, [ParameterBounds(*spec) for spec in specs])
+
+
+def _monte_carlo_of(scenario, specs):
+    dists = [DistributionSpec(path, DistributionKind.UNIFORM, low, high)
+             for path, low, high in specs]
+    return monte_carlo(scenario, S3, dists, sample_count=16, seed=0)
+
+
+@pytest.mark.parametrize("analysis", [_tornado_of, _monte_carlo_of])
+@pytest.mark.parametrize("specs, pattern", [
+    # A second spec of a path is rejected before any bound is checked.
+    ([("crow.severity", 1.0, 2.0), ("crow.beta", 0.4, 1.2), ("crow.severity", 1.0, 3.0)],
+     r"^duplicate (tornado bounds|distribution) for parameter 'crow\.severity'$"),
+    # Bounds are checked in spec order, low before high.
+    ([("f", 0.2, 0.9), ("crow.beta", 0.4, 1.2), ("crow.alpha", 0.5, 2.0)],
+     beta_1_2_error("Robo-Taxis")),
+    ([("f", 0.2, 0.9), ("crow.beta", 1.2, 1.5)], beta_1_2_error("Robo-Taxis")),
+])
+def test_spec_errors_come_in_order(catalog, analysis, specs, pattern):
+    with pytest.raises(ValidationError, match=pattern):
+        analysis(catalog["Robo-Taxis"], specs)
