@@ -17,6 +17,7 @@ All flags are long-form.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from typing import Iterable, Sequence
@@ -435,6 +436,14 @@ def _write(output: str | Iterable[str], path: str | None) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # numpy's OpenBLAS starts os.cpu_count() - 1 worker threads when it
+    # loads, and they spin before they sleep; avhorizon calls no BLAS
+    # routine (elementwise ufuncs, libm per row, np.percentile), so the
+    # pool only burns CPU.  On a 2-vCPU host its one worker cost 0.07 s
+    # of CPU per `import numpy` (0.18 s against 0.11 s, wall unchanged)
+    # and 0.13 s per mc of 20k or 100k samples.  A value the caller set
+    # wins; library callers of monte_carlo keep their own setting.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     _reject_flag_conflicts(parser, args)

@@ -13,15 +13,16 @@ document's field is (``errors._check_number``), and its error names it.
   all others at baseline, ranked by descending output spread.
 * monte_carlo: draw all distribution parameters jointly per sample.
 
-A sweep and a tornado build each row with ``set_parameter`` and project
-it with ``project``.  Monte Carlo evaluates its samples together
-(``_evaluate``): the term functions ``project`` runs on floats
-(``scenario._terms``) run over numpy columns of the sampled inputs
-(``_column_ops``), with results bit-identical to ``project`` on each
-row's modified scenario.  A sample that fails any of the terms' checks
-is re-run through ``set_parameter`` and ``project``, which raise the
-exact error.  numpy is imported by the functions that build columns, so
-only the ``mc`` command loads it.
+A tornado builds each row with ``set_parameter`` and projects it with
+``project``.  A sweep checks every value first, then builds and projects
+one row at a time, holding only each row's outputs.  Monte Carlo
+evaluates its samples together (``_evaluate``): the term functions
+``project`` runs on floats (``scenario._terms``) run over numpy columns
+of the sampled inputs (``_column_ops``), with results bit-identical to
+``project`` on each row's modified scenario.  A sample that fails any of
+the terms' checks is re-run through ``set_parameter`` and ``project``,
+which raise the exact error.  numpy is imported by the functions that
+build columns, so only the ``mc`` command loads it.
 
 Monte Carlo determinism contract: the generator is Philox4x64-10, keyed
 per sample as (seed, sample_index), with exactly one uniform draw per
@@ -39,7 +40,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import partial, reduce
 from types import SimpleNamespace
@@ -136,16 +137,25 @@ def _lookup(path: str) -> tuple[_Setter, type, tuple]:
     return _PARAMETERS[path]
 
 
+def _checked(scenario: CategoryScenario, path: str, value: float) -> int | float:
+    """``value`` as ``set_parameter`` sets it at ``path``, or the
+    ValidationError ``set_parameter`` raises.  Each field's domain is one
+    interval of its own, so the setter of ``path`` takes every value this
+    returns."""
+    _, kind, interval = _lookup(path)
+    if kind is int and value.__class__ is float and value.is_integer():
+        value = int(value)
+    _check_number(path, value, {"domain": interval}, kind, f"scenario {scenario.name!r}: ")
+    return value if kind is int else float(value)
+
+
 def set_parameter(scenario: CategoryScenario, path: str, value: float) -> CategoryScenario:
     """Modified copy with the path set.  The value is checked as a scenario
     document's field is, and an error reads as it does for a document; an
     integral float sets an int path as that int, and a float path holds a
     float."""
-    setter, kind, interval = _lookup(path)
-    if kind is int and value.__class__ is float and value.is_integer():
-        value = int(value)
-    _check_number(path, value, {"domain": interval}, kind, f"scenario {scenario.name!r}: ")
-    return setter(scenario, value if kind is int else float(value))
+    value = _checked(scenario, path, value)
+    return _PARAMETERS[path][0](scenario, value)
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +534,15 @@ def _calendar_years(baseline_year: int, totals: np.ndarray) -> list[int]:
     return years
 
 
-def _outputs(rows: Sequence[TimelineBreakdown]) -> tuple[list[float], list[int], list[Gating]]:
-    """The t_total, calendar year and gating columns of projected rows."""
-    return [r.t_total for r in rows], [r.calendar_year for r in rows], [r.gating for r in rows]
+def _outputs(rows: Iterable[TimelineBreakdown]) -> tuple[list[float], list[int], list[Gating]]:
+    """The t_total, calendar year and gating columns of projected rows,
+    read in one pass, so that ``rows`` may be a generator."""
+    t_total, calendar_year, gating = [], [], []
+    for row in rows:
+        t_total.append(row.t_total)
+        calendar_year.append(row.calendar_year)
+        gating.append(row.gating)
+    return t_total, calendar_year, gating
 
 
 def _report(
@@ -579,14 +595,16 @@ def _check_specs(scenario: CategoryScenario,
 def one_at_a_time(scenario: CategoryScenario, stage: Stage, sweep: SweepSpec) -> SensitivityReport:
     """Project once per swept value, all other parameters at baseline.
 
-    Every value is validated (by constructing the modified scenario)
-    before the first projection runs.
+    Every value is checked before the first projection runs.  Then each
+    row's scenario is built and projected in turn, and only its outputs
+    are kept, so memory grows by a few columns' worth per value.
     """
     path = sweep.parameter_path
-    rows = [set_parameter(scenario, path, v) for v in sweep.values]
+    values = [_checked(scenario, path, v) for v in sweep.values]
     baseline = project(scenario, stage)
+    setter = _PARAMETERS[path][0]
     return _report(AnalysisKind.SWEEP, scenario, stage, baseline, {path: sweep.values},
-                   _outputs([project(row, stage).breakdown for row in rows]))
+                   _outputs(project(setter(scenario, v), stage).breakdown for v in values))
 
 
 def tornado(

@@ -272,6 +272,23 @@ class TestMonteCarloCommand:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    @pytest.mark.parametrize("paths", [("crow.beta",), (
+        "crow.beta", "f", "crow.severity", "annual_miles", "gamma_override",
+        "poisson.confidence")], ids=["one-philox-block", "two-philox-blocks"])
+    def test_bytes_do_not_depend_on_blas_threads(self, paths):
+        bounds = {"crow.beta": "0.3,0.5", "f": "0.5,0.9", "crow.severity": "1,3",
+                  "annual_miles": "5e8,2e9", "gamma_override": "0.2,1.2",
+                  "poisson.confidence": "0.9,0.99"}
+        dists = [arg for path in paths for arg in ("--dist", f"{path}=uniform:{bounds[path]}")]
+        unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        for fmt in ("csv", "json"):
+            args = ("mc", "--category", "Robo-Taxis", *dists, "--samples", "2000",
+                    "--seed", "11", "--format", fmt)
+            one = run_cli(*args, env=unset)
+            two = run_cli(*args, env={**unset, "OPENBLAS_NUM_THREADS": "2"})
+            assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+            assert one.stdout == two.stdout
+
     def test_triangular_dist_flag(self):
         proc = run_cli("mc", "--category", "Robo-Taxis",
                        "--dist", "crow.beta=triangular:0.3,0.4,0.5",

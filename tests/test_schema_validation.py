@@ -294,3 +294,43 @@ def test_cli_runs_without_importing_jsonschema_or_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "invalid scenario document at scenarios/0/f: 'x' is not of type 'number'" \
         in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="counts threads in /proc/self/task; OpenBLAS starts none on 1 CPU")
+@pytest.mark.parametrize("caller, given, variable", [
+    ("cli", None, "1"), ("cli", "2", "2"), ("library", None, "None")])
+def test_mc_loads_numpy_with_one_blas_thread_from_the_cli_only(caller, given, variable):
+    """The CLI loads numpy's OpenBLAS with one thread unless the caller set
+    OPENBLAS_NUM_THREADS; a library caller of monte_carlo keeps its own."""
+    script = (
+        "import contextlib, io, os, sys\n"
+        "from avhorizon import cli, sensitivity\n"
+        "from avhorizon.scenario import builtin_catalog\n"
+        "from avhorizon.timeline import Stage\n"
+        "if sys.argv[1] == 'library':\n"
+        "    dist = sensitivity.DistributionSpec('f', sensitivity.DistributionKind.UNIFORM,"
+        " 0.6, 0.8)\n"
+        "    sensitivity.monte_carlo(builtin_catalog()[1], Stage.BROAD_COMMERCIAL, [dist], 5, 1)\n"
+        "else:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(['mc', '--category', 'Robo-Taxis', '--dist',"
+        " 'f=uniform:0.6,0.8', '--samples', '5', '--seed', '1']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))\n"
+    )
+    src = str(Path(avhorizon.__file__).parents[1])
+    # OpenBLAS also reads GOTO_NUM_THREADS and OMP_NUM_THREADS when
+    # OPENBLAS_NUM_THREADS is unset.
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    if given:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run([sys.executable, "-c", script, caller],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    read, tasks = proc.stdout.split()
+    assert read == variable
+    if variable == "1":
+        assert tasks == "1"  # no OpenBLAS worker beside the main thread

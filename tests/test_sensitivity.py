@@ -4,6 +4,7 @@ import dataclasses
 import math
 import operator
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,23 @@ class TestOneAtATime:
         with pytest.raises(ValidationError, match=beta_1_2_error("Robo-Taxis")):
             one_at_a_time(catalog["Robo-Taxis"], S3,
                           SweepSpec("crow.beta", (0.4, 1.2)))
+
+    def test_memory_grows_by_a_few_columns_per_value(self, catalog):
+        # Each row is built and projected in turn and only its outputs are
+        # kept: the peak measured 112-115 B a value at 20k and 100k values
+        # (list and tuple slots, one float and one int a row).  Holding
+        # every row's scenario and breakdown until the last projection
+        # measured 470-530 B a value.
+        n = 20_000
+        sweep = SweepSpec.from_grid("crow.beta", 0.3, 0.6, n)
+        tracemalloc.start()
+        try:
+            report = one_at_a_time(catalog["Robo-Taxis"], S3, sweep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.t_total) == n
+        assert peak / n < 200
 
     def test_monotone_parameter_gives_monotone_totals(self, catalog):
         report = one_at_a_time(
