@@ -25,8 +25,8 @@ the same messages, paths and order (the schema's key order at each
 node, properties in schema order).  Draft 2020-12 counts ``1.0`` as an
 integer, and no number type includes ``bool``.
 
-``closed_object`` and ``NUMBER`` write the schemas' shared shapes, so each
-schema module states only its properties.
+The schemas' shared shapes are written by ``_schema_shapes``, which
+loads without this compiler.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ Path = tuple  # object keys and array indexes from the document root
 # violation; chain is () at the document root.
 Check = Callable[[Any, tuple, list], None]
 
-__all__ = ["NUMBER", "Draft202012Validator", "Violation", "closed_object", "compile_schema"]
+__all__ = ["Draft202012Validator", "Violation", "compile_schema"]
 
 
 class Violation(NamedTuple):
@@ -293,17 +293,3 @@ def compile_schema(schema: dict) -> Check:
     a keyword outside the supported subset raises ValueError."""
     return _Compiler().compile(schema)
 
-
-NUMBER = {"type": "number"}
-
-
-def closed_object(properties: dict, required: list | None = None) -> dict:
-    """Schema of an object with no keys but those of ``properties``: all of
-    them required when ``required`` is None, and no ``required`` keyword
-    when it is empty.  The key order fixes the published schema bytes."""
-    schema: dict = {"type": "object", "additionalProperties": False}
-    required = list(properties) if required is None else required
-    if required:
-        schema["required"] = required
-    schema["properties"] = properties
-    return schema

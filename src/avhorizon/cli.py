@@ -20,9 +20,9 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ._jsonschema import NUMBER, closed_object
+from ._schema_shapes import NUMBER, closed_object
 from .errors import ValidationError
 from .report import (
     _CHUNKED_FORMATS,
@@ -40,18 +40,43 @@ from .scenario import (
     read_utf8_file,
     schema_json,
 )
-from .sensitivity import (
-    DistributionKind,
-    DistributionSpec,
-    ParameterBounds,
-    SweepSpec,
-    monte_carlo,
-    one_at_a_time,
-    tornado,
-)
 from .timeline import PROJECTABLE_STAGES, Stage
 
+if TYPE_CHECKING:
+    from .sensitivity import (
+        DistributionKind,
+        DistributionSpec,
+        ParameterBounds,
+        SweepSpec,
+        monte_carlo,
+        one_at_a_time,
+        tornado,
+    )
+
 __all__ = ["main", "build_parser"]
+
+# The names cli takes from sensitivity, which only the analysis commands
+# load: ``_bind_analyses`` binds them into this module, the first time an
+# analysis runs or one of them is read as an attribute of the module.
+_ANALYSIS_NAMES = ("DistributionKind", "DistributionSpec", "ParameterBounds", "SweepSpec",
+                   "monte_carlo", "one_at_a_time", "tornado")
+
+
+def _bind_analyses() -> None:
+    """Bind each of ``_ANALYSIS_NAMES`` that is not bound yet; a name
+    rebound before (perfbench's tracer wraps the analyses) is kept."""
+    from . import sensitivity
+
+    names = globals()
+    for name in _ANALYSIS_NAMES:
+        names.setdefault(name, getattr(sensitivity, name))
+
+
+def __getattr__(name: str):
+    if name in _ANALYSIS_NAMES:
+        _bind_analyses()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,7 +344,7 @@ def _reject_flag_conflicts(parser: argparse.ArgumentParser, args: argparse.Names
 # checks (finite numbers, low <= high, grid steps >= 2, known parameter
 # paths) stay with the sensitivity specs built from them.
 _PATH = {"type": "string"}
-_KINDS = "|".join(kind.value for kind in DistributionKind)
+_KINDS = "|".join(_DIST_PARAMETERS)  # the DistributionKind values
 _SPEC_SCHEMAS = {
     "sweep": {
         **closed_object({
@@ -395,6 +420,7 @@ def _run_projection_command(args: argparse.Namespace) -> str:
 
 
 def _run_analysis(args: argparse.Namespace) -> str | Iterable[str]:
+    _bind_analyses()
     scenario = _select_single_scenario(args)
     stage = _single_stage(args.stage)
     if args.command == "sweep":
@@ -437,11 +463,12 @@ def _write(output: str | Iterable[str], path: str | None) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     # numpy's OpenBLAS starts os.cpu_count() - 1 worker threads when it
-    # loads, and they spin before they sleep; avhorizon calls no BLAS
-    # routine (elementwise ufuncs, libm per row, np.percentile), so the
-    # pool only burns CPU.  On a 2-vCPU host its one worker cost 0.07 s
-    # of CPU per `import numpy` (0.18 s against 0.11 s, wall unchanged)
-    # and 0.13 s per mc of 20k or 100k samples.  A value the caller set
+    # loads (an mc past sensitivity._MC_ROW_LIMIT samples), and they spin
+    # before they sleep; avhorizon calls no BLAS routine (elementwise
+    # ufuncs, libm per row, np.sort), so the pool only burns CPU.  On a
+    # 2-vCPU host its one worker cost 0.07 s of CPU per `import numpy`
+    # (0.18 s against 0.11 s, wall unchanged) and 0.13 s per mc of 20k or
+    # 100k samples.  A value the caller set
     # wins; library callers of monte_carlo keep their own setting.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()

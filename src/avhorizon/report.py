@@ -14,25 +14,28 @@ printed, which keeps repeated runs byte-for-byte comparable.
 
 from __future__ import annotations
 
-import csv
 import enum
 import io
 import json
 import math
 import re
 from dataclasses import asdict, fields, is_dataclass
-from datetime import datetime, timezone
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
-from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence, get_type_hints
+from typing import (TYPE_CHECKING, Callable, Container, Iterable, Iterator, NamedTuple,
+                    Sequence, get_type_hints)
 
-from ._jsonschema import NUMBER, closed_object
+from ._schema_shapes import NUMBER, closed_object
 from .complexity import Magnitude
 from .errors import _FINITE, EmptyResultsError, ValidationError, _check_number
 from .scenario import ProjectionResult
-from .sensitivity import AnalysisKind, SensitivityReport
 from .timeline import PROJECTABLE_STAGES, Gating
+
+if TYPE_CHECKING:  # loaded where used: a projection command loads neither
+    from datetime import datetime
+
+    from .sensitivity import SensitivityReport
 
 __all__ = [
     "ReportFormat",
@@ -157,6 +160,8 @@ def _format_timestamp(generated_at: datetime | str | None) -> str | None:
         return generated_at
     if generated_at.tzinfo is None:
         raise ValidationError("generated_at must be timezone-aware")
+    from datetime import timezone
+
     return generated_at.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -240,6 +245,8 @@ def _csv_text(table: _Table, with_headers: bool = True) -> str:
             and text.count("\n") == len(rows)
             and text.count(",") == sum(map(len, rows)) - len(rows)):
         return text
+    import csv
+
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_MINIMAL).writerows(rows)
     return buffer.getvalue()
@@ -439,7 +446,7 @@ def render_sensitivity(
         facts.extend(f"t_total {name}: {value:.4f} years" for name, value in (
             ("minimum", summary.minimum), ("mean", summary.mean),
             ("maximum", summary.maximum)))
-        if report.kind is AnalysisKind.MONTE_CARLO:
+        if report.kind.value == "monte_carlo":
             facts.extend([f"samples: {report.sample_count}", f"seed: {report.seed}"])
         if report.percentiles is not None:
             tables.append(_Table(["Percentile", "t_total (years)"],
@@ -447,7 +454,7 @@ def render_sensitivity(
     else:
         facts.append(f"t_total min/mean/max: {summary.minimum:.4f} / "
                      f"{summary.mean:.4f} / {summary.maximum:.4f}")
-        if report.kind is AnalysisKind.MONTE_CARLO:
+        if report.kind.value == "monte_carlo":
             facts.append(f"samples: {report.sample_count}  seed: {report.seed}")
             facts.append("t_total percentiles: " + "  ".join(
                 f"p{p}={v:.4f}" for p, v in report.percentiles))

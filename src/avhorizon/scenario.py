@@ -13,7 +13,8 @@ reliability and timeline:
     growth / Poisson mileage -> stage delta -> demonstration years
     split by f -> total -> calendar year
 
-Monte Carlo runs the same ``_terms`` over numpy columns.
+Monte Carlo runs the same ``_terms`` on each sample's floats, or over
+numpy columns of its samples.
 
 The builtin catalog holds eight reference categories spanning the
 spectrum from constrained industrial sites to unrestricted consumer
@@ -36,12 +37,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from datetime import MAXYEAR, MINYEAR
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Mapping, get_type_hints
 
-from . import _jsonschema as jsonschema
+from ._schema_shapes import NUMBER, closed_object
 # project runs the term functions (_demand_log10 ...), not the public
 # functions that own them.  The benchmark's tracer (perfbench/) wraps seven
 # of those in this module (compute_demand ... compose_total), so they stay
@@ -132,7 +132,7 @@ class CategoryScenario:
     base_delta: float = field(metadata=_domain(0, 1, low_open=True))
     f: float = field(metadata=_domain(0, 1))
     prod_reg_years: StageMap = field(metadata=_NONNEGATIVE)
-    baseline_year: int = field(metadata=_domain(MINYEAR, MAXYEAR))
+    baseline_year: int = field(metadata=_domain(1, 9999))  # datetime.MINYEAR..MAXYEAR
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
@@ -398,20 +398,20 @@ def project(scenario: CategoryScenario, stage: Stage) -> ProjectionResult:
 # Scenario documents
 # ---------------------------------------------------------------------------
 
-_FACTOR_SCHEMA = jsonschema.closed_object({
+_FACTOR_SCHEMA = closed_object({
     "name": {"type": "string", "minLength": 1},
-    "value": jsonschema.NUMBER,
+    "value": NUMBER,
     "documented_range": {
         "type": "array",
         "minItems": 2,
         "maxItems": 2,
-        "prefixItems": [jsonschema.NUMBER, jsonschema.NUMBER],
+        "prefixItems": [NUMBER, NUMBER],
     },
 }, required=["name", "value"])
 _CHI_VALUE_SCHEMA = {
     "oneOf": [
-        jsonschema.NUMBER,
-        jsonschema.closed_object({
+        NUMBER,
+        closed_object({
             "factors": {"type": "array", "minItems": 1, "items": _FACTOR_SCHEMA},
         }),
     ]
@@ -419,14 +419,14 @@ _CHI_VALUE_SCHEMA = {
 _LEAF_SCHEMAS = {
     str: {"type": "string", "minLength": 1},
     int: {"type": "integer"},
-    float: jsonschema.NUMBER,
+    float: NUMBER,
 }
 
 
 def _field_schemas(owner: type) -> dict[str, Any]:
     """Schema of each field of ``owner``; a nested dataclass is a closed object."""
     return {
-        name: jsonschema.closed_object(_field_schemas(kind), required=[])
+        name: closed_object(_field_schemas(kind), required=[])
         if kind in _FIELDS else _LEAF_SCHEMAS[kind]
         for name, kind, _ in _FIELDS[owner]
     }
@@ -443,14 +443,14 @@ _SCENARIO_FIELD_SCHEMAS["chi"]["properties"] = dict.fromkeys(
 SCENARIO_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "Vehicle-category scenario document",
-    **jsonschema.closed_object({
-        "defaults": jsonschema.closed_object({
+    **closed_object({
+        "defaults": closed_object({
             key: schema for key, schema in _SCENARIO_FIELD_SCHEMAS.items() if key != "name"
         }, required=[]),
         "scenarios": {
             "type": "array",
             "minItems": 1,
-            "items": jsonschema.closed_object(_SCENARIO_FIELD_SCHEMAS, required=["name"]),
+            "items": closed_object(_SCENARIO_FIELD_SCHEMAS, required=["name"]),
         },
     }, required=["scenarios"]),
 }
@@ -629,7 +629,7 @@ def _validated_json(text: str, schema: dict, origin: str, what: str) -> Any:
         ) from None
     except RecursionError:  # arrays or objects nested past the recursion limit
         raise ScenarioFormatError(f"{origin}: not valid JSON: nested too deeply") from None
-    validator = jsonschema.Draft202012Validator(schema)
+    validator = _compiler().Draft202012Validator(schema)
     try:
         errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
     except RecursionError:  # parsed, but too deep to repr in the error message
@@ -642,6 +642,22 @@ def _validated_json(text: str, schema: dict, origin: str, what: str) -> Any:
             message = f"{message[:_MESSAGE_LIMIT]}… ({len(message)} characters)"
         raise ScenarioFormatError(f"{origin}: invalid {what} at {where}: {message}")
     return document
+
+
+def _compiler():
+    """The schema compiler (``_jsonschema``), imported at the first
+    validation, so that a command which validates nothing never loads it.
+    It is bound as this module's ``jsonschema``; a value bound there first
+    (the benchmark tracer's stand-in) is kept and used."""
+    from . import _jsonschema
+
+    return globals().setdefault("jsonschema", _jsonschema)
+
+
+def __getattr__(name: str):
+    if name == "jsonschema":
+        return _compiler()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def read_utf8_file(path: str | Path, what: str) -> str:

@@ -15,24 +15,34 @@ document's field is (``errors._check_number``), and its error names it.
 
 A tornado builds each row with ``set_parameter`` and projects it with
 ``project``.  A sweep checks every value first, then builds and projects
-one row at a time, holding only each row's outputs.  Monte Carlo
-evaluates its samples together (``_evaluate``): the term functions
-``project`` runs on floats (``scenario._terms``) run over numpy columns
-of the sampled inputs (``_column_ops``), with results bit-identical to
-``project`` on each row's modified scenario.  A sample that fails any of
-the terms' checks is re-run through ``set_parameter`` and ``project``,
-which raise the exact error.  numpy is imported by the functions that
-build columns, so only the ``mc`` command loads it.
+one row at a time, holding only each row's outputs.
+
+Monte Carlo takes one of two routes, with equal results.  Up to
+``_MC_ROW_LIMIT`` samples it draws and evaluates one sample at a time
+on Python floats (``_sample_rows``): the term functions ``project``
+runs (``scenario._terms``) run on the scenario's leaves with the
+sample's values put in.  Past the limit it evaluates its samples
+together (``_sample_columns``, ``_evaluate``): the same term functions
+run over numpy columns of the sampled inputs (``_column_ops``).  Either
+way each row is bit-identical to ``project`` on the row's modified
+scenario, and a sample that fails any of the terms' checks, or lies
+outside its distribution's bounds, runs through ``set_parameter`` and
+``project``, which raise the exact error.  numpy is imported by the
+functions that build columns, so only an ``mc`` past the limit loads it.
 
 Monte Carlo determinism contract: the generator is Philox4x64-10, keyed
 per sample as (seed, sample_index), with exactly one uniform draw per
 distribution per sample transformed through the distribution's inverse
-CDF.  The draws are computed for all samples at once in numpy arrays and
-equal those of ``np.random.Generator(np.random.Philox(key=[seed, i]))``.
-Sample i therefore never depends on how many samples run before it or
-alongside it, and aggregation always walks samples in index order.
-Given the same seed, distribution list and sample count, reports are
-byte-for-byte reproducible on the same package version.
+CDF (``_inverse_cdf``, one definition for both routes).  The draws are
+computed one sample at a time on Python ints (``_draws_by_sample``) or
+for all samples at once in numpy arrays (``_uniforms``), and equal those
+of ``np.random.Generator(np.random.Philox(key=[seed, i]))``.  Sample i
+therefore never depends on how many samples run before it or alongside
+it, and aggregation always walks samples in index order; the
+percentiles follow ``numpy.percentile``'s linear rule, written out once
+(``_percentiles``).  Given the same seed, distribution list and sample
+count, reports are byte-for-byte reproducible on the same package
+version.
 """
 
 from __future__ import annotations
@@ -40,13 +50,13 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial, reduce
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
-from .errors import _FINITE, UnknownParameterError, ValidationError
+from .errors import _FINITE, _FLOAT_OPS, UnknownParameterError, ValidationError
 from .errors import _check_number, _domain, _float_power
 from .scenario import _FIELDS, _TERM_LEAVES, _TERM_PATHS, CategoryScenario, ProjectionResult
 from .scenario import _terms, project
@@ -240,27 +250,64 @@ class DistributionSpec:
             )
 
 
-def _sample(dist: DistributionSpec, u: np.ndarray) -> np.ndarray:
-    """Map a column of uniform draws in [0, 1) through the distribution.
+# The operations _inverse_cdf takes, on Python floats; _array_math gives
+# numpy's over float64 columns.
+_FLOAT_MATH = SimpleNamespace(sqrt=math.sqrt, frexp=math.frexp, ldexp=math.ldexp, any=bool,
+                              where=lambda ok, yes, no: yes if ok else no,
+                              full=lambda u, value: value)
 
-    Same operations in the same order as the scalar inverse CDF
-    ``low + span * u`` and ``low + sqrt(u * span * (mode - low))`` below
-    the branch point, ``high - sqrt((1 - u) * span * (high - mode))``
-    above it; the differences of the bounds are taken in Python first,
-    as the scalar form takes them.
-    """
+
+def _array_math() -> SimpleNamespace:
     import numpy as np
 
+    return SimpleNamespace(sqrt=np.sqrt, frexp=np.frexp, ldexp=np.ldexp, any=np.any,
+                           where=np.where, full=lambda u, value: np.full(u.size, value))
+
+
+def _inverse_cdf(dist: DistributionSpec, u, ops):
+    """Map uniform draws in [0, 1) through the distribution: one float
+    with ``_FLOAT_MATH``, or a float64 column with ``_array_math()``, by
+    the same operations in the same order.
+
+    uniform: ``low + span * u``.  triangular: ``low + sqrt(u * span *
+    (mode - low))`` below the branch point, ``high - sqrt((1 - u) * span
+    * (high - mode))`` above it, the square root taken by
+    ``_scaled_sqrt``.  The differences of the bounds are taken in Python
+    on the numbers as given.
+    """
     span = dist.high - dist.low
     if span == 0.0:
-        return np.full(u.size, float(dist.low))
-    with np.errstate(all="ignore"):  # a sample out of float range is the scalar path's to reject
-        if dist.kind is DistributionKind.UNIFORM:
-            return float(dist.low) + float(span) * u
-        cut = (dist.mode - dist.low) / span
-        below = float(dist.low) + np.sqrt(u * float(span) * float(dist.mode - dist.low))
-        above = float(dist.high) - np.sqrt((1.0 - u) * float(span) * float(dist.high - dist.mode))
-        return np.where(u < cut, below, above)
+        return ops.full(u, float(dist.low))
+    if dist.kind is DistributionKind.UNIFORM:
+        return float(dist.low) + float(span) * u
+    below = u < (dist.mode - dist.low) / span
+    root = _scaled_sqrt(ops.where(below, u, 1.0 - u), float(span),
+                        ops.where(below, float(dist.mode - dist.low),
+                                  float(dist.high - dist.mode)), ops)
+    return ops.where(below, float(dist.low) + root, float(dist.high) - root)
+
+
+_SMALLEST_NORMAL = 2.2250738585072014e-308  # sys.float_info.min
+
+
+def _scaled_sqrt(a, span: float, b, ops):
+    """``sqrt(a * span * b)`` for ``a`` in [0, 1] and ``b`` in [0, span].
+
+    Where the product is a normal float, its plain square root.  Where it
+    overflows, or underflows to 0 or a subnormal although no factor is 0,
+    the factors' significands are multiplied instead and the exponent is
+    halved apart: ``frexp`` and ``ldexp`` scale by exact powers of two, so
+    the root is the plain one taken without bounds on the exponent.
+    """
+    product = a * span * b
+    root = ops.sqrt(product)
+    lost = (product == math.inf) | ((product < _SMALLEST_NORMAL) & (a != 0.0) & (b != 0.0))
+    if not ops.any(lost):
+        return root
+    (a_digits, a_exp), (span_digits, span_exp), (b_digits, b_exp) = map(ops.frexp, (a, span, b))
+    exponent = a_exp + span_exp + b_exp
+    digits = ops.ldexp(a_digits * span_digits * b_digits, exponent & 1)  # an even exponent left
+    return ops.where(lost, ops.ldexp(ops.sqrt(digits), exponent >> 1), root)
 
 
 # Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1,
@@ -319,6 +366,29 @@ def _uniforms(seed: int, sample_count: int, draws: int) -> list[np.ndarray]:
         words.extend(_philox_block(seed, index, block))
     return [(w >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
             for w in words[:draws]]
+
+
+def _draws_by_sample(seed: int, sample_count: int, draws: int) -> Iterator[list[float]]:
+    """The draws of each sample in turn, as ``_uniforms`` gives them,
+    computed one sample at a time with Philox4x64-10 on Python ints.  The
+    key words of round r are ``seed + r * step0`` and ``index + r * step1``
+    modulo 2**64, and the high word of a product is the product >> 64."""
+    mask = 2**64 - 1
+    keys0 = [(seed + r * _PHILOX_KEY_STEPS[0]) & mask for r in range(_PHILOX_ROUNDS)]
+    steps1 = [(r * _PHILOX_KEY_STEPS[1]) & mask for r in range(_PHILOX_ROUNDS)]
+    multiplier0, multiplier1 = _PHILOX_MULTIPLIERS
+    blocks = range(1, (draws + 3) // 4 + 1)
+    for index in range(sample_count):
+        words = []
+        for block in blocks:
+            x0, x1, x2, x3 = block, 0, 0, 0
+            for key0, step1 in zip(keys0, steps1):
+                product0, product1 = multiplier0 * x0, multiplier1 * x2
+                x0, x1, x2, x3 = ((product1 >> 64) ^ x1 ^ key0, product1 & mask,
+                                  (product0 >> 64) ^ x3 ^ ((index + step1) & mask),
+                                  product0 & mask)
+            words += x0, x1, x2, x3
+        yield [(w >> 11) * (1.0 / 9007199254740992.0) for w in words[:draws]]
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +524,31 @@ def _summarize(t_totals: Sequence[float]) -> SensitivitySummary:
     return SensitivitySummary(minimum=min(t_totals), maximum=max(t_totals), mean=mean)
 
 
+def _percentiles(ordered: Sequence[float]) -> tuple[tuple[int, float], ...]:
+    """``MC_PERCENTILES`` of the sorted totals ``ordered``, a list or a
+    float64 array, bit for bit as ``numpy.percentile``'s default linear
+    rule gives them: at virtual index ``i = (n - 1) * (p / 100)``, with
+    ``a``, ``b`` the values at ``floor(i)`` and the next index and ``g``
+    the fraction of ``i``, ``a + (b - a) * g``, or ``b - (b - a) * (1 - g)``
+    where ``g >= 0.5``.  An index at or past the last element takes the
+    last element as both ``a`` and ``b``, with ``g = i + 1``."""
+    last = len(ordered) - 1
+    values = []
+    for p in MC_PERCENTILES:
+        index = last * (p / 100)
+        if index >= last:
+            below = above = last
+            weight = index + 1.0
+        else:
+            below = math.floor(index)
+            above, weight = below + 1, index - below
+        a, b = float(ordered[below]), float(ordered[above])
+        difference = b - a
+        values.append(b - difference * (1 - weight) if weight >= 0.5
+                      else a + difference * weight)
+    return tuple(zip(MC_PERCENTILES, values))
+
+
 def _per_row(fn: Callable[..., float], *args):
     """``fn`` on Python floats, once per row of the arguments that are
     columns, or once if none is.  libm's log and pow, which this runs,
@@ -511,12 +606,21 @@ def _evaluate(
     totals = np.array(np.broadcast_to(spans[-1], rows), dtype=np.float64)
     gating = list(map(_GATING.__getitem__, np.broadcast_to(compute_gated, rows).tolist()))
     for row in np.flatnonzero(fallback).tolist():
-        modified = scenario
-        for path, column in columns.items():  # .item(): set_parameter takes no numpy scalar
-            modified = set_parameter(modified, path, column[row].item())
-        breakdown = project(modified, stage).breakdown
+        # .item(): set_parameter takes no numpy scalar
+        breakdown = _sample_breakdown(scenario, stage, zip(
+            columns, (column[row].item() for column in columns.values())))
         totals[row], gating[row] = breakdown.t_total, breakdown.gating
     return totals, _calendar_years(scenario.baseline_year, totals), gating
+
+
+def _sample_breakdown(scenario: CategoryScenario, stage: Stage,
+                      values: Iterable[tuple[str, float]]) -> TimelineBreakdown:
+    """The breakdown of a sample the terms did not evaluate: each (path,
+    value) set by ``set_parameter``, then projected by ``project``, either
+    of which raises the exact error of an invalid sample."""
+    for path, value in values:
+        scenario = set_parameter(scenario, path, value)
+    return project(scenario, stage).breakdown
 
 
 def _calendar_years(baseline_year: int, totals: np.ndarray) -> list[int]:
@@ -647,6 +751,72 @@ def tornado(
                    tornado_spreads=spreads)
 
 
+# The most samples Monte Carlo draws and evaluates one at a time on Python
+# floats (_sample_rows); a larger run evaluates numpy columns
+# (_sample_columns).  Rows cost 12-17 us a sample and no numpy import;
+# columns cost numpy's import, about 0.06 s, and little a sample.  Fresh
+# `mc` processes, 2 distributions to JSON, medians of 9-11 interleaved
+# runs in each of three rounds on a 2-vCPU host (Python 3.11.7, numpy
+# 2.4.6), wall seconds, rows against columns: 1000 samples 0.116-0.134
+# against 0.162-0.170; 2000 0.125-0.138 against 0.156-0.171; 4000
+# 0.170-0.183 against 0.176-0.190; 5000 0.195-0.213 against 0.184-0.198;
+# 8000 0.233-0.242 against 0.184-0.193.  The crossover lies between 4000
+# and 5000 samples.
+_MC_ROW_LIMIT = 4000
+
+
+def _sample_rows(scenario: CategoryScenario, stage: Stage,
+                 distributions: Sequence[DistributionSpec], sample_count: int, seed: int):
+    """Monte Carlo's input columns, output columns and percentiles, drawn
+    (``_draws_by_sample``) and evaluated one sample at a time on Python
+    floats.  A sample inside its distributions' bounds runs ``_terms`` on
+    the scenario's leaves with its values put in, as ``project`` runs them
+    on the sample's scenario; any other sample runs through
+    ``set_parameter`` and ``project``.  The first failing sample raises."""
+    paths_drawn = [dist.parameter_path for dist in distributions]
+    leaves = list(_TERM_LEAVES[stage](scenario))
+    slots = [(i, _TERM_PATHS[stage].index(path)) for i, path in enumerate(paths_drawn)
+             if path in _TERM_PATHS[stage]]
+    bounds = [(float(dist.low), float(dist.high)) for dist in distributions]
+    columns: list[list[float]] = [[] for _ in distributions]
+    totals, years, gating = [], [], []
+    for draws in _draws_by_sample(seed, sample_count, len(distributions)):
+        values = [_inverse_cdf(dist, u, _FLOAT_MATH) for dist, u in zip(distributions, draws)]
+        for column, value in zip(columns, values):
+            column.append(value)
+        if all(low <= value <= high for (low, high), value in zip(bounds, values)):
+            for i, slot in slots:
+                leaves[slot] = values[i]
+            spans, compute_gated, _ = _terms(stage, _FLOAT_OPS, *leaves)
+            totals.append(spans[-1])
+            years.append(_calendar_year(scenario.baseline_year, spans[-1]))
+            gating.append(_GATING[compute_gated])
+            continue
+        breakdown = _sample_breakdown(scenario, stage, zip(paths_drawn, values))
+        totals.append(breakdown.t_total)
+        years.append(breakdown.calendar_year)
+        gating.append(breakdown.gating)
+    return columns, (totals, years, gating), _percentiles(sorted(totals))
+
+
+def _sample_columns(scenario: CategoryScenario, stage: Stage,
+                    distributions: Sequence[DistributionSpec], sample_count: int, seed: int):
+    """Monte Carlo's input columns, output columns and percentiles, each
+    distribution drawn for all samples at once (``_uniforms``) and the
+    samples evaluated together by ``_evaluate``."""
+    import numpy as np
+
+    columns, outside = {}, np.zeros(sample_count, dtype=bool)
+    array_math = _array_math()
+    with np.errstate(all="ignore"):  # a sample out of float range is the scalar path's to reject
+        for dist, u in zip(distributions, _uniforms(seed, sample_count, len(distributions))):
+            column = columns[dist.parameter_path] = _inverse_cdf(dist, u, array_math)
+            outside |= (column < float(dist.low)) | (column > float(dist.high))
+    totals, years, gating = _evaluate(scenario, stage, columns, outside)
+    return ([column.tolist() for column in columns.values()], (totals.tolist(), years, gating),
+            _percentiles(np.sort(totals)))
+
+
 def monte_carlo(
     scenario: CategoryScenario,
     stage: Stage,
@@ -657,10 +827,10 @@ def monte_carlo(
     """Jointly sample all distributions and project each sample.
 
     Deterministic for a given (seed, distributions, sample_count); see
-    the module docstring for the exact generator contract.
+    the module docstring for the exact generator contract.  Up to
+    ``_MC_ROW_LIMIT`` samples are evaluated one at a time on Python
+    floats, and more as numpy columns, with equal results.
     """
-    import numpy as np
-
     if not distributions:
         raise ValidationError("monte_carlo requires at least one distribution")
     _check_number("sample_count", sample_count, _domain(1, MAX_ROWS), int)
@@ -677,17 +847,10 @@ def monte_carlo(
     # Every field's domain is one interval (its dataclass field's metadata),
     # so a sample inside the validated [low, high] is valid; one outside is
     # checked by the scalar path.
-    columns, inputs = {}, {}
-    outside = np.zeros(sample_count, dtype=bool)
-    for dist, u in zip(distributions, _uniforms(seed, sample_count, len(distributions))):
-        column = _sample(dist, u)
-        outside |= (column < float(dist.low)) | (column > float(dist.high))
-        # A zero-width distribution reports its bound as given.
-        inputs[dist.parameter_path] = ([dist.low] * sample_count if dist.high - dist.low == 0.0
-                                       else column.tolist())
-        columns[dist.parameter_path] = column
-    totals, years, gating = _evaluate(scenario, stage, columns, outside)
-    percentiles = tuple(zip(MC_PERCENTILES, np.percentile(totals, MC_PERCENTILES).tolist()))
-    return _report(AnalysisKind.MONTE_CARLO, scenario, stage, baseline, inputs,
-                   (totals.tolist(), years, gating),
+    sample = _sample_rows if sample_count <= _MC_ROW_LIMIT else _sample_columns
+    columns, outputs, percentiles = sample(scenario, stage, distributions, sample_count, seed)
+    # A zero-width distribution reports its bound as given.
+    inputs = {dist.parameter_path: [dist.low] * sample_count if dist.high - dist.low == 0.0
+              else column for dist, column in zip(distributions, columns)}
+    return _report(AnalysisKind.MONTE_CARLO, scenario, stage, baseline, inputs, outputs,
                    percentiles=percentiles, seed=seed, sample_count=sample_count)

@@ -307,13 +307,22 @@ class TestMonteCarloCommand:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
 
-    def test_a_sample_beyond_float_range_writes_no_numpy_warning(self):
-        # The inverse CDF overflows to inf; the scalar path rejects that sample.
-        proc = run_cli("mc", "--category", "Robo-Taxis",
-                       "--dist", "annual_miles=triangular:1e-300,1e300,1e300", "--samples", "3")
-        assert proc.returncode == 1
-        assert proc.stderr == ("error: scenario 'Robo-Taxis': annual_miles=inf outside "
-                               "permitted range (0, inf)\n")
+    @pytest.mark.parametrize("samples", [3, sensitivity._MC_ROW_LIMIT + 1],
+                             ids=["rows", "columns"])
+    @pytest.mark.parametrize("path, low, mode, high", [
+        # The plain product u * span * (mode - low) overflowed: a sample of
+        # -inf was rejected (exit 1).
+        ("annual_miles", 1e5, 1e150, 1e155),
+        # It underflowed to 0: every sample was the low bound.
+        ("cycle_time_s", 1e-300, 2e-300, 3e-300),
+    ])
+    def test_triangular_product_out_of_float_range(self, samples, path, low, mode, high):
+        proc = run_cli("mc", "--category", "Robo-Taxis", "--format", "json", "--seed", "1",
+                       "--dist", f"{path}=triangular:{low!r},{mode!r},{high!r}",
+                       "--samples", str(samples))
+        assert proc.returncode == 0 and proc.stderr == ""  # and no numpy warning
+        values = [entry["inputs"][path] for entry in json.loads(proc.stdout)["entries"]]
+        assert len(values) == samples and all(low < value <= high for value in values)
 
 
 class TestStreamedOutput:
@@ -1021,3 +1030,11 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == run_cli(*args, env=env).stdout, args[0]
+
+
+def test_cli_binds_the_sensitivity_names_it_loads_on_first_use():
+    # cli imports sensitivity only when an analysis runs; the names it binds
+    # then are sensitivity's own, and its spec-file schema lists the kinds.
+    for name in cli._ANALYSIS_NAMES:
+        assert getattr(cli, name) is getattr(sensitivity, name)
+    assert tuple(cli._DIST_PARAMETERS) == tuple(kind.value for kind in DistributionKind)

@@ -1,14 +1,16 @@
 """The shared model terms on floats and on columns, against references.
 
 ``project`` runs the model's term functions on Python floats; Monte
-Carlo runs the same functions over numpy columns, and sweeps and
-tornados project each row on its own.  The cases here check:
+Carlo runs the same functions over numpy columns, or on each sample's
+Python floats up to ``_MC_ROW_LIMIT`` samples, and sweeps and tornados
+project each row on its own.  The cases here check:
 
 - ``project`` against the chain of public functions it once called
   (``compute_demand`` ... ``compose_total``);
-- numpy against libm arithmetic on the shared terms: Monte Carlo
-  against a copy of the per-row loop it replaced (``set_parameter``
-  then ``project``, one row and one Philox generator per sample);
+- numpy against libm arithmetic on the shared terms: Monte Carlo, on
+  numpy columns and on Python rows, against a copy of the per-row loop
+  the columns replaced (``set_parameter`` then ``project``, one row and
+  one Philox generator per sample);
 - the fallback rows: samples that fail each term check, lie outside
   their distribution's bounds or come from a scenario holding a JSON
   integer float64 does not;
@@ -21,7 +23,7 @@ errors the same text.
 
 import dataclasses
 import math
-import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +41,8 @@ from avhorizon.reliability import crow_required_miles, demonstration_years, pois
 from avhorizon.report import ReportFormat, render_sensitivity
 from avhorizon.scenario import Intermediates, builtin_catalog, project
 from avhorizon.sensitivity import (
+    _MC_ROW_LIMIT,
+    MAX_ROWS,
     MC_PERCENTILES,
     AnalysisKind,
     DistributionKind,
@@ -196,6 +200,16 @@ def assert_same(columnar, scalar):
             assert render_sensitivity(columnar, fmt) == render_sensitivity(scalar, fmt)
 
 
+def both_routes(*args):
+    """``outcome(monte_carlo, *args)`` on numpy columns, the same as on
+    Python rows: Monte Carlo takes rows up to ``_MC_ROW_LIMIT`` samples."""
+    with mock.patch.object(sensitivity, "_MC_ROW_LIMIT", 0):
+        columns = outcome(monte_carlo, *args)
+    with mock.patch.object(sensitivity, "_MC_ROW_LIMIT", MAX_ROWS):
+        assert_same(outcome(monte_carlo, *args), columns)
+    return columns
+
+
 # ---------------------------------------------------------------------------
 # project against the public functions
 # ---------------------------------------------------------------------------
@@ -298,7 +312,7 @@ def distributions(draw):
        dists=distributions(), sample_count=st.integers(1, 40),
        seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**53 + 1, 2**64 - 1])))
 def test_monte_carlo_equals_scalar_loop(scenario, stage, dists, sample_count, seed):
-    assert_same(outcome(monte_carlo, scenario, stage, dists, sample_count, seed),
+    assert_same(both_routes(scenario, stage, dists, sample_count, seed),
                 outcome(scalar_monte_carlo, scenario, stage, dists, sample_count, seed))
 
 
@@ -323,14 +337,14 @@ def test_monte_carlo_each_path(path):
     cases = [(CATALOG[0], S2), (CATALOG[0], S3),
              (one_span(CATALOG[0], "t_comp"), S3), (one_span(CATALOG[0], "t_poisson"), S3)]
     for scenario, stage in cases:
-        assert_same(outcome(monte_carlo, scenario, stage, dists, 1000, 7),
+        assert_same(both_routes(scenario, stage, dists, 1000, 7),
                     outcome(scalar_monte_carlo, scenario, stage, dists, 1000, 7))
 
 
 def test_zero_width_distribution_reports_bound_as_given():
     dists = [DistributionSpec("gamma_override", DistributionKind.UNIFORM, 1, 1),
              DistributionSpec("f", DistributionKind.TRIANGULAR, 0, 1, 1)]
-    report = monte_carlo(CATALOG[1], S3, dists, 8, 3)
+    report = both_routes(CATALOG[1], S3, dists, 8, 3)
     assert all(type(dict(e.inputs)["gamma_override"]) is int for e in report.entries)
     assert_same(report, scalar_monte_carlo(CATALOG[1], S3, dists, 8, 3))
 
@@ -351,9 +365,11 @@ def calls(monkeypatch):
     return counts
 
 
+@pytest.mark.parametrize("samples", [_MC_ROW_LIMIT, _MC_ROW_LIMIT + 1], ids=["rows", "columns"])
 @pytest.mark.parametrize("scenario", CATALOG[:4])
 @pytest.mark.parametrize("stage", PROJECTABLE_STAGES)
-def test_no_generator_set_parameter_or_project_per_sample(monkeypatch, calls, scenario, stage):
+def test_no_generator_set_parameter_or_project_per_sample(monkeypatch, calls, scenario, stage,
+                                                          samples):
     monkeypatch.setattr(np.random, "Philox", None)
     dists = [DistributionSpec("crow.beta", DistributionKind.TRIANGULAR, 0.3, 0.6, 0.4),
              DistributionSpec("f", DistributionKind.UNIFORM, 0.0, 1.0),
@@ -361,24 +377,10 @@ def test_no_generator_set_parameter_or_project_per_sample(monkeypatch, calls, sc
              DistributionSpec("chi.stage3", DistributionKind.TRIANGULAR, 1e-6, 1.0, 1.0),
              DistributionSpec("poisson.confidence", DistributionKind.UNIFORM, 0.5, 0.99),
              DistributionSpec("crow.severity", DistributionKind.TRIANGULAR, 1.0, 9.0, 1.0)]
-    report = monte_carlo(scenario, stage, dists, 5000, 11)
-    assert len(report.entries) == 5000
+    report = monte_carlo(scenario, stage, dists, samples, 11)
+    assert len(report.entries) == samples
     # Each distribution's bounds (and mode) are validated; one baseline projection.
     assert calls == {"set_parameter": 15, "project": 1}
-
-
-@pytest.mark.parametrize("low, mode, high", [
-    (1e-300, 1e300, 1e300),  # below the branch point: the sqrt of inf
-    (1e-300, 1e-300, 1e300),  # above it: 1e300 - inf
-    (1e-300, 1e300, 1.7e308),  # both branches out of float range
-])
-def test_samples_beyond_float_range_raise_no_numpy_warning(low, mode, high):
-    dists = [DistributionSpec("annual_miles", DistributionKind.TRIANGULAR, low, high, mode)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        columnar = outcome(monte_carlo, CATALOG[0], S3, dists, 50, 3)
-    assert columnar == outcome(scalar_monte_carlo, CATALOG[0], S3, dists, 50, 3)
-    assert columnar[0] is ValidationError
 
 
 def test_no_entry_object_while_analysing_or_rendering(monkeypatch):
@@ -404,10 +406,15 @@ def test_no_entry_object_while_analysing_or_rendering(monkeypatch):
         reports[0].entries[0]
 
 
-def test_sample_outside_its_bounds_takes_the_scalar_path(monkeypatch):
+@pytest.mark.parametrize("route", ["rows", "columns"])
+def test_sample_outside_its_bounds_takes_the_scalar_path(monkeypatch, route):
     # u = 0 maps triangular(low, low, 1) to 1 - sqrt(1 * 1 * 1) = 0.0,
     # below a subnormal low: the scalar path rejects that gamma_override.
-    monkeypatch.setattr(sensitivity, "_uniforms", lambda *_: [np.array([0.5, 0.0])])
+    if route == "rows":
+        monkeypatch.setattr(sensitivity, "_draws_by_sample", lambda *_: iter([[0.5], [0.0]]))
+    else:
+        monkeypatch.setattr(sensitivity, "_MC_ROW_LIMIT", 0)
+        monkeypatch.setattr(sensitivity, "_uniforms", lambda *_: [np.array([0.5, 0.0])])
     dist = DistributionSpec("gamma_override", DistributionKind.TRIANGULAR, 5e-324, 1.0, 5e-324)
     with pytest.raises(ValidationError) as expected:
         set_parameter(CATALOG[0], "gamma_override", 0.0)
@@ -492,7 +499,7 @@ def test_scenarios_the_registry_does_not_build(stage):
                     outcome(scalar_sweep, scenario, stage, sweep))
         dists = [DistributionSpec("crow_lambda_target", DistributionKind.UNIFORM, 2.0**60, 2.0**60),
                  DistributionSpec("annual_miles", DistributionKind.UNIFORM, 1e8, 1e10)]
-        assert_same(outcome(monte_carlo, scenario, stage, dists, 20, 3),
+        assert_same(both_routes(scenario, stage, dists, 20, 3),
                     outcome(scalar_monte_carlo, scenario, stage, dists, 20, 3))
 
 
@@ -503,7 +510,7 @@ def test_scenarios_the_registry_does_not_build(stage):
 
 def test_monte_carlo_sample_whose_growth_mileage_overflows():
     dists = [DistributionSpec("crow.beta", DistributionKind.UNIFORM, 0.005, 0.5)]
-    columnar = outcome(monte_carlo, CATALOG[0], S3, dists, 200, 1)
+    columnar = both_routes(CATALOG[0], S3, dists, 200, 1)
     assert columnar == outcome(scalar_monte_carlo, CATALOG[0], S3, dists, 200, 1)
     assert columnar[0] is ValidationError
     assert columnar[1].startswith("the growth mileage (crow.alpha=0.0001 * crow.severity=1.0 "
@@ -559,7 +566,7 @@ def test_monte_carlo_sample_that_fails_a_term_check(scenario, path, low, high, s
     # Each sample lies inside its bounds; only the term check sends the
     # failing ones to the scalar path.
     dists = [DistributionSpec(path, DistributionKind.UNIFORM, low, high)]
-    columnar = outcome(monte_carlo, scenario, stage, dists, 50, 3)
+    columnar = both_routes(scenario, stage, dists, 50, 3)
     assert columnar == outcome(scalar_monte_carlo, scenario, stage, dists, 50, 3)
     assert columnar[0] is ValidationError
     assert columnar[1].startswith(start) and columnar[1].endswith(end)

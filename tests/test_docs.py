@@ -123,10 +123,10 @@ def hand_written_schema_shapes(path: Path) -> list[int]:
                  or ast.unparse(node) == "{'type': 'number'}")]
 
 
-def test_only_jsonschema_writes_a_closed_object_or_the_number_schema():
-    # The other modules build them with _jsonschema.closed_object and NUMBER.
+def test_only_schema_shapes_writes_a_closed_object_or_the_number_schema():
+    # The other modules build them with _schema_shapes.closed_object and NUMBER.
     found = {path.name: lines for path in SRC.glob("*.py")
-             if path.name != "_jsonschema.py"
+             if path.name != "_schema_shapes.py"
              and (lines := hand_written_schema_shapes(path))}
     assert found == {}
 
@@ -195,6 +195,15 @@ def unused_imports(path: Path) -> set[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_every_import_is_used_or_exported(path):
     assert unused_imports(path) == TRACER_ONLY_IMPORTS.get(path.name, set())
+
+
+def test_readme_states_the_monte_carlo_row_limit():
+    # Where numpy loads and how the draws are computed both turn on it.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    limit = sensitivity._MC_ROW_LIMIT
+    assert f"`mc` of more than {limit} samples" in text
+    assert f"`mc` of up to {limit} samples" in text
+    assert f"`mc` past {limit} samples" in text
 
 
 def test_package_version_matches_pyproject():

@@ -96,6 +96,7 @@ import math
 import sys
 from dataclasses import fields
 from functools import reduce
+from unittest import mock
 
 import mpmath
 import pytest
@@ -119,6 +120,7 @@ from avhorizon import (
     set_parameter,
     valid_parameter_paths,
 )
+from avhorizon import sensitivity
 
 MP = mpmath.MPContext()
 MP.dps = 50
@@ -461,19 +463,23 @@ def test_sweep_rows_match_the_oracle(case, path, data):
     assert_rows_match(outcomes, report)
 
 
+@pytest.mark.parametrize("row_limit", [0, 64], ids=["columns", "rows"])
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(case=cases(), paths=st.lists(st.sampled_from(FLOAT_PATHS), min_size=2, max_size=2,
                                     unique=True),
        seed=st.integers(0, 2**64 - 1), data=st.data())
-def test_monte_carlo_rows_match_the_oracle(case, paths, seed, data):
-    """monte_carlo evaluates its samples as columns, not through project."""
+def test_monte_carlo_rows_match_the_oracle(row_limit, case, paths, seed, data):
+    """monte_carlo evaluates its samples as numpy columns, or with
+    ``_terms`` on each sample's floats up to ``_MC_ROW_LIMIT`` samples,
+    not through project."""
     scenario, stage = case
     distributions = []
     for path in paths:
         low, high = sorted(data.draw(st.tuples(VALUES[path], VALUES[path])))
         distributions.append(DistributionSpec(path, DistributionKind.UNIFORM, low, high))
     try:
-        report = monte_carlo(scenario, stage, distributions, 64, seed)
+        with mock.patch.object(sensitivity, "_MC_ROW_LIMIT", row_limit):
+            report = monte_carlo(scenario, stage, distributions, 64, seed)
     except ValidationError as exc:
         # The samples of a failed run are not reported; its error must
         # still be one of the float-range checks.

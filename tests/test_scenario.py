@@ -1,6 +1,7 @@
 """Tests for the builtin catalog, projection pipeline, and scenario files."""
 
 import dataclasses
+import datetime
 import json
 import math
 
@@ -15,11 +16,14 @@ from avhorizon.errors import (
     ScenarioFormatError,
     UnsupportedStageError,
     ValidationError,
+    _domain,
 )
 from avhorizon.reliability import crow_required_miles, poisson_required_miles
 from avhorizon.scenario import (
+    _FIELDS,
     CHI_PROVENANCE,
     SCENARIO_SCHEMA,
+    CategoryScenario,
     builtin_catalog,
     load_scenarios,
     parse_scenarios,
@@ -309,6 +313,11 @@ class TestScenarioDocuments:
         })
         (s,) = parse_scenarios(doc)
         assert s.gamma_override == 0.9
+
+    def test_baseline_year_domain_is_datetime_year_range(self):
+        # scenario states the interval as numbers, so that it loads no datetime.
+        domain = {name: interval for name, _, interval in _FIELDS[CategoryScenario]}
+        assert domain["baseline_year"] == _domain(datetime.MINYEAR, datetime.MAXYEAR)["domain"]
 
     @pytest.mark.parametrize("year, ok", [
         (1, True), (9999, True), (0, False), (10000, False), (-2024, False), (10**400, False),

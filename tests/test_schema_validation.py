@@ -27,6 +27,7 @@ from avhorizon.scenario import (
     builtin_catalog,
     scenario_to_document,
 )
+from avhorizon.sensitivity import _MC_ROW_LIMIT
 
 
 def errors_of(module, schema, document):
@@ -252,48 +253,87 @@ def test_targeted_faults_match_jsonschema(schema, document):
 
 
 # ---------------------------------------------------------------------------
-# jsonschema and numpy stay out of the program
+# Each command loads only what it runs
 # ---------------------------------------------------------------------------
 
+SENSITIVITY, COMPILER = "avhorizon.sensitivity", "avhorizon._jsonschema"
+MC = ("mc", "--category", "Robo-Taxis", "--dist", "f=uniform:0.6,0.8",
+      "--dist", "crow.beta=triangular:0.3,0.4,0.5", "--seed", "1", "--samples")
+# Per command line: its exit code, the modules it must leave unloaded
+# besides NEVER_LOADED, and the modules it must load.  {valid} and
+# {malformed} name scenario documents.
+LOAD_BUDGET = [
+    (("catalog",), 0, {SENSITIVITY, COMPILER, "csv"}, set()),
+    (("catalog", "--format", "csv"), 0, {SENSITIVITY, COMPILER, "csv"}, set()),
+    (("schema",), 0, {SENSITIVITY, COMPILER}, set()),
+    (("project", "--file", "{valid}"), 0, {SENSITIVITY}, {COMPILER}),
+    (("project", "--file", "{malformed}"), 1, {SENSITIVITY}, {COMPILER}),
+    (("tornado", "--category", "Robo-Taxis", "--bound", "f=0.6,0.8",
+      "--bound", "crow.beta=0.3,0.5"), 0, set(), {SENSITIVITY}),
+    (("sweep", "--category", "Robo-Taxis", "--param", "f", "--values", "0.2,0.6,0.9"),
+     0, set(), {SENSITIVITY}),
+    (("sweep", "--category", "Robo-Taxis", "--param", "crow.beta", "--grid", "0.3:0.5:20000"),
+     0, set(), {SENSITIVITY}),
+    ((*MC, str(_MC_ROW_LIMIT)), 0, set(), {SENSITIVITY}),
+]
+# No command writes a timestamp, and jsonschema is the tests' oracle only.
+NEVER_LOADED = {"numpy", "jsonschema", "datetime"}
 
-def test_cli_runs_without_importing_jsonschema_or_numpy(tmp_path):
-    """jsonschema never loads; numpy loads only for mc, however long a
-    sweep is."""
+LOADED_MODULES = (
+    "import contextlib, io, sys\n"
+    "from avhorizon.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(code, *sys.modules)\n"
+)
+
+
+def loaded_modules(*args: str, script: str = LOADED_MODULES) -> tuple[int, set[str], str]:
+    """The exit code of ``main(args)`` in a fresh interpreter, the modules
+    loaded when it returned, and its standard error."""
+    src = str(Path(avhorizon.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.split()
+    return int(code), set(modules), proc.stderr
+
+
+def test_importing_the_package_loads_no_submodule():
+    _, modules, _ = loaded_modules(script="import sys, avhorizon\nprint(0, *sys.modules)\n")
+    assert "avhorizon" in modules
+    assert {name for name in modules if name.startswith("avhorizon.")} == set()
+
+
+@pytest.mark.parametrize("args, code, unloaded, loaded", LOAD_BUDGET, ids=[
+    "catalog", "catalog-csv", "schema", "project", "project-malformed", "tornado",
+    "sweep-values", "sweep-grid", "mc-at-row-limit"])
+def test_each_command_loads_only_what_it_runs(tmp_path, args, code, unloaded, loaded):
+    """sensitivity loads for the analyses only, the schema compiler for a
+    validation only, numpy for an mc of more than _MC_ROW_LIMIT samples
+    only; csv for CSV text that needs quoting and datetime for a
+    timestamp, which no command writes."""
     valid = tmp_path / "valid.json"
     valid.write_text(json.dumps({"scenarios": [{"name": "Robo-Taxis"}]}))
     malformed = tmp_path / "malformed.json"
     malformed.write_text(json.dumps({"scenarios": [{"name": "Robo-Taxis", "f": "x"}]}))
-    script = (
-        "import contextlib, io, sys\n"
-        "from avhorizon import cli\n"
-        "def run(args, code):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert cli.main(args) == code, args\n"
-        "    assert 'jsonschema' not in sys.modules, args\n"
-        "valid, malformed = sys.argv[1:]\n"
-        "assert not {'jsonschema', 'numpy'} & sys.modules.keys(), 'import'\n"
-        "for args, code in ((['catalog'], 0), (['project', '--file', valid], 0),\n"
-        "                   (['project', '--file', malformed], 1), (['schema'], 0),\n"
-        "                   (['tornado', '--category', 'Robo-Taxis', '--bound', 'f=0.6,0.8',\n"
-        "                     '--bound', 'crow.beta=0.3,0.5'], 0),\n"
-        "                   (['sweep', '--category', 'Robo-Taxis', '--param', 'f',\n"
-        "                     '--values', '0.2,0.6,0.9'], 0),\n"
-        "                   (['sweep', '--category', 'Robo-Taxis', '--param', 'crow.beta',\n"
-        "                     '--grid', '0.3:0.5:20000'], 0)):\n"
-        "    run(args, code)\n"
-        "    assert 'numpy' not in sys.modules, args\n"
-        "run(['mc', '--category', 'Robo-Taxis', '--dist', 'f=uniform:0.6,0.8',\n"
-        "     '--samples', '5', '--seed', '1'], 0)\n"
-        "assert 'numpy' in sys.modules, 'mc'\n"
-    )
-    src = str(Path(avhorizon.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", script, str(valid), str(malformed)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert "invalid scenario document at scenarios/0/f: 'x' is not of type 'number'" \
-        in proc.stderr
+    args = [arg.format(valid=valid, malformed=malformed) for arg in args]
+    exit_code, modules, stderr = loaded_modules(*args)
+    assert exit_code == code, stderr
+    assert modules & (unloaded | NEVER_LOADED) == set()
+    assert loaded <= modules
+    if code:
+        assert "invalid scenario document at scenarios/0/f: 'x' is not of type 'number'" \
+            in stderr
+
+
+def test_an_mc_past_the_row_limit_loads_numpy():
+    exit_code, modules, stderr = loaded_modules(*MC, str(_MC_ROW_LIMIT + 1))
+    assert exit_code == 0, stderr
+    assert "numpy" in modules  # which loads datetime itself
+    assert modules & {"jsonschema", COMPILER} == set()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
@@ -311,11 +351,12 @@ def test_mc_loads_numpy_with_one_blas_thread_from_the_cli_only(caller, given, va
         "if sys.argv[1] == 'library':\n"
         "    dist = sensitivity.DistributionSpec('f', sensitivity.DistributionKind.UNIFORM,"
         " 0.6, 0.8)\n"
-        "    sensitivity.monte_carlo(builtin_catalog()[1], Stage.BROAD_COMMERCIAL, [dist], 5, 1)\n"
+        "    sensitivity.monte_carlo(builtin_catalog()[1], Stage.BROAD_COMMERCIAL, [dist],\n"
+        "                            int(sys.argv[2]), 1)\n"
         "else:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(['mc', '--category', 'Robo-Taxis', '--dist',"
-        " 'f=uniform:0.6,0.8', '--samples', '5', '--seed', '1']) == 0\n"
+        " 'f=uniform:0.6,0.8', '--samples', sys.argv[2], '--seed', '1']) == 0\n"
         "assert 'numpy' in sys.modules\n"
         "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))\n"
     )
@@ -327,7 +368,7 @@ def test_mc_loads_numpy_with_one_blas_thread_from_the_cli_only(caller, given, va
     env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
     if given:
         env["OPENBLAS_NUM_THREADS"] = given
-    proc = subprocess.run([sys.executable, "-c", script, caller],
+    proc = subprocess.run([sys.executable, "-c", script, caller, str(_MC_ROW_LIMIT + 1)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     read, tasks = proc.stdout.split()
